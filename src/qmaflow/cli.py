@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PositivityError, SpecValidationError, StiffnessError
-from .fields import ScalarField, TorusGrid, TrigPolySpec, build_omega_h, sample
+from .fields import ScalarField, TorusGrid, TrigPolySpec, build_omega_h, sample, spectral_ops
 from .flow import DiagnosticsRecord, run_to_steady
 from .model import build_model
 from .operators import flow_rhs
@@ -66,6 +67,7 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, data: dict, base_dir: Path) -> "RunConfig":
+        """Parse and validate a config document; every float must be finite."""
         try:
             n = int(data["n"])
             grid_spec = data["grid"]
@@ -110,11 +112,14 @@ class RunConfig:
                 seed=int(data.get("seed", 0)),
                 output_dir=base_dir / str(data.get("output_dir", "out")),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             if isinstance(exc, SpecValidationError):
                 raise
             raise SpecValidationError(f"invalid run config: {exc}") from exc
         build_model(config.n)  # range check, n = 1 gets its dedicated message
+        for name in ("omega_h_c", "sigma", "tol_steady", "t_max", "snapshot_interval"):
+            if not math.isfinite(getattr(config, name)):
+                raise SpecValidationError(f"{name} must be finite, got {getattr(config, name)}")
         if config.sigma <= 0 or config.tol_steady < 0 or config.t_max <= 0:
             raise SpecValidationError("sigma, tol_steady, t_max must be positive")
         for spec in (config.omega_h_rho, config.f_spec, config.u_star_spec, config.u0_spec):
@@ -129,13 +134,14 @@ class RunConfig:
             data = json.loads(path.read_text())
         except OSError as exc:
             raise SpecValidationError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
             raise SpecValidationError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_json(data, path.parent)
 
 
 def _build_problem(config: RunConfig):
     """Background form, source and initial data for a run config."""
+    spectral_ops(config.grid)  # reads QMAFLOW_WORKERS: a bad value is a config error
     model = build_model(config.n)
     if config.u_star_spec is not None:
         problem = build_manufactured(
@@ -186,7 +192,7 @@ def write_snapshot(path, field: ScalarField, t: float, name: str = "u"):
 
 
 def read_snapshot(path, grid: TorusGrid | None = None):
-    """Read a snapshot; validates header, payload length and grid shape."""
+    """Read a snapshot; a malformed or non-finite one is a SpecValidationError."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -197,24 +203,27 @@ def read_snapshot(path, grid: TorusGrid | None = None):
         raise SpecValidationError(f"snapshot {path} has no header line")
     try:
         header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SpecValidationError(f"snapshot {path} has a bad header: {exc}") from exc
+        sizes = tuple(int(s) for s in header["sizes"])
+        active_dims = tuple(header.get("active_dims", ()))
+        n = int(header.get("n", -1))
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise SpecValidationError(f"snapshot {path} has a bad header: {exc!r}") from exc
     if header.get("format") != SNAPSHOT_MAGIC:
         raise SpecValidationError(f"snapshot {path} has an unknown format tag")
-    sizes = tuple(int(s) for s in header["sizes"])
     payload = raw[newline + 1 :]
-    expected = int(np.prod(sizes)) * 8
+    expected = math.prod(sizes) * 8
     if len(payload) != expected:
         raise SpecValidationError(
             f"snapshot {path} payload has {len(payload)} bytes, expected {expected}"
         )
-    values = np.frombuffer(payload, dtype="<f8").reshape(sizes)
+    try:
+        values = np.frombuffer(payload, dtype="<f8").reshape(sizes)
+    except ValueError as exc:  # negative or too many sizes
+        raise SpecValidationError(f"snapshot {path} has bad sizes {list(sizes)}") from exc
+    if not np.all(np.isfinite(values)):
+        raise SpecValidationError(f"snapshot {path} payload is not finite")
     if grid is not None:
-        if (
-            tuple(header.get("active_dims", ())) != grid.active_dims
-            or sizes != grid.sizes
-            or int(header.get("n", -1)) != grid.n
-        ):
+        if active_dims != grid.active_dims or sizes != grid.sizes or n != grid.n:
             raise SpecValidationError(
                 "snapshot grid does not match the config grid "
                 f"(snapshot: n={header.get('n')}, dims={header.get('active_dims')}, "

@@ -185,13 +185,13 @@ def pfaffian(entries):
     m = entries.shape[0]
     if entries.shape[1] != m or m % 2:
         raise ValueError("expected a (2m, 2m, ...) antisymmetric array")
-    out = None
-    for sign, pairs in perfect_matchings(m):
-        term = entries[pairs[0][0], pairs[0][1]].copy()
-        for i, j in pairs[1:]:
-            term = term * entries[i, j]
-        out = sign * term if out is None else out + sign * term
-    return out
+    return pfaffian_upper(entries[_upper_indices(m)], m)
+
+
+@lru_cache(maxsize=None)
+def _upper_indices(m: int):
+    """Rows and columns of the (j, k), j < k entries, in lexicographic order."""
+    return np.triu_indices(m, 1)
 
 
 @lru_cache(maxsize=None)
@@ -200,8 +200,17 @@ def _upper_index(m: int) -> dict:
     return {pair: idx for idx, pair in enumerate(pairs)}
 
 
+def full_from_upper(upper, m: int):
+    """Antisymmetric (m, m, ...) array from the stacked layout of :func:`pfaffian_upper`."""
+    rows, cols = _upper_indices(m)
+    full = np.zeros((m, m) + upper.shape[1:], dtype=upper.dtype)
+    full[rows, cols] = upper
+    full[cols, rows] = -upper
+    return full
+
+
 def pfaffian_upper(upper, m: int):
-    """Pfaffian from the stacked upper-triangle entries of a 2m x 2m form.
+    """Pfaffian from the stacked upper-triangle entries of an m x m form.
 
     ``upper`` stacks the (j, k), j < k entries in lexicographic order on
     axis 0.  Same normalization as :func:`pfaffian`; this is the layout

@@ -16,6 +16,7 @@ be band-limited below Nyquist anyway.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from .errors import SpecValidationError
+from .exterior import full_from_upper
 from .model import (
     JRealTwoForm,
     TorusModel,
@@ -167,6 +169,8 @@ class TrigTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "k", tuple(int(c) for c in self.k))
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.phase)):
+            raise SpecValidationError(f"trig term {self} is not finite")
 
 
 @dataclass(frozen=True)
@@ -222,7 +226,7 @@ class TrigPolySpec:
                         float(entry.get("phase", 0.0)),
                     )
                 )
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise SpecValidationError(f"bad trig term {entry!r}") from exc
         return cls(tuple(terms))
 
@@ -250,14 +254,16 @@ class SpectralOps:
     """Fourier-multiplier derivatives for one grid and one model dimension.
 
     Precomputes the holomorphic/antiholomorphic first-derivative multipliers
-    and the fused multipliers for the quaternionic Hessian and its trace.
-    All methods operating "from_hat" expect the full FFT of a field and
-    return position-space arrays.
+    and the fused multipliers for the quaternionic Hessian and its trace;
+    resolves the FFT worker count once.  All methods operating "from_hat"
+    expect the full FFT of a field and return position-space arrays.  The
+    batched :meth:`ddj_upper_s1_from_hat` is the only Hessian transform.
     """
 
     def __init__(self, grid: TorusGrid):
         self.grid = grid
         self.n = grid.n
+        self.workers = fft_workers()
         m = 2 * self.n
         self._ik = self._build_ik()
         # d/dz^a -> (ik_a + k_{2n+a})/2,  d/dzbar^a -> (ik_a - k_{2n+a})/2
@@ -270,22 +276,18 @@ class SpectralOps:
             for a in range(m)
         ]
         t = j_tables(self.n)
-        self._sigma = t.sigma
-        self._dj_sign = t.dj_sign
         # (ddj u)_{jk} = dj_k u_{j sigma(k)bar} - dj_j u_{k sigma(j)bar}
         self.pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
-        self.ddj_mult = {}
-        for j, k in self.pairs:
-            self.ddj_mult[(j, k)] = t.dj_sign[k] * self.zmult[j] * self.zbmult[
-                t.sigma[k]
-            ] - t.dj_sign[j] * self.zmult[k] * self.zbmult[t.sigma[j]]
+        ddj_mult = [
+            t.dj_sign[k] * self.zmult[j] * self.zbmult[t.sigma[k]]
+            - t.dj_sign[j] * self.zmult[k] * self.zbmult[t.sigma[j]]
+            for j, k in self.pairs
+        ]
         self.s1_mult = sum(self.zmult[a] * self.zbmult[a] for a in range(m))
         self._tail_mask = self._build_tail_mask()
-        # stacked multipliers let the hot loop run single batched transforms
+        # stacked multipliers let every caller run single batched transforms
         full = lambda a: np.broadcast_to(a, self.grid.shape)
-        self._ddj_s1_stack = np.stack(
-            [full(self.ddj_mult[p]) for p in self.pairs] + [full(self.s1_mult)]
-        )
+        self._ddj_s1_stack = np.stack([full(mult) for mult in ddj_mult + [self.s1_mult]])
         self._zbar_stack = np.stack([full(mult) for mult in self.zbmult])
 
     def _build_ik(self):
@@ -319,14 +321,14 @@ class SpectralOps:
     # -- transforms ---------------------------------------------------
 
     def fft(self, values):
-        return sp_fft.fftn(np.asarray(values), workers=fft_workers())
+        return sp_fft.fftn(np.asarray(values), workers=self.workers)
 
     def ifft(self, hat):
-        return sp_fft.ifftn(hat, workers=fft_workers())
+        return sp_fft.ifftn(hat, workers=self.workers)
 
     def _ifft_batch(self, hats):
         axes = tuple(range(1, hats.ndim))
-        return sp_fft.ifftn(hats, axes=axes, workers=fft_workers())
+        return sp_fft.ifftn(hats, axes=axes, workers=self.workers)
 
     # -- first derivatives ---------------------------------------------
 
@@ -338,10 +340,6 @@ class SpectralOps:
 
     def partial_zbar(self, values, a: int):
         return self.ifft(self.zbmult[a] * self.fft(values))
-
-    def zbar_gradient_from_hat(self, hat):
-        """u_{abar} for a = 0..2n-1, stacked on a leading axis."""
-        return np.stack([self.ifft(self.zbmult[a] * hat) for a in range(2 * self.n)])
 
     def z_gradient_from_hat(self, hat):
         return np.stack([self.ifft(self.zmult[a] * hat) for a in range(2 * self.n)])
@@ -366,16 +364,6 @@ class SpectralOps:
                     H[a, b] = np.conj(H[b, a])
         return H
 
-    def ddj_from_hat(self, hat):
-        """Antisymmetric matrix field of the quaternionic Hessian of u."""
-        m = 2 * self.n
-        out = np.zeros((m, m) + self.grid.shape, dtype=complex)
-        for (j, k), mult in self.ddj_mult.items():
-            entry = self.ifft(mult * hat)
-            out[j, k] = entry
-            out[k, j] = -entry
-        return out
-
     def s1_from_hat(self, hat):
         """Trace of the mixed Hessian (half the model Laplacian), real part."""
         return self.ifft(self.s1_mult * hat).real
@@ -385,12 +373,13 @@ class SpectralOps:
 
         Returns (upper, s1) where ``upper`` stacks the (j, k) entries in
         ``self.pairs`` order; a single batched transform serves the whole
-        bundle, which is what the time stepper runs on.
+        bundle, which every caller of the quaternionic Hessian runs on.
         """
         stack = self._ifft_batch(self._ddj_s1_stack * hat[None])
         return stack[:-1], stack[-1].real
 
     def zbar_gradient_batched_from_hat(self, hat):
+        """u_{abar} for a = 0..2n-1, stacked on a leading axis."""
         return self._ifft_batch(self._zbar_stack * hat[None])
 
     # -- diagnostics ----------------------------------------------------
@@ -477,11 +466,10 @@ def build_omega_h(
         raise SpecValidationError("grid and model dimensions differ")
     if c <= 0:
         raise SpecValidationError(f"background scale c must be positive, got {c}")
-    entries = np.zeros((2 * model.n, 2 * model.n) + grid.shape, dtype=complex)
-    entries += model.omega.reshape(model.omega.shape + (1,) * len(grid.shape)) * c
+    entries = constant_two_form_field(grid, model.omega * c).entries
     if rho is not None and rho.terms:
         ops = spectral_ops(grid)
-        rho_field = sample(rho, grid)
-        entries += ops.ddj_from_hat(ops.fft(rho_field.values))
+        upper, _ = ops.ddj_upper_s1_from_hat(ops.fft(sample(rho, grid).values))
+        entries += full_from_upper(upper, 2 * model.n)
     require_strictly_positive(entries, model.n, margin, "the background form")
     return TwoFormField(grid, entries)

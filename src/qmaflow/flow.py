@@ -24,9 +24,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import PositivityError, StiffnessError
-from .exterior import pfaffian, pfaffian_upper
+from .exterior import full_from_upper, pfaffian, pfaffian_upper
 from .fields import ScalarField, TwoFormField, spectral_ops
-from .model import block_eigenvalues, standard_form
+from .model import block_eigenvalues, pair_eigenvalues, standard_form
 
 GROW_FACTOR = 1.1
 GROW_AFTER_ACCEPTS = 10
@@ -96,21 +96,27 @@ def normalize(u: ScalarField) -> ScalarField:
 
 
 class _Stage:
-    """One evaluation of the flow map: right-hand side plus guards."""
+    """One evaluation of the flow map: right-hand side, guards, worst point."""
 
-    __slots__ = ("ok", "rhs", "min_eig", "kappa", "eta", "hat")
+    __slots__ = ("ok", "rhs", "min_eig", "kappa", "eta", "hat", "point")
 
-    def __init__(self, ok, rhs=None, min_eig=math.nan, kappa=math.nan, eta=None, hat=None):
+    def __init__(
+        self, ok, rhs=None, min_eig=math.nan, kappa=math.nan, eta=None, hat=None, point=None
+    ):
         self.ok = ok
         self.rhs = rhs
         self.min_eig = min_eig
         self.kappa = kappa
         self.eta = eta
         self.hat = hat
+        self.point = point
 
 
 class FlowEngine:
-    """Shared per-run workspace: background form, source, multipliers."""
+    """Shared per-run workspace and the one implementation of the flow map.
+
+    ``flow_form``, ``flow_rhs`` and the manufactured problems go through it.
+    """
 
     def __init__(
         self,
@@ -122,7 +128,6 @@ class FlowEngine:
         self.grid = omega_h.grid
         self.n = self.grid.n
         self.ops = spectral_ops(self.grid)
-        self.omega_h = omega_h.entries
         self.f = f.values
         self.sigma = sigma
         self.margin = margin
@@ -133,7 +138,6 @@ class FlowEngine:
         self._omega_h_upper = np.stack([omega_h.entries[j, k] for j, k in pairs])
         sh = (len(pairs),) + (1,) * len(self.grid.shape)
         self._omega_upper = np.array([omega[j, k] for j, k in pairs]).reshape(sh)
-        self._block_idx = [pairs.index((2 * i, 2 * i + 1)) for i in range(self.n)]
 
     def evaluate(self, u_values) -> _Stage:
         """Evolving form, positivity guard, right-hand side at one state.
@@ -145,35 +149,41 @@ class FlowEngine:
         if not np.all(np.isfinite(u_values)):
             return _Stage(ok=False)
         hat = self.ops.fft(u_values)
-        upper, eta = self.ops.ddj_upper_s1_from_hat(hat)
-        omt_upper = self._omega_h_upper + (eta * self._omega_upper - upper) * self._inv_nm1
+        omt_upper, eta = self.form_upper(hat)
         pf = pfaffian_upper(omt_upper, 2 * self.n).real
         if self.n == 2:
-            s1 = (omt_upper[self._block_idx[0]] + omt_upper[self._block_idx[1]]).real
-            disc = np.sqrt(np.maximum(s1 * s1 - 4.0 * pf, 0.0))
-            min_eig = float((0.5 * (s1 - disc)).min())
-            if not (min_eig > self.margin and np.isfinite(min_eig)):
-                return _Stage(ok=False, min_eig=min_eig)
-            kappa = float((s1 / pf).max())
+            s1 = (omt_upper[0] + omt_upper[-1]).real  # blocks (0, 1) and (2, 3)
+            lam_min, _ = pair_eigenvalues(s1, pf)
         else:
-            omt = self._upper_to_full(omt_upper)
-            lam = block_eigenvalues(omt, self.n)
-            min_eig = float(lam.min())
-            if not (min_eig > self.margin and np.isfinite(min_eig)):
-                return _Stage(ok=False, min_eig=min_eig)
-            kappa = float((1.0 / lam).sum(axis=-1).max())
+            lam = block_eigenvalues(full_from_upper(omt_upper, 2 * self.n), self.n)
+            lam_min = lam[..., 0]
+        min_eig = float(lam_min.min())
+        if not (min_eig > self.margin and np.isfinite(min_eig)):
+            point = np.unravel_index(np.argmin(lam_min), lam_min.shape)
+            return _Stage(ok=False, min_eig=min_eig, point=tuple(int(i) for i in point))
+        # kappa = sum of reciprocal block eigenvalues; S_1 / Pf when n = 2
+        kappa = float((s1 / pf if self.n == 2 else (1.0 / lam).sum(axis=-1)).max())
         rhs = np.log(pf / self._pf_omega) - self.f
         if not np.all(np.isfinite(rhs)):
             return _Stage(ok=False, min_eig=min_eig)
         return _Stage(True, rhs, min_eig, kappa, eta, hat)
 
-    def _upper_to_full(self, upper):
-        m = 2 * self.n
-        full = np.zeros((m, m) + self.grid.shape, dtype=complex)
-        for idx, (j, k) in enumerate(self.ops.pairs):
-            full[j, k] = upper[idx]
-            full[k, j] = -upper[idx]
-        return full
+    def evaluate_or_raise(self, u_values, what: str) -> _Stage:
+        """:meth:`evaluate`, raising PositivityError naming the worst point."""
+        stage = self.evaluate(u_values)
+        if not stage.ok:
+            where = f" at grid point {stage.point}" if stage.point is not None else ""
+            raise PositivityError(
+                f"{what} (min eigenvalue {stage.min_eig:.6e}){where}",
+                point=stage.point,
+                min_eigenvalue=stage.min_eig,
+            )
+        return stage
+
+    def form_upper(self, hat):
+        """Evolving form in ``ops.pairs`` order, and S_1(ddj u), from u's FFT."""
+        upper, eta = self.ops.ddj_upper_s1_from_hat(hat)
+        return self._omega_h_upper + (eta * self._omega_upper - upper) * self._inv_nm1, eta
 
     def cfl_cap(self, stage: _Stage) -> float:
         return self.sigma * self.grid.min_spacing**2 / stage.kappa
@@ -201,12 +211,7 @@ class FlowEngine:
         Raises StiffnessError after MAX_HALVINGS rejections.
         """
         if stage is None:
-            stage = self.evaluate(state.u.values)
-            if not stage.ok:
-                raise PositivityError(
-                    "flow state violates strict positivity",
-                    min_eigenvalue=stage.min_eig,
-                )
+            stage = self.evaluate_or_raise(state.u.values, "flow state violates strict positivity")
         u = state.u.values
         dt = min(state.dt, self.cfl_cap(stage))
         for _ in range(MAX_HALVINGS + 1):
@@ -237,11 +242,7 @@ def cfl_dt(u: ScalarField, omega_h: TwoFormField, sigma: float = DEFAULT_SIGMA) 
     eigenvalues of the evolving form.
     """
     engine = FlowEngine(omega_h, ScalarField.zeros(u.grid), sigma=sigma, margin=0.0)
-    stage = engine.evaluate(u.values)
-    if not stage.ok:
-        raise PositivityError(
-            "evolving form is not strictly positive", min_eigenvalue=stage.min_eig
-        )
+    stage = engine.evaluate_or_raise(u.values, "evolving form is not strictly positive")
     return engine.cfl_cap(stage)
 
 
@@ -276,13 +277,9 @@ def run_to_steady(
     Diagnostics are recorded every step and forwarded to ``on_step``.
     """
     engine = FlowEngine(omega_h, f, sigma=sigma, margin=margin)
-    stage = engine.evaluate(u0.values)
-    if not stage.ok:
-        raise PositivityError(
-            "initial data violates the strict-positivity condition "
-            f"(min eigenvalue {stage.min_eig:.6e})",
-            min_eigenvalue=stage.min_eig,
-        )
+    stage = engine.evaluate_or_raise(
+        u0.values, "initial data violates the strict-positivity condition"
+    )
     state = FlowState(u=u0, t=0.0, dt=engine.cfl_cap(stage), step_count=0)
     history = []
 

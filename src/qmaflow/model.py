@@ -23,6 +23,7 @@ equal pairs (one pair per quaternionic block).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,7 +51,9 @@ class JTables:
     dj_sign: np.ndarray
 
 
+@lru_cache(maxsize=None)
 def j_tables(n: int) -> JTables:
+    """The tables for dimension n, built once; the arrays are read-only."""
     m = 2 * n
     sigma = np.arange(m)
     sigma[0::2] += 1
@@ -58,6 +61,8 @@ def j_tables(n: int) -> JTables:
     form_sign = np.where(np.arange(m) % 2 == 0, -1, 1)
     vec_sign = -form_sign
     dj_sign = -form_sign[sigma]
+    for table in (sigma, form_sign, vec_sign, dj_sign):
+        table.flags.writeable = False
     return JTables(n, sigma, form_sign, vec_sign, dj_sign)
 
 
@@ -201,24 +206,24 @@ def is_strictly_positive(entries, n: int, margin: float = 1e-10) -> bool:
     return bool(np.all(min_positivity_eigenvalue(entries, n) > margin))
 
 
+def pair_eigenvalues(s1, pf):
+    """Roots (lo, hi) of lambda^2 - S_1 lambda + Pf: the n = 2 block pair."""
+    disc = np.sqrt(np.maximum(s1 * s1 - 4.0 * pf, 0.0))
+    return 0.5 * (s1 - disc), 0.5 * (s1 + disc)
+
+
 def block_eigenvalues(entries, n: int):
     """The n paired eigenvalues of the positivity matrix, grid axes leading.
 
     For J-real forms the 2n eigenvalues of M come in equal pairs; this
     returns one representative per pair, ascending.  For n = 2 the pair
-    values are the roots of lambda^2 - S_1 lambda + Pf, which gives a
-    closed form from quantities the flow already computes; for larger n
-    the batched Hermitian eigensolver is used and adjacent eigenvalues
-    are averaged.
+    values come from :func:`pair_eigenvalues`; for larger n the batched
+    Hermitian eigensolver is used and adjacent eigenvalues are averaged.
     """
     entries = np.asarray(entries)
     if n == 2:
         s1 = (entries[0, 1] + entries[2, 3]).real
-        pf = pfaffian(entries).real
-        disc = np.sqrt(np.maximum(s1 * s1 - 4.0 * pf, 0.0))
-        lo = 0.5 * (s1 - disc)
-        hi = 0.5 * (s1 + disc)
-        return np.stack([lo, hi], axis=-1)
+        return np.stack(pair_eigenvalues(s1, pfaffian(entries).real), axis=-1)
     eig = positivity_eigenvalues(entries, n)
     return 0.5 * (eig[..., 0::2] + eig[..., 1::2])
 

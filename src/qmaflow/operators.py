@@ -3,7 +3,8 @@
 Everything here is a pure transform of fields on one grid: the twisted
 differential d_J, the quaternionic Hessian, the evolving positive form,
 the flow's logarithmic right-hand side, the gradient and half-Laplacian
-diagnostics, the linearized operator and the induced metric form.
+diagnostics, the linearized operator and the induced metric form.  The
+evolving form and the right-hand side are the stepper's own (FlowEngine).
 
 Load-bearing identities are deliberately exposed through two independent
 code paths each (fast multiplier path vs exact exterior expansion, metric
@@ -19,8 +20,9 @@ from math import factorial
 import numpy as np
 
 from .errors import SpecValidationError
-from .exterior import ExteriorElement, pfaffian, s_m
+from .exterior import ExteriorElement, full_from_upper, pfaffian, s_m
 from .fields import ScalarField, TorusGrid, TwoFormField, spectral_ops
+from .flow import FlowEngine
 from .model import (
     j_conjugate_one_one,
     j_tables,
@@ -43,7 +45,7 @@ def d_j(u: ScalarField):
     """
     ops = spectral_ops(u.grid)
     t = j_tables(u.grid.n)
-    g = ops.zbar_gradient_from_hat(ops.fft(u.values))
+    g = ops.zbar_gradient_batched_from_hat(ops.fft(u.values))
     sh = (2 * u.grid.n,) + (1,) * len(u.grid.shape)
     return t.dj_sign.reshape(sh) * g[t.sigma]
 
@@ -51,7 +53,8 @@ def d_j(u: ScalarField):
 def del_del_j(u: ScalarField) -> TwoFormField:
     """Quaternionic Hessian of u as a J-real antisymmetric matrix field."""
     ops = spectral_ops(u.grid)
-    return TwoFormField(u.grid, ops.ddj_from_hat(ops.fft(u.values)))
+    upper, _ = ops.ddj_upper_s1_from_hat(ops.fft(u.values))
+    return TwoFormField(u.grid, full_from_upper(upper, 2 * u.grid.n))
 
 
 def half_laplacian(u: ScalarField) -> ScalarField:
@@ -74,15 +77,10 @@ def s1_field(chi: TwoFormField) -> ScalarField:
 
 
 def flow_form(u: ScalarField, omega_h: TwoFormField) -> TwoFormField:
-    """The evolving form Omega_h + (S_1(ddj u) Omega - ddj u) / (n - 1)."""
-    grid = u.grid
-    n = grid.n
-    ops = spectral_ops(grid)
-    hat = ops.fft(u.values)
-    ddju = ops.ddj_from_hat(hat)
-    eta = ops.s1_from_hat(hat)
-    entries = omega_h.entries + (eta * _standard_entries(grid) - ddju) / (n - 1)
-    return TwoFormField(grid, entries)
+    """The stepper's evolving form Omega_h + (S_1(ddj u) Omega - ddj u) / (n - 1)."""
+    engine = FlowEngine(omega_h, ScalarField.zeros(u.grid))
+    upper, _ = engine.form_upper(engine.ops.fft(u.values))
+    return TwoFormField(u.grid, full_from_upper(upper, 2 * u.grid.n))
 
 
 def flow_rhs(
@@ -93,15 +91,13 @@ def flow_rhs(
 ) -> ScalarField:
     """Right-hand side log(Pf(evolving form) / Pf(Omega)) - f.
 
-    Raises PositivityError (with the offending point and its minimum
-    eigenvalue) when the evolving form leaves the positive cone, where the
-    logarithm is undefined.
+    Evaluated by the stepper.  Raises PositivityError (with the offending
+    point and its minimum eigenvalue) when the evolving form leaves the
+    positive cone, where the logarithm is undefined, or on non-finite values.
     """
-    omt = flow_form(u, omega_h)
-    require_strictly_positive(omt.entries, u.grid.n, margin, "the evolving form")
-    pf = pfaffian(omt.entries).real
-    pf0 = pfaffian(standard_form(u.grid.n)).real
-    return ScalarField(u.grid, np.log(pf / pf0) - f.values)
+    engine = FlowEngine(omega_h, f, margin=margin)
+    stage = engine.evaluate_or_raise(u.values, "the flow right-hand side is undefined")
+    return ScalarField(u.grid, stage.rhs)
 
 
 def gradient_energy(u: ScalarField) -> ScalarField:
@@ -110,7 +106,7 @@ def gradient_energy(u: ScalarField) -> ScalarField:
     Equals sum_a |u_{z^a}|^2; nonnegative, zero exactly where du vanishes.
     """
     ops = spectral_ops(u.grid)
-    g = ops.zbar_gradient_from_hat(ops.fft(u.values))
+    g = ops.zbar_gradient_batched_from_hat(ops.fft(u.values))
     return ScalarField(u.grid, np.sum(np.abs(g) ** 2, axis=0))
 
 

@@ -29,6 +29,7 @@ from .fields import (
     sample,
     spectral_ops,
 )
+from .flow import FlowEngine
 from .model import (
     build_model,
     j_conjugate_two_form,
@@ -344,38 +345,32 @@ def build_manufactured(
 ) -> ManufacturedProblem:
     """Reverse-engineer the source so ``u_star`` is exactly stationary.
 
-    The source is the pointwise log-ratio of the evolving form built from
-    u_star, sampled on the grid; stationarity then holds to round-off and
+    The source is the stepper's right-hand side at u_star with a zero
+    source, sampled on the grid; stationarity then holds to round-off and
     the steady constant is exactly zero.  If the evolving form leaves the
     cone, the error reports the largest admissible amplitude rescaling.
     """
     model = build_model(grid.n)
     omega_h = build_omega_h(model, grid, c, rho)
     u_star = sample(u_star_spec, grid)
-    omt = flow_form(u_star, omega_h)
-    achieved = float(np.min(min_positivity_eigenvalue(omt.entries, grid.n)))
-    if achieved <= margin:
-        scale = _max_admissible_scale(u_star_spec, grid, omega_h, margin)
+    engine = FlowEngine(omega_h, ScalarField.zeros(grid), margin=margin)
+    stage = engine.evaluate(u_star.values)
+    if not stage.ok:
+        scale = _max_admissible_scale(u_star_spec, grid, engine)
         raise PositivityError(
             "the candidate stationary potential leaves the positive cone "
-            f"(min eigenvalue {achieved:.3e}); rescale its amplitude by "
+            f"(min eigenvalue {stage.min_eig:.3e}); rescale its amplitude by "
             f"a factor of at most {scale:.3g}",
-            min_eigenvalue=achieved,
+            min_eigenvalue=stage.min_eig,
         )
-    pf = pfaffian(omt.entries).real
-    pf0 = pfaffian(standard_form(grid.n)).real
-    f = ScalarField(grid, np.log(pf / pf0))
-    return ManufacturedProblem(
-        u_star=u_star, f=f, omega_h=omega_h, positivity_margin=achieved
-    )
+    return ManufacturedProblem(u_star, ScalarField(grid, stage.rhs), omega_h, stage.min_eig)
 
 
-def _max_admissible_scale(spec, grid, omega_h, margin, iters: int = 40) -> float:
+def _max_admissible_scale(spec, grid, engine: FlowEngine, iters: int = 40) -> float:
     lo, hi = 0.0, 1.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        omt = flow_form(sample(spec.scaled(mid), grid), omega_h)
-        if float(np.min(min_positivity_eigenvalue(omt.entries, grid.n))) > margin:
+        if engine.evaluate(sample(spec.scaled(mid), grid).values).ok:
             lo = mid
         else:
             hi = mid

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, file formats, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -204,3 +205,66 @@ def test_run_config_validation(tmp_path):
     assert config.u_star_spec is not None and config.f_spec is None
     # absolute output_dir entries win over the config's directory
     assert config.output_dir == tmp_path / "x"
+
+
+# -- non-finite and malformed input ---------------------------------------------------
+
+
+def _nan_config(tmp_path, case):
+    config = base_config(tmp_path / "o")
+    if case in ("sigma", "t_max", "tol_steady", "snapshot_interval"):
+        config[case] = math.nan if case != "t_max" else math.inf
+    elif case == "omega_h.c":
+        config["omega_h"]["c"] = math.nan
+    elif case == "f.amplitude":
+        config["f"] = [{"k": [1, 0], "amplitude": math.nan}]
+    elif case == "u0.phase":
+        config["u0"] = [{"k": [1, 0], "amplitude": 0.1, "phase": math.inf}]
+    elif case == "deep_nesting":
+        path = tmp_path / "run.json"
+        path.write_text("[" * 100_000)
+        return path
+    return write_config(tmp_path, config)
+
+
+def _bad_snapshot(tmp_path, case):
+    grid = TorusGrid(n=2, active_dims=(0, 4), sizes=(16, 16))
+    snap = tmp_path / "bad.snap"
+    if case == "snapshot.nan":
+        values = np.zeros(grid.shape)
+        values[3, 5] = math.nan
+        write_snapshot(snap, ScalarField(grid, values), 0.0)
+    elif case == "snapshot.deep_nesting":
+        snap.write_bytes(b"[" * 100_000 + b"\n" + bytes(8 * 256))
+    else:  # a header without "sizes"
+        header = {"format": "qmaflow-snapshot", "n": 2, "active_dims": [0, 4]}
+        snap.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8 * 256))
+    return snap
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "sigma",
+        "t_max",
+        "tol_steady",
+        "snapshot_interval",
+        "omega_h.c",
+        "f.amplitude",
+        "u0.phase",
+        "deep_nesting",
+        "snapshot.nan",
+        "snapshot.no_sizes",
+        "snapshot.deep_nesting",
+    ],
+)
+def test_non_finite_or_malformed_input_exit_two(tmp_path, capsys, case):
+    if case.startswith("snapshot."):
+        config = write_config(tmp_path, base_config(tmp_path / "o"))
+        snap = _bad_snapshot(tmp_path, case)
+        code = main(["check", "--config", str(config), "--snapshot", str(snap)])
+    else:
+        code = main(["flow", "--config", str(_nan_config(tmp_path, case))])
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

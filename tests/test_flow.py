@@ -100,6 +100,24 @@ def test_cfl_kappa_matches_bruteforce_eigen_scan():
     assert stage.kappa == pytest.approx(kappa_brute, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_engine_guard_matches_bruteforce_eigen_scan(n):
+    # kappa and min_eig of the stepper's guard (closed form for n = 2,
+    # paired eigvalsh for n = 3) against a direct scan of the positivity matrix
+    grid = TorusGrid(n=n, active_dims=(0, 1, 2 * n + 2), sizes=(8, 8, 8))
+    rho = TrigPolySpec.from_terms([TrigTerm((1, 1, 0), 0.05), TrigTerm((0, 1, 1), 0.03)])
+    oh = build_omega_h(build_model(n), grid, 1.2, rho)
+    rng = np.random.default_rng(9)
+    u, _, _ = admissible_potential(rng, grid, oh)
+    stage = FlowEngine(oh, ScalarField.zeros(grid)).evaluate(u.values)
+    m = np.moveaxis(positivity_matrix(flow_form(u, oh).entries, n), (0, 1), (-2, -1))
+    eig = np.linalg.eigvalsh(m)
+    paired = 0.5 * (eig[..., 0::2] + eig[..., 1::2])
+    assert stage.ok
+    assert stage.kappa == pytest.approx(float((1.0 / paired).sum(axis=-1).max()), rel=1e-10)
+    assert stage.min_eig == pytest.approx(float(eig.min()), rel=1e-10)
+
+
 def test_cfl_dt_requires_positivity():
     u = sample(TrigPolySpec.from_terms([TrigTerm((1, 0), 10.0)]), GRID)
     with pytest.raises(PositivityError):
