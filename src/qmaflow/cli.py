@@ -315,6 +315,7 @@ def cmd_flow(args) -> int:
         "residual": result.residual,
         "t_final": result.t_final,
         "steps": result.steps,
+        "halvings": result.halvings,
         "wall_time_s": wall,
     }
     (out_dir / "result.json").write_text(

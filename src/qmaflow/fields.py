@@ -11,7 +11,8 @@ right-hand side involves a logarithm, which no truncation rule handles
 exactly); instead the energy fraction in the top third of the spectrum is
 reported as a per-step diagnostic.  The Nyquist mode multiplier is zeroed,
 which keeps real fields real under differentiation; inputs are required to
-be band-limited below Nyquist anyway.
+be band-limited below Nyquist anyway, and the stepper projects its updates
+onto the modes below Nyquist (``SpectralOps.below_nyquist``).
 """
 
 from __future__ import annotations
@@ -284,6 +285,7 @@ class SpectralOps:
             for j, k in self.pairs
         ]
         self.s1_mult = sum(self.zmult[a] * self.zbmult[a] for a in range(m))
+        self.below_nyquist = self._build_below_nyquist()
         self._tail_mask = self._build_tail_mask()
         # stacked multipliers let every caller run single batched transforms
         full = lambda a: np.broadcast_to(a, self.grid.shape)
@@ -307,6 +309,21 @@ class SpectralOps:
         if axis is None:
             return np.zeros((1,) * len(self.grid.sizes))
         return self._ik[axis]
+
+    def _build_below_nyquist(self):
+        """1.0 on modes with no Nyquist index on any even axis, 0.0 elsewhere.
+
+        The derivative multipliers drop the Nyquist index, so the flow map
+        cannot see a pure Nyquist mode; the stepper's update keeps ``u``
+        out of all Nyquist modes, which makes the normalized limit unique.
+        """
+        keep = np.ones(self.grid.shape)
+        for p, size in enumerate(self.grid.sizes):
+            if size % 2 == 0:
+                index = [slice(None)] * len(self.grid.sizes)
+                index[p] = size // 2
+                keep[tuple(index)] = 0.0
+        return keep
 
     def _build_tail_mask(self):
         d = len(self.grid.sizes)

@@ -1,12 +1,33 @@
 """Time integration of the parabolic flow with positivity guarding.
 
-The stepper is explicit Heun (predictor-corrector) under a parabolic CFL
-bound dt = sigma * h_min^2 / kappa, where kappa is the largest grid value
-of the sum of reciprocal block eigenvalues of the evolving form.  Steps
-whose predictor or corrector leave the positive cone (or go non-finite)
-are rejected and retried with half the step, up to a bounded number of
-halvings; the step then regrows geometrically toward the CFL cap after a
-run of accepted steps.
+The stepper is a linearly stabilized semi-implicit (IMEX) scheme: the
+right-hand side N(u) is taken explicitly and a constant-coefficient
+multiple of S_1, the flat linearization (half the model Laplacian), is
+taken implicitly, so one step solves
+
+    (1 - dt * a * S_1) du = dt * N(u),    u <- u + du
+
+by one forward and one inverse FFT.  The linearization of N at u is
+v -> 1/2 tr(omega_tilde^-1 beta(v)), beta(v) the change of the evolving
+form; its coefficients are averages of reciprocal block eigenvalues, so
+a = 1 / min_eig (min_eig the smallest block eigenvalue over the grid; a = 1
+at the flat form) bounds them and the linearized step is stable for every
+dt.  The fixed point is N(u) = const, so the limit and its constant are
+those of the flow.  The step is capped at dt = sigma * min_eig / (1/4),
+1/4 being the symbol of -S_1 at unit wavenumber: sigma is the one
+step-size factor, and the cap does not depend on the grid spacing.  The
+update is projected onto the modes below Nyquist
+(the derivative multipliers cannot see Nyquist modes, so without the
+projection the limit would not be unique on an even grid).
+
+Steps whose result leaves the positive cone (or goes non-finite) are
+rejected and retried with half the step, up to a bounded number of
+halvings; the step then regrows geometrically toward the cap after a run
+of accepted steps.  Explicit Heun under the parabolic CFL bound
+dt = sigma * h_min^2 / kappa (kappa the largest grid value of the sum of
+reciprocal block eigenvalues) is kept as the reference integrator
+(:meth:`FlowEngine.heun_step`, :func:`cfl_dt`) against which the tests
+compare the limit.
 
 Steady state is detected through the oscillation of the right-hand side,
 not its norm: the time derivative tends to a constant, so only its spread
@@ -33,6 +54,7 @@ GROW_AFTER_ACCEPTS = 10
 DEFAULT_MARGIN = 1e-8
 DEFAULT_SIGMA = 0.2
 MAX_HALVINGS = 20
+S1_UNIT_SYMBOL = 0.25  # -S_1 at unit wavenumber
 
 
 @dataclass
@@ -88,6 +110,7 @@ class SteadyResult:
     history: list
     t_final: float
     steps: int
+    halvings: int  # halved step attempts over the whole run
 
 
 def normalize(u: ScalarField) -> ScalarField:
@@ -131,6 +154,7 @@ class FlowEngine:
         self.f = f.values
         self.sigma = sigma
         self.margin = margin
+        self.halvings = 0
         omega = standard_form(self.n)
         self._pf_omega = float(pfaffian(omega).real)
         self._inv_nm1 = 1.0 / (self.n - 1)
@@ -186,7 +210,12 @@ class FlowEngine:
         return self._omega_h_upper + (eta * self._omega_upper - upper) * self._inv_nm1, eta
 
     def cfl_cap(self, stage: _Stage) -> float:
+        """Parabolic bound of the Heun reference step."""
         return self.sigma * self.grid.min_spacing**2 / stage.kappa
+
+    def step_cap(self, stage: _Stage) -> float:
+        """Largest step of the semi-implicit scheme at this stage."""
+        return self.sigma * stage.min_eig / S1_UNIT_SYMBOL
 
     def diagnostics(self, state: FlowState, stage: _Stage) -> DiagnosticsRecord:
         g = self.ops.zbar_gradient_batched_from_hat(stage.hat)
@@ -205,13 +234,29 @@ class FlowEngine:
         )
 
     def step(self, state: FlowState, stage: Optional[_Stage] = None):
-        """One Heun step with rejection and halving; returns the new pair.
+        """One stabilized semi-implicit step with rejection and halving.
 
         ``stage`` is the evaluation at ``state.u`` (recomputed if absent).
-        Raises StiffnessError after MAX_HALVINGS rejections.
+        Returns the new state and its evaluation; raises StiffnessError
+        after MAX_HALVINGS rejections.
         """
         if stage is None:
             stage = self.evaluate_or_raise(state.u.values, "flow state violates strict positivity")
+        u = state.u.values
+        rhs_hat = self.ops.below_nyquist * self.ops.fft(stage.rhs)
+        a_s1 = self.ops.s1_mult / stage.min_eig  # a * S_1 <= 0
+        dt = min(state.dt, self.step_cap(stage))
+        for _ in range(MAX_HALVINGS + 1):
+            new_u = u + self.ops.ifft(dt / (1.0 - dt * a_s1) * rhs_hat).real
+            new_stage = self.evaluate(new_u)
+            if new_stage.ok:
+                return self._advance(state, new_u, dt), new_stage
+            self.halvings += 1
+            dt *= 0.5
+        raise self._stiffness_error(state, dt)
+
+    def heun_step(self, state: FlowState, stage: _Stage):
+        """Explicit Heun step under :meth:`cfl_cap`; the reference integrator."""
         u = state.u.values
         dt = min(state.dt, self.cfl_cap(stage))
         for _ in range(MAX_HALVINGS + 1):
@@ -221,15 +266,17 @@ class FlowEngine:
                 corrected = u + 0.5 * dt * (stage.rhs + stage_pred.rhs)
                 stage_new = self.evaluate(corrected)
                 if stage_new.ok:
-                    new_state = FlowState(
-                        u=ScalarField(self.grid, corrected),
-                        t=state.t + dt,
-                        dt=dt,
-                        step_count=state.step_count + 1,
-                    )
-                    return new_state, stage_new
+                    return self._advance(state, corrected, dt), stage_new
+            self.halvings += 1
             dt *= 0.5
-        raise StiffnessError(
+        raise self._stiffness_error(state, dt)
+
+    def _advance(self, state: FlowState, u_values, dt: float) -> FlowState:
+        return FlowState(ScalarField(self.grid, u_values), state.t + dt, dt, state.step_count + 1)
+
+    @staticmethod
+    def _stiffness_error(state: FlowState, dt: float) -> StiffnessError:
+        return StiffnessError(
             f"step rejected after {MAX_HALVINGS} halvings "
             f"(t = {state.t:.6g}, dt reached {dt:.3e})"
         )
@@ -253,7 +300,7 @@ def step(
     sigma: float = DEFAULT_SIGMA,
     margin: float = DEFAULT_MARGIN,
 ) -> FlowState:
-    """Single public Heun step; see FlowEngine.step for the guard policy."""
+    """Single public semi-implicit step; see FlowEngine.step for the guard policy."""
     engine = FlowEngine(omega_h, f, sigma=sigma, margin=margin)
     new_state, _ = engine.step(state)
     return new_state
@@ -280,7 +327,7 @@ def run_to_steady(
     stage = engine.evaluate_or_raise(
         u0.values, "initial data violates the strict-positivity condition"
     )
-    state = FlowState(u=u0, t=0.0, dt=engine.cfl_cap(stage), step_count=0)
+    state = FlowState(u=u0, t=0.0, dt=engine.step_cap(stage), step_count=0)
     history = []
 
     def record(st, sg):
@@ -293,7 +340,7 @@ def run_to_steady(
     rec = record(state, stage)
     consecutive = 0
     while rec.osc_ut >= tol_steady and state.t < t_max:
-        attempted_dt = min(state.dt, engine.cfl_cap(stage))
+        attempted_dt = min(state.dt, engine.step_cap(stage))
         try:
             new_state, new_stage = engine.step(state, stage)
         except StiffnessError as exc:
@@ -301,10 +348,10 @@ def run_to_steady(
             raise
         consecutive = consecutive + 1 if new_state.dt >= attempted_dt else 0
         if consecutive >= GROW_AFTER_ACCEPTS:
-            new_state.dt = min(new_state.dt * GROW_FACTOR, engine.cfl_cap(new_stage))
+            new_state.dt = min(new_state.dt * GROW_FACTOR, engine.step_cap(new_stage))
             consecutive = 0
         else:
-            new_state.dt = min(new_state.dt, engine.cfl_cap(new_stage))
+            new_state.dt = min(new_state.dt, engine.step_cap(new_stage))
         state, stage = new_state, new_stage
         rec = record(state, stage)
 
@@ -317,6 +364,7 @@ def run_to_steady(
         history=history,
         t_final=state.t,
         steps=state.step_count,
+        halvings=engine.halvings,
     )
 
 

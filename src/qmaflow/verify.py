@@ -191,9 +191,12 @@ def run_identity_suite(n: int, trials: int = 200, seed: int = 0):
     """Run every identity ``trials`` times; returns a list of IdentityReport.
 
     Field identities require n in {2, 3}; for n = 4 only the pointwise
-    algebra identities are exercised.  Failures are reported, not raised.
+    algebra identities are exercised.  Failures are reported, not raised;
+    a trial count below one is a ValueError, since zero trials check nothing.
     """
     build_model(n)  # rejects n = 1 and out-of-range dimensions
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     names_pointwise = [
         "pfaffian_squared_equals_det",
         "top_quotient_dual_path",

@@ -77,6 +77,16 @@ def test_identities_rejects_n_one(tmp_path, capsys):
     assert "1/(n-1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_identities_rejects_trial_count_below_one(tmp_path, capsys, trials):
+    out = tmp_path / "r.json"
+    code = main(["identities", "--n", "2", "--trials", trials, "--out", str(out)])
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "trials" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["identities"]) == EXIT_INVALID  # missing required --n
 
@@ -101,6 +111,7 @@ def test_flow_converges_and_writes_outputs(flow_run):
     assert abs(result["b_tilde"]) < 1e-6
     assert result["residual"] <= 1e-6
     assert result["wall_time_s"] > 0
+    assert result["halvings"] == 0
     assert (out_dir / "u_final.snap").exists()
     snaps = sorted(out_dir.glob("u_0*.snap"))
     assert snaps  # interval snapshots were emitted

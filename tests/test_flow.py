@@ -168,6 +168,88 @@ def test_step_stiffness_error_after_max_halvings():
         engine.step(state, stage)
 
 
+def test_step_constant_source_exact_far_above_cfl():
+    # the constant mode has symbol zero, so the semi-implicit step is exact
+    # at any dt; 0.5 is more than thirty times the parabolic cap
+    f = ScalarField.constant(GRID, 0.4)
+    engine = FlowEngine(omega_field(), f)
+    stage = engine.evaluate(np.zeros(GRID.shape))
+    dt = 0.5
+    assert dt > 30 * cfl_dt(ScalarField.zeros(GRID), omega_field())
+    assert engine.step_cap(stage) > dt
+    state = FlowState(u=ScalarField.zeros(GRID), t=0.0, dt=dt, step_count=0)
+    for _ in range(40):
+        state, stage = engine.step(state, stage)
+        assert state.dt == dt
+    assert state.t == pytest.approx(40 * dt)
+    assert np.max(np.abs(state.u.values + 0.4 * state.t)) < 1e-12
+    assert engine.halvings == 0
+
+
+def _heun_to_steady(prob, grid, tol_steady=1e-8):
+    """The Heun reference integrator at its CFL cap, to the same tolerance."""
+    engine = FlowEngine(prob.omega_h, prob.f)
+    stage = engine.evaluate_or_raise(np.zeros(grid.shape), "initial data")
+    state = FlowState(u=ScalarField.zeros(grid), t=0.0, dt=engine.cfl_cap(stage), step_count=0)
+    while stage.rhs.max() - stage.rhs.min() >= tol_steady:
+        state.dt = engine.cfl_cap(stage)
+        state, stage = engine.heun_step(state, stage)
+    return normalize(state.u), float(stage.rhs.mean()), state.step_count
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        TorusGrid(n=2, active_dims=(0, 4), sizes=(16, 16)),
+        TorusGrid(n=3, active_dims=(0, 6), sizes=(8, 8)),
+    ],
+    ids=["n2-16x16", "n3-8x8"],
+)
+def test_step_and_heun_reference_reach_same_limit(grid):
+    uspec = TrigPolySpec.from_terms([TrigTerm((1, 0), 0.1), TrigTerm((1, 1), 0.05)])
+    rspec = TrigPolySpec.from_terms([TrigTerm((0, 1), 0.05)])
+    prob = build_manufactured(uspec, grid, c=1.0, rho=rspec)
+    result = run_to_steady(
+        ScalarField.zeros(grid), prob.omega_h, prob.f, tol_steady=1e-8, t_max=200.0
+    )
+    u_heun, b_heun, heun_steps = _heun_to_steady(prob, grid)
+    assert result.converged
+    assert np.max(np.abs(result.u_normalized.values - u_heun.values)) <= 1e-7
+    assert abs(result.b_tilde - b_heun) <= 1e-9
+    assert 10 * result.steps < heun_steps
+
+
+def test_limit_has_no_nyquist_content():
+    # on a 4x4 grid products of unit modes alias into the Nyquist index 2,
+    # which the derivative multipliers cannot see; the projected update
+    # keeps u out of those modes, so the limit is the band-limited u_star
+    grid = TorusGrid(n=2, active_dims=(0, 4), sizes=(4, 4))
+    uspec = TrigPolySpec.from_terms([TrigTerm((1, 0), 0.1), TrigTerm((1, 1), 0.05)])
+    rspec = TrigPolySpec.from_terms([TrigTerm((0, 1), 0.05)])
+    prob = build_manufactured(uspec, grid, c=1.0, rho=rspec)
+    result = run_to_steady(
+        ScalarField.zeros(grid), prob.omega_h, prob.f, tol_steady=1e-8, t_max=200.0
+    )
+    hat = np.fft.fftn(result.u_normalized.values) / grid.num_points
+    assert result.converged
+    assert np.max(np.abs(hat[2, :])) < 1e-15 and np.max(np.abs(hat[:, 2])) < 1e-15
+    target = normalize(prob.u_star)
+    assert np.max(np.abs(result.u_normalized.values - target.values)) < 1e-6
+
+
+def test_run_counts_halvings(manufactured_run):
+    # a violently rough source overshoots the cone at the capped step; the
+    # first accepted step shows every halving the run made
+    f = sample(TrigPolySpec.from_terms([TrigTerm((3, 2), 40.0)]), GRID)
+    result = run_to_steady(ScalarField.zeros(GRID), omega_field(), f, t_max=0.005)
+    first, second = result.history[:2]
+    assert result.steps == 1
+    assert result.halvings > 0
+    assert second.dt == first.dt / 2**result.halvings
+    assert second.min_eig_omega_tilde > 0
+    assert manufactured_run[1].halvings == 0
+
+
 def test_trajectory_translation_equivariance():
     uspec = TrigPolySpec.from_terms([TrigTerm((1, 0), 0.1)])
     prob = build_manufactured(uspec, GRID)
