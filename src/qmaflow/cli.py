@@ -316,6 +316,7 @@ def cmd_flow(args) -> int:
         "t_final": result.t_final,
         "steps": result.steps,
         "halvings": result.halvings,
+        "evaluations": result.evaluations,
         "wall_time_s": wall,
     }
     (out_dir / "result.json").write_text(

@@ -13,6 +13,14 @@ reported as a per-step diagnostic.  The Nyquist mode multiplier is zeroed,
 which keeps real fields real under differentiation; inputs are required to
 be band-limited below Nyquist anyway, and the stepper projects its updates
 onto the modes below Nyquist (``SpectralOps.below_nyquist``).
+
+The quaternionic Hessian of a real field is a J-real form: the entry
+(sigma j, sigma k) is +-conj of the entry (j, k), and the n diagonal blocks
+(2i, 2i+1) are real and sum to S_1.  The Hessian bundle therefore inverse
+transforms one complex slot per partner pair and packs the real blocks two
+per slot (multiplier M_a + i M_b, read back as real and imaginary parts);
+entries whose multiplier vanishes on the grid (inactive coordinates) are
+not transformed at all.  It expects the FFT of a real field.
 """
 
 from __future__ import annotations
@@ -38,13 +46,15 @@ PERIOD = 2.0 * np.pi
 
 
 def fft_workers() -> int:
-    """Worker count for FFT calls; QMAFLOW_WORKERS overrides cpu count."""
+    """Worker count for FFT calls: QMAFLOW_WORKERS, else the CPUs this process may use."""
     env = os.environ.get("QMAFLOW_WORKERS")
     if env:
         try:
             return max(1, int(env))
         except ValueError as exc:
             raise SpecValidationError(f"QMAFLOW_WORKERS must be an integer: {env!r}") from exc
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return os.cpu_count() or 1
 
 
@@ -255,10 +265,11 @@ class SpectralOps:
     """Fourier-multiplier derivatives for one grid and one model dimension.
 
     Precomputes the holomorphic/antiholomorphic first-derivative multipliers
-    and the fused multipliers for the quaternionic Hessian and its trace;
-    resolves the FFT worker count once.  All methods operating "from_hat"
-    expect the full FFT of a field and return position-space arrays.  The
-    batched :meth:`ddj_upper_s1_from_hat` is the only Hessian transform.
+    and the packed slot multipliers for the quaternionic Hessian; resolves
+    the FFT worker count once.  All methods operating "from_hat" expect the
+    full FFT of a field and return position-space arrays; the two batched
+    bundles expect the FFT of a real field.  The packed
+    :meth:`ddj_upper_s1_from_hat` is the only Hessian transform.
     """
 
     def __init__(self, grid: TorusGrid):
@@ -276,21 +287,65 @@ class SpectralOps:
             0.5 * (self._ik_for(a) - (-1j) * self._ik_for(2 * self.n + a))
             for a in range(m)
         ]
-        t = j_tables(self.n)
-        # (ddj u)_{jk} = dj_k u_{j sigma(k)bar} - dj_j u_{k sigma(j)bar}
         self.pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
-        ddj_mult = [
-            t.dj_sign[k] * self.zmult[j] * self.zbmult[t.sigma[k]]
-            - t.dj_sign[j] * self.zmult[k] * self.zbmult[t.sigma[j]]
-            for j, k in self.pairs
-        ]
         self.s1_mult = sum(self.zmult[a] * self.zbmult[a] for a in range(m))
         self.below_nyquist = self._build_below_nyquist()
         self._tail_mask = self._build_tail_mask()
-        # stacked multipliers let every caller run single batched transforms
-        full = lambda a: np.broadcast_to(a, self.grid.shape)
-        self._ddj_s1_stack = np.stack([full(mult) for mult in ddj_mult + [self.s1_mult]])
-        self._zbar_stack = np.stack([full(mult) for mult in self.zbmult])
+        self._build_ddj_slots(j_tables(self.n))
+        self._zbar_live = [a for a in range(m) if np.any(self.zbmult[a])]
+        self._zbar_stack = self._full_stack([self.zbmult[a] for a in self._zbar_live])
+
+    def _full_stack(self, mults):
+        """Grid-sized stack of multipliers for one batched transform, or None."""
+        if not mults:
+            return None
+        return np.stack([np.broadcast_to(mult, self.grid.shape) for mult in mults])
+
+    def _build_ddj_slots(self, t):
+        """Slot tables of the packed Hessian bundle, from the J tables.
+
+        For a real field, entry (sigma j, sigma k) equals
+        form_sign[j] * form_sign[k] * conj(entry (j, k)); sigma only swaps
+        within a block, so sigma j < sigma k whenever j < k lie in different
+        blocks.  Each partner pair takes one slot; the real blocks
+        (j, sigma j) share slots two at a time.  Entries with an identically
+        zero multiplier get no slot and stay zero.
+        """
+
+        def ddj_mult(e):
+            # (ddj u)_{jk} = dj_k u_{j sigma(k)bar} - dj_j u_{k sigma(j)bar}
+            j, k = self.pairs[e]
+            return (
+                t.dj_sign[k] * self.zmult[j] * self.zbmult[t.sigma[k]]
+                - t.dj_sign[j] * self.zmult[k] * self.zbmult[t.sigma[j]]
+            )
+
+        index = {pair: e for e, pair in enumerate(self.pairs)}
+        self._blocks = [index[(j, int(t.sigma[j]))] for j in range(0, 2 * self.n, 2)]
+        blocks = [(e, ddj_mult(e)) for e in self._blocks]
+        blocks = [(e, mult) for e, mult in blocks if np.any(mult)]
+        slots, entries, partners, signs = [], [], [], []
+        seen = set(self._blocks)
+        for e, (j, k) in enumerate(self.pairs):
+            if e in seen:
+                continue
+            partner = index[(int(t.sigma[j]), int(t.sigma[k]))]
+            seen.add(partner)
+            mult = ddj_mult(e)
+            if np.any(mult):
+                slots.append(mult)
+                entries.append(e)
+                partners.append(partner)
+                signs.append(int(t.form_sign[j] * t.form_sign[k]))
+        self._pair_entries = np.array(entries, dtype=int)
+        self._pair_partners = np.array(partners, dtype=int)
+        self._pair_signs = np.array(signs, dtype=float).reshape((-1,) + (1,) * len(self.grid.shape))
+        self._real_blocks = np.array([e for e, _ in blocks[0::2]], dtype=int)
+        self._imag_blocks = np.array([e for e, _ in blocks[1::2]], dtype=int)
+        slots += [a + 1j * b for (_, a), (_, b) in zip(blocks[0::2], blocks[1::2])]
+        if len(blocks) % 2:
+            slots.append(blocks[-1][1])
+        self._ddj_slots = self._full_stack(slots)
 
     def _build_ik(self):
         out = []
@@ -344,8 +399,9 @@ class SpectralOps:
         return sp_fft.ifftn(hat, workers=self.workers)
 
     def _ifft_batch(self, hats):
+        """Inverse transform of each leading slot; ``hats`` is overwritten."""
         axes = tuple(range(1, hats.ndim))
-        return sp_fft.ifftn(hats, axes=axes, workers=self.workers)
+        return sp_fft.ifftn(hats, axes=axes, workers=self.workers, overwrite_x=True)
 
     # -- first derivatives ---------------------------------------------
 
@@ -388,16 +444,36 @@ class SpectralOps:
     def ddj_upper_s1_from_hat(self, hat):
         """Upper-triangle quaternionic Hessian entries plus its S_1 trace.
 
-        Returns (upper, s1) where ``upper`` stacks the (j, k) entries in
-        ``self.pairs`` order; a single batched transform serves the whole
-        bundle, which every caller of the quaternionic Hessian runs on.
+        ``hat`` must be the FFT of a real field.  Returns (upper, s1) where
+        ``upper`` stacks the (j, k) entries in ``self.pairs`` order.  One
+        batched transform of the packed slots serves the whole bundle; the
+        partners are rebuilt by conjugation and S_1 is the sum of the
+        blocks.
         """
-        stack = self._ifft_batch(self._ddj_s1_stack * hat[None])
-        return stack[:-1], stack[-1].real
+        upper = np.zeros((len(self.pairs),) + self.grid.shape, dtype=complex)
+        if self._ddj_slots is None:
+            return upper, np.zeros(self.grid.shape)
+        slots = self._ifft_batch(self._ddj_slots * hat[None])
+        c = len(self._pair_entries)
+        upper[self._pair_entries] = slots[:c]
+        upper[self._pair_partners] = self._pair_signs * np.conj(slots[:c])
+        real, imag = slots[c:].real, slots[c : c + len(self._imag_blocks)].imag
+        upper[self._real_blocks] = real
+        upper[self._imag_blocks] = imag
+        return upper, real.sum(axis=0) + imag.sum(axis=0)
 
     def zbar_gradient_batched_from_hat(self, hat):
-        """u_{abar} for a = 0..2n-1, stacked on a leading axis."""
-        return self._ifft_batch(self._zbar_stack * hat[None])
+        """u_{abar} for a = 0..2n-1, stacked on a leading axis.
+
+        ``hat`` must be the FFT of a real field; entries whose multiplier
+        vanishes on the grid are zero and not transformed.
+        """
+        if len(self._zbar_live) == 2 * self.n:
+            return self._ifft_batch(self._zbar_stack * hat[None])
+        out = np.zeros((2 * self.n,) + self.grid.shape, dtype=complex)
+        if self._zbar_live:
+            out[self._zbar_live] = self._ifft_batch(self._zbar_stack * hat[None])
+        return out
 
     # -- diagnostics ----------------------------------------------------
 

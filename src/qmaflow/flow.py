@@ -7,7 +7,9 @@ taken implicitly, so one step solves
 
     (1 - dt * a * S_1) du = dt * N(u),    u <- u + du
 
-by one forward and one inverse FFT.  The linearization of N at u is
+by one forward and one inverse FFT.  The spectrum of the new state is
+carried, not recomputed: it is the old spectrum plus the update's, which
+the step already holds.  The linearization of N at u is
 v -> 1/2 tr(omega_tilde^-1 beta(v)), beta(v) the change of the evolving
 form; its coefficients are averages of reciprocal block eigenvalues, so
 a = 1 / min_eig (min_eig the smallest block eigenvalue over the grid; a = 1
@@ -23,7 +25,9 @@ projection the limit would not be unique on an even grid).
 Steps whose result leaves the positive cone (or goes non-finite) are
 rejected and retried with half the step, up to a bounded number of
 halvings; the step then regrows geometrically toward the cap after a run
-of accepted steps.  Explicit Heun under the parabolic CFL bound
+of accepted steps.  A run whose accepted step falls below 2^-MAX_HALVINGS
+times the first step's cap has stalled at the positivity margin and is
+stopped as stiff.  Explicit Heun under the parabolic CFL bound
 dt = sigma * h_min^2 / kappa (kappa the largest grid value of the sum of
 reciprocal block eigenvalues) is kept as the reference integrator
 (:meth:`FlowEngine.heun_step`, :func:`cfl_dt`) against which the tests
@@ -111,6 +115,7 @@ class SteadyResult:
     t_final: float
     steps: int
     halvings: int  # halved step attempts over the whole run
+    evaluations: int  # flow-map evaluations over the whole run
 
 
 def normalize(u: ScalarField) -> ScalarField:
@@ -155,6 +160,7 @@ class FlowEngine:
         self.sigma = sigma
         self.margin = margin
         self.halvings = 0
+        self.evaluations = 0
         omega = standard_form(self.n)
         self._pf_omega = float(pfaffian(omega).real)
         self._inv_nm1 = 1.0 / (self.n - 1)
@@ -163,16 +169,19 @@ class FlowEngine:
         sh = (len(pairs),) + (1,) * len(self.grid.shape)
         self._omega_upper = np.array([omega[j, k] for j, k in pairs]).reshape(sh)
 
-    def evaluate(self, u_values) -> _Stage:
+    def evaluate(self, u_values, hat=None) -> _Stage:
         """Evolving form, positivity guard, right-hand side at one state.
 
+        ``hat`` is the FFT of ``u_values`` when the caller already holds it.
         Runs on stacked upper-triangle entries: the form is antisymmetric,
         so the (j, k), j < k entries determine it, and one batched inverse
         transform covers the whole quaternionic Hessian plus its trace.
         """
+        self.evaluations += 1
         if not np.all(np.isfinite(u_values)):
             return _Stage(ok=False)
-        hat = self.ops.fft(u_values)
+        if hat is None:
+            hat = self.ops.fft(u_values)
         omt_upper, eta = self.form_upper(hat)
         pf = pfaffian_upper(omt_upper, 2 * self.n).real
         if self.n == 2:
@@ -247,8 +256,10 @@ class FlowEngine:
         a_s1 = self.ops.s1_mult / stage.min_eig  # a * S_1 <= 0
         dt = min(state.dt, self.step_cap(stage))
         for _ in range(MAX_HALVINGS + 1):
-            new_u = u + self.ops.ifft(dt / (1.0 - dt * a_s1) * rhs_hat).real
-            new_stage = self.evaluate(new_u)
+            du_hat = dt / (1.0 - dt * a_s1) * rhs_hat
+            new_u = u + self.ops.ifft(du_hat).real
+            # du_hat is Hermitian and below Nyquist: this is fft(new_u) up to rounding
+            new_stage = self.evaluate(new_u, stage.hat + du_hat)
             if new_stage.ok:
                 return self._advance(state, new_u, dt), new_stage
             self.halvings += 1
@@ -328,6 +339,7 @@ def run_to_steady(
         u0.values, "initial data violates the strict-positivity condition"
     )
     state = FlowState(u=u0, t=0.0, dt=engine.step_cap(stage), step_count=0)
+    dt_floor = state.dt * 0.5**MAX_HALVINGS
     history = []
 
     def record(st, sg):
@@ -343,6 +355,12 @@ def run_to_steady(
         attempted_dt = min(state.dt, engine.step_cap(stage))
         try:
             new_state, new_stage = engine.step(state, stage)
+            if new_state.dt < dt_floor:
+                raise StiffnessError(
+                    f"step stalled at the positivity margin (t = {new_state.t:.6g}, "
+                    f"dt = {new_state.dt:.3e} below {dt_floor:.3e}, "
+                    f"min eigenvalue {new_stage.min_eig:.3e})"
+                )
         except StiffnessError as exc:
             exc.diagnostics = history[-1]
             raise
@@ -365,6 +383,7 @@ def run_to_steady(
         t_final=state.t,
         steps=state.step_count,
         halvings=engine.halvings,
+        evaluations=engine.evaluations,
     )
 
 

@@ -2,15 +2,21 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmaflow
 from qmaflow.cli import (
     EXIT_INVALID,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_POSITIVITY,
+    EXIT_STIFF,
     RunConfig,
     main,
     read_snapshot,
@@ -112,6 +118,7 @@ def test_flow_converges_and_writes_outputs(flow_run):
     assert result["residual"] <= 1e-6
     assert result["wall_time_s"] > 0
     assert result["halvings"] == 0
+    assert result["evaluations"] == result["steps"] + 1  # no step was retried
     assert (out_dir / "u_final.snap").exists()
     snaps = sorted(out_dir.glob("u_0*.snap"))
     assert snaps  # interval snapshots were emitted
@@ -170,6 +177,32 @@ def test_flow_initial_positivity_exit_three(tmp_path):
     config = base_config(tmp_path / "o3", u0=[{"k": [1, 0], "amplitude": 10.0}])
     path = write_config(tmp_path, config, "bad-u0.json")
     assert main(["flow", "--config", str(path)]) == EXIT_POSITIVITY
+
+
+def test_flow_stall_at_positivity_margin_exits_four(tmp_path):
+    # a rough source drives the flat form to the positivity margin, where the
+    # accepted step shrinks far below the first cap; the run must stop as
+    # stiff instead of crawling toward t_max (a subprocess, so a stall fails)
+    config = base_config(
+        tmp_path / "o",
+        omega_h={"c": 1.0},
+        f=[{"k": [3, 2], "amplitude": 40.0}],
+        tol_steady=1e-8,
+        t_max=0.05,
+        snapshot_interval=0,
+    )
+    path = write_config(tmp_path, config)
+    env = dict(os.environ, PYTHONPATH=str(Path(qmaflow.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmaflow.cli", "flow", "--config", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == EXIT_STIFF
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert "last accepted step" in proc.stderr
 
 
 # -- check ------------------------------------------------------------------------

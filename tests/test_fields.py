@@ -1,19 +1,23 @@
 """Grids, sampling, spectral derivatives, background form construction."""
 
+import os
+
 import numpy as np
 import pytest
 
 from qmaflow.errors import PositivityError, SpecValidationError
 from qmaflow.fields import (
     ScalarField,
+    SpectralOps,
     TorusGrid,
     TrigPolySpec,
     TrigTerm,
     build_omega_h,
+    fft_workers,
     sample,
     spectral_ops,
 )
-from qmaflow.model import build_model, standard_form
+from qmaflow.model import build_model, j_tables, standard_form
 
 
 @pytest.fixture
@@ -146,6 +150,98 @@ def test_hessian_hermitian_symmetry(grid):
     assert np.max(np.abs(H - full)) < 1e-13
     swapped = np.conj(np.swapaxes(full, 0, 1))
     assert np.max(np.abs(full - swapped)) < 1e-13
+
+
+# z0-plane grids and grids on which every complex coordinate has an active
+# axis with nonzero wavenumbers, odd and even sizes; a size-2 axis carries
+# only the (zeroed) Nyquist index, so its derivative multipliers vanish
+BUNDLE_GRIDS = {
+    "n2-z0-16x15": TorusGrid(n=2, active_dims=(0, 4), sizes=(16, 15)),
+    "n2-full-3x4": TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(3, 4) * 4),
+    "n3-z0-9x8": TorusGrid(n=3, active_dims=(0, 6), sizes=(9, 8)),
+    "n3-full-3x2": TorusGrid(
+        n=3, active_dims=tuple(range(12)), sizes=(3, 2, 3, 2, 3, 2, 2, 3, 2, 3, 2, 3)
+    ),
+    "n4-z0-7x6": TorusGrid(n=4, active_dims=(0, 8), sizes=(7, 6)),
+    "n4-every-z": TorusGrid(
+        n=4, active_dims=(0, 2, 4, 6, 9, 11, 13, 15), sizes=(3, 4, 3, 3, 3, 3, 3, 4)
+    ),
+}
+
+
+def _ddj_multiplier(ops, j, k):
+    """Grid-sized multiplier of the (j, k) quaternionic Hessian entry."""
+    t = j_tables(ops.n)
+    first = t.dj_sign[k] * ops.zmult[j] * ops.zbmult[t.sigma[k]]
+    second = t.dj_sign[j] * ops.zmult[k] * ops.zbmult[t.sigma[j]]
+    return np.broadcast_to(first - second, ops.grid.shape)
+
+
+def _negated_frequencies(mult):
+    """mult(-xi) on the FFT index grid."""
+    for axis in range(mult.ndim):
+        mult = np.roll(np.flip(mult, axis=axis), 1, axis=axis)
+    return mult
+
+
+@pytest.mark.parametrize("name", list(BUNDLE_GRIDS))
+def test_packed_bundle_matches_per_entry_oracle(name):
+    # the oracle transforms every mixed second derivative and combines
+    # them through the J tables, without using J-reality
+    grid = BUNDLE_GRIDS[name]
+    ops = spectral_ops(grid)
+    t = j_tables(grid.n)
+    u = 5.0 * np.random.default_rng(11).standard_normal(grid.shape)
+    hat = ops.fft(u)
+    H = ops.mixed_hessian_from_hat(hat, real_input=False)
+    oracle = np.stack(
+        [t.dj_sign[k] * H[j, t.sigma[k]] - t.dj_sign[j] * H[k, t.sigma[j]] for j, k in ops.pairs]
+    )
+    s1_oracle = np.einsum("aa...->...", H)
+    upper, s1 = ops.ddj_upper_s1_from_hat(hat)
+    scale = np.max(np.abs(oracle))
+    assert upper.shape == oracle.shape and s1.dtype == float
+    assert np.max(np.abs(upper - oracle)) <= 1e-13 * scale
+    assert np.max(np.abs(s1 - s1_oracle)) <= 1e-13 * np.max(np.abs(s1_oracle))
+
+
+@pytest.mark.parametrize("name", list(BUNDLE_GRIDS))
+def test_packed_bundle_partner_signs_match_multipliers(name):
+    # for a real field, entry p equals sign * conj(entry e) iff
+    # M_p(xi) = sign * conj(M_e(-xi)); the blocks have real multipliers
+    ops = spectral_ops(BUNDLE_GRIDS[name])
+    mults = [_ddj_multiplier(ops, j, k) for j, k in ops.pairs]
+    for e, p, sign in zip(ops._pair_entries, ops._pair_partners, ops._pair_signs.ravel()):
+        assert np.any(mults[e])
+        assert np.array_equal(mults[p], sign * np.conj(_negated_frequencies(mults[e])))
+    covered = set(ops._pair_entries) | set(ops._pair_partners)
+    for e in ops._blocks:
+        assert np.all(mults[e].imag == 0)
+        assert e not in covered
+    covered |= set(ops._real_blocks) | set(ops._imag_blocks)
+    for e, mult in enumerate(mults):
+        assert (e in covered) == bool(np.any(mult))
+
+
+@pytest.mark.parametrize("name", ["n2-z0-16x15", "n2-full-3x4", "n3-full-3x2"])
+def test_zbar_gradient_batched_matches_partial_zbar(name):
+    grid = BUNDLE_GRIDS[name]
+    ops = spectral_ops(grid)
+    u = np.random.default_rng(12).standard_normal(grid.shape)
+    batched = ops.zbar_gradient_batched_from_hat(ops.fft(u))
+    assert batched.shape == (2 * grid.n,) + grid.shape
+    for a in range(2 * grid.n):
+        single = ops.partial_zbar(u, a)
+        if not np.any(ops.zbmult[a]):
+            assert np.all(batched[a] == 0) and np.all(single == 0)
+        assert np.max(np.abs(batched[a] - single)) <= 1e-13 * max(np.max(np.abs(single)), 1.0)
+
+
+def test_fft_workers_follow_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("QMAFLOW_WORKERS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert fft_workers() == 1
+    assert SpectralOps(TorusGrid(n=2, active_dims=(0, 4), sizes=(8, 8))).workers == 1
 
 
 def test_spectral_tail_detects_high_modes():

@@ -186,6 +186,22 @@ def test_step_constant_source_exact_far_above_cfl():
     assert engine.halvings == 0
 
 
+def test_step_carries_the_spectrum_of_u():
+    # each step hands the next evaluation old spectrum + update spectrum
+    # instead of transforming the new state; it must stay fft(u)
+    uspec = TrigPolySpec.from_terms([TrigTerm((1, 0), 0.1), TrigTerm((1, 1), 0.05)])
+    rspec = TrigPolySpec.from_terms([TrigTerm((0, 1), 0.05)])
+    prob = build_manufactured(uspec, GRID, c=1.0, rho=rspec)
+    engine = FlowEngine(prob.omega_h, prob.f)
+    stage = engine.evaluate_or_raise(np.zeros(GRID.shape), "initial data")
+    state = FlowState(u=ScalarField.zeros(GRID), t=0.0, dt=engine.step_cap(stage), step_count=0)
+    for _ in range(40):
+        state, stage = engine.step(state, stage)
+    hat = engine.ops.fft(state.u.values)
+    assert np.max(np.abs(stage.hat - hat)) <= 1e-12 * np.max(np.abs(hat))
+    assert engine.evaluations == 41
+
+
 def _heun_to_steady(prob, grid, tol_steady=1e-8):
     """The Heun reference integrator at its CFL cap, to the same tolerance."""
     engine = FlowEngine(prob.omega_h, prob.f)
