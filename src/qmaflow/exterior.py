@@ -1,16 +1,17 @@
-"""Exact exterior algebra for even-degree forms over a finite generator set.
+"""Exact exterior algebra over a finite generator set.
 
-Elements are stored as sparse maps from generator subsets (bitmasks) to
-coefficients, so wedge products, top-form quotients, S_m and Pfaffians are
-evaluated exactly up to floating round-off in the coefficient arithmetic.
-Coefficients may be complex scalars or numpy arrays of a common broadcastable
-shape; the same code therefore serves both as a pointwise reference oracle
-and as a vectorized computation over a whole grid.
+An element is a sorted array of generator subsets (bitmasks) with one
+coefficient stack: keys on axis 0, a common broadcast shape after them.
+Wedge products, top-form quotients, S_m and Pfaffians are therefore
+evaluated exactly up to floating round-off in the coefficient arithmetic,
+and the same code serves both as a pointwise reference oracle and as a
+vectorized computation over a grid or a stack of random trials.
 
-Only even-degree elements are supported (all forms handled here are built
-from 2-forms), which keeps the algebra commutative and the bookkeeping
-simple.  The generator count is small by design: a (2,0)-form layer uses 2n
-generators and the real-form layer 4n, with n <= 4.
+All forms handled here are built from 2-forms, so their elements have
+even degree and commute; ``wedge`` still keeps the graded sign of each
+term, so it is exact for elements of any degree.  The generator count is
+small by design: a (2,0)-form layer uses 2n generators and the real-form
+layer 4n, with n <= 4.
 """
 
 from __future__ import annotations
@@ -20,32 +21,81 @@ from math import comb, factorial
 
 import numpy as np
 
+_SHIFTS = (1, 2, 4, 8, 16, 32)  # prefix-XOR steps that span a 64-bit key
 
-def _merge_sign(mask_a: int, mask_b: int) -> int:
-    """Sign of reordering the concatenation of two generator subsets.
 
-    Counts, for every generator j in ``mask_b``, the generators of
-    ``mask_a`` with index larger than j; the parity of the total is the
-    sign of the interleaving permutation.
-    """
-    sign = 1
-    b = mask_b
-    while b:
-        j = (b & -b).bit_length() - 1
-        if (mask_a >> (j + 1)).bit_count() & 1:
-            sign = -sign
-        b &= b - 1
-    return sign
+def _parity_below(keys):
+    """Bit i is the parity of the generators of ``keys`` with index below i."""
+    for s in _SHIFTS:
+        keys = keys ^ (keys << s)
+    return keys << 1
+
+
+def _parity_above(keys):
+    """Bit i is the parity of the generators of ``keys`` with index above i."""
+    for s in _SHIFTS:
+        keys = keys ^ (keys >> s)
+    return keys >> 1
+
+
+def _lift(stack, ndim: int):
+    """``stack`` with its trailing shape padded on the left to ``ndim`` axes."""
+    pad = ndim - (stack.ndim - 1)
+    if pad <= 0:
+        return stack
+    return stack.reshape(stack.shape[:1] + (1,) * pad + stack.shape[1:])
+
+
+def _layout(rows, cols, keys):
+    """Read-only, because every element built from a cached layout shares it."""
+    for array in (keys, rows, cols):
+        array.flags.writeable = False
+    return keys, rows, cols
+
+
+@lru_cache(maxsize=None)
+def _two_form_layout(m: int, shift: int):
+    """Keys of e_{shift+j} ^ e_{shift+k}, j < k, ascending, with their (j, k)."""
+    cols, rows = np.tril_indices(m, -1)  # k ascending, then j: ascending keys
+    return _layout(rows, cols, (1 << (shift + rows)) | (1 << (shift + cols)))
+
+
+@lru_cache(maxsize=None)
+def _one_one_form_layout(m: int):
+    """Keys of e_j ^ e_{m+k} over 2m generators, ascending, with their (j, k)."""
+    cols, rows = np.indices((m, m)).reshape(2, -1)  # k ascending, then j
+    return _layout(rows, cols, (1 << rows) | (1 << (m + cols)))
 
 
 class ExteriorElement:
-    """Even-degree element of the exterior algebra on ``n_gen`` generators."""
+    """Element of the exterior algebra on ``n_gen`` generators.
 
-    __slots__ = ("n_gen", "coeffs")
+    ``keys`` is a sorted int64 array of generator bitmasks (so at most 63
+    generators) and ``stack`` holds the matching coefficients on axis 0.
+    """
+
+    __slots__ = ("n_gen", "keys", "stack")
 
     def __init__(self, n_gen: int, coeffs: dict | None = None):
+        items = sorted((coeffs or {}).items())
         self.n_gen = n_gen
-        self.coeffs = dict(coeffs) if coeffs else {}
+        self.keys = np.array([key for key, _ in items], dtype=np.int64)
+        if items:
+            self.stack = np.stack(np.broadcast_arrays(*(np.asarray(v) for _, v in items)))
+        else:
+            self.stack = np.zeros(0)
+
+    @classmethod
+    def _of(cls, n_gen: int, keys, stack) -> "ExteriorElement":
+        """Element from sorted unique keys and their coefficient stack."""
+        out = cls.__new__(cls)
+        out.n_gen, out.keys, out.stack = n_gen, keys, stack
+        return out
+
+    @property
+    def coeffs(self) -> dict:
+        """Mask -> coefficient, in ascending mask order."""
+        return dict(zip(self.keys.tolist(), self.stack))
 
     # -- constructors -------------------------------------------------
 
@@ -64,11 +114,12 @@ class ExteriorElement:
         m = matrix.shape[0]
         if n_gen is None:
             n_gen = shift + m
-        coeffs = {}
-        for j in range(m):
-            for k in range(j + 1, m):
-                coeffs[(1 << (shift + j)) | (1 << (shift + k))] = matrix[j, k]
-        return cls(n_gen, coeffs)
+        if shift + m > n_gen:
+            raise ValueError(
+                f"a {m}x{m} form shifted by {shift} needs {shift + m} generators, got {n_gen}"
+            )
+        keys, rows, cols = _two_form_layout(m, shift)
+        return cls._of(n_gen, keys, matrix[rows, cols])
 
     @classmethod
     def from_one_one_form(cls, matrix) -> "ExteriorElement":
@@ -79,11 +130,8 @@ class ExteriorElement:
         """
         matrix = np.asarray(matrix)
         m = matrix.shape[0]
-        coeffs = {}
-        for j in range(m):
-            for k in range(m):
-                coeffs[(1 << j) | (1 << (m + k))] = 1j * matrix[j, k]
-        return cls(2 * m, coeffs)
+        keys, rows, cols = _one_one_form_layout(m)
+        return cls._of(2 * m, keys, 1j * matrix[rows, cols])
 
     # -- algebra ------------------------------------------------------
 
@@ -92,45 +140,67 @@ class ExteriorElement:
             raise ValueError(
                 f"generator counts differ: {self.n_gen} vs {other.n_gen}"
             )
-        out: dict = {}
-        for ka, ca in self.coeffs.items():
-            for kb, cb in other.coeffs.items():
-                if ka & kb:
-                    continue
-                term = _merge_sign(ka, kb) * ca * cb
-                key = ka | kb
-                if key in out:
-                    out[key] = out[key] + term
-                else:
-                    out[key] = term
-        return ExteriorElement(self.n_gen, out)
+        # One pass per term of the shorter factor against the whole longer
+        # one, so no transient is larger than the longer factor's stack.
+        # Bit i of ``flips`` tells whether a longer-factor generator i
+        # crosses an odd number of the term's generators when the product
+        # self ^ other is sorted.
+        if self.keys.size <= other.keys.size:
+            short, long, flips = self, other, _parity_above(self.keys)
+        else:
+            short, long, flips = other, self, _parity_below(other.keys)
+        hits = [np.flatnonzero((long.keys & key) == 0) for key in short.keys]
+        parts = [long.keys[idx] | key for idx, key in zip(hits, short.keys)]
+        keys = np.unique(np.concatenate(parts)) if parts else short.keys
+        shape = np.broadcast_shapes(short.stack.shape[1:], long.stack.shape[1:])
+        long_stack = _lift(long.stack, len(shape))
+        out = np.zeros(
+            (keys.size,) + shape, dtype=np.result_type(short.stack, long.stack)
+        )
+        axes = (1,) * len(shape)
+        for idx, part, key, flip, coeff in zip(hits, parts, short.keys, flips, short.stack):
+            odd = np.bitwise_count((part ^ key) & flip) & 1  # part ^ key: the long keys
+            term = long_stack[idx] * coeff
+            np.negative(term, out=term, where=odd.view(bool).reshape(odd.shape + axes))
+            # the keys of one part are distinct, so the fancy += is exact
+            out[np.searchsorted(keys, part)] += term
+        return ExteriorElement._of(self.n_gen, keys, out)
 
     def wedge_power(self, p: int) -> "ExteriorElement":
         if p < 0:
             raise ValueError("negative wedge power")
-        acc = ExteriorElement.scalar(self.n_gen, 1.0 + 0.0j)
-        for _ in range(p):
+        if p == 0:
+            return ExteriorElement.scalar(self.n_gen, 1.0 + 0.0j)
+        acc = self
+        for _ in range(p - 1):
             acc = acc.wedge(self)
         return acc
 
     def scale(self, factor) -> "ExteriorElement":
-        return ExteriorElement(
-            self.n_gen, {k: factor * v for k, v in self.coeffs.items()}
+        return ExteriorElement._of(
+            self.n_gen, self.keys, _lift(self.stack, np.ndim(factor)) * factor
         )
 
     def __add__(self, other: "ExteriorElement") -> "ExteriorElement":
         if self.n_gen != other.n_gen:
             raise ValueError("generator counts differ")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out[k] + v if k in out else v
-        return ExteriorElement(self.n_gen, out)
+        keys = np.union1d(self.keys, other.keys)
+        shape = np.broadcast_shapes(self.stack.shape[1:], other.stack.shape[1:])
+        out = np.zeros(
+            (keys.size,) + shape, dtype=np.result_type(self.stack, other.stack)
+        )
+        for part in (self, other):
+            out[np.searchsorted(keys, part.keys)] += _lift(part.stack, len(shape))
+        return ExteriorElement._of(self.n_gen, keys, out)
 
     def __sub__(self, other: "ExteriorElement") -> "ExteriorElement":
         return self + other.scale(-1.0)
 
     def coefficient(self, mask: int):
-        return self.coeffs.get(mask, 0.0 + 0.0j)
+        idx = int(np.searchsorted(self.keys, mask))
+        if idx < self.keys.size and self.keys[idx] == mask:
+            return self.stack[idx]
+        return 0.0 + 0.0j
 
     def top_coefficient(self):
         """Coefficient of e_0 ^ e_1 ^ ... ^ e_{n_gen-1}."""

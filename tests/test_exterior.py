@@ -5,6 +5,8 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmaflow.exterior import (
     ExteriorElement,
@@ -77,6 +79,49 @@ def elementary_symmetric(values, m):
     ) if m else 1.0
 
 
+def merge_sign(mask_a, mask_b):
+    """Sign of sorting the generators of mask_a followed by those of mask_b."""
+    sign = 1
+    for j in range(mask_b.bit_length()):
+        if (mask_b >> j) & 1 and (mask_a >> (j + 1)).bit_count() & 1:
+            sign = -sign
+    return sign
+
+
+def wedge_reference(a, b):
+    """Coefficient map of a ^ b by a scalar loop over every pair of terms."""
+    out = {}
+    for ka, ca in a.coeffs.items():
+        for kb, cb in b.coeffs.items():
+            if ka & kb:
+                continue
+            term = merge_sign(ka, kb) * ca * cb
+            out[ka | kb] = out[ka | kb] + term if ka | kb in out else term
+    return out
+
+
+def random_element(rng, n_gen, max_terms, shape=(), parity=None):
+    """Sparse element with random keys and coefficient shape ``shape``.
+
+    ``parity`` 0 keeps even-degree keys only; None mixes every degree.
+    """
+    masks = [k for k in range(1 << n_gen) if parity is None or k.bit_count() % 2 == parity]
+    count = int(rng.integers(0, max_terms + 1))
+    keys = rng.choice(masks, size=min(count, len(masks)), replace=False)
+    return ExteriorElement(
+        n_gen,
+        {int(k): rng.normal(size=shape) + 1j * rng.normal(size=shape) for k in keys},
+    )
+
+
+def assert_same_element(got, expected, rel):
+    """Same keys, and every coefficient within ``rel`` of the largest one."""
+    assert set(got.coeffs) == set(expected)
+    scale = max([1.0] + [float(np.max(np.abs(v))) for v in expected.values()])
+    for key, value in expected.items():
+        assert np.max(np.abs(got.coeffs[key] - value)) <= rel * scale
+
+
 # -- wedge ------------------------------------------------------------------
 
 
@@ -133,6 +178,75 @@ def test_wedge_bilinear():
 def test_wedge_mismatched_generators_rejected():
     with pytest.raises(ValueError):
         ExteriorElement(4, {0b11: 1.0}).wedge(ExteriorElement(6, {0b11: 1.0}))
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [((), ()), ((), (3, 4)), ((5,), ()), ((2, 1), (1, 3))],
+)
+def test_wedge_matches_scalar_reference(shape_a, shape_b):
+    rng = np.random.default_rng(sum(map(len, (shape_a, shape_b))))
+    empty = 0
+    for _ in range(40):
+        n_gen = int(rng.integers(2, 9))
+        a = random_element(rng, n_gen, 10, shape_a)
+        b = random_element(rng, n_gen, 10, shape_b)
+        expected = wedge_reference(a, b)
+        empty += not expected
+        assert_same_element(a.wedge(b), expected, rel=1e-13)
+    assert empty  # some draws have no disjoint pair at all
+
+
+def test_from_two_form_rejects_too_few_generators():
+    a = random_antisymmetric(np.random.default_rng(0), 4)
+    shifted = ExteriorElement.from_two_form(a, n_gen=6, shift=2)
+    assert shifted.wedge_power(2).coefficient(0b111100) == pytest.approx(2 * pfaffian(a))
+    with pytest.raises(ValueError):
+        ExteriorElement.from_two_form(a, n_gen=5, shift=2)
+    with pytest.raises(ValueError):
+        ExteriorElement.from_two_form(a, n_gen=3)
+
+
+# -- algebraic properties ------------------------------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+seeds = st.integers(0, 2**32 - 1)
+generator_counts = st.integers(2, 8)
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, n_gen=generator_counts)
+def test_wedge_associative(seed, n_gen):
+    rng = np.random.default_rng(seed)
+    a, b, c = (random_element(rng, n_gen, 8, parity=0) for _ in range(3))
+    assert_same_element(a.wedge(b).wedge(c), a.wedge(b.wedge(c)).coeffs, rel=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, n_gen=generator_counts)
+def test_wedge_even_elements_commute(seed, n_gen):
+    rng = np.random.default_rng(seed)
+    a, b = (random_element(rng, n_gen, 8, parity=0) for _ in range(2))
+    assert_same_element(a.wedge(b), b.wedge(a).coeffs, rel=1e-13)
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, n_gen=generator_counts)
+def test_wedge_distributive(seed, n_gen):
+    rng = np.random.default_rng(seed)
+    a, b, c = (random_element(rng, n_gen, 8, parity=0) for _ in range(3))
+    assert_same_element(a.wedge(b + c), (a.wedge(b) + a.wedge(c)).coeffs, rel=1e-13)
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, m=st.integers(1, 4))
+def test_top_power_is_pfaffian_and_its_square_is_det(seed, m):
+    a = random_antisymmetric(np.random.default_rng(seed), 2 * m)
+    pf = pfaffian(a)
+    top = ExteriorElement.from_two_form(a).wedge_power(m).top_coefficient()
+    assert abs(top / factorial(m) - pf) <= 1e-12 * max(abs(pf), 1.0)
+    det = np.linalg.det(a)
+    assert abs(pf**2 - det) <= 1e-12 * max(abs(det), 1.0)
 
 
 # -- Pfaffian ----------------------------------------------------------------

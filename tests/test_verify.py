@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
+from qmaflow import verify
 from qmaflow.errors import PositivityError, SpecValidationError
+from qmaflow.exterior import pfaffian, top_quotient
 from qmaflow.fields import ScalarField, TorusGrid, TrigPolySpec, TrigTerm, build_omega_h, sample
-from qmaflow.model import build_model
+from qmaflow.model import build_model, standard_form
 from qmaflow.operators import flow_rhs
 from qmaflow.verify import (
+    TRIAL_BLOCK,
     admissible_potential,
     build_manufactured,
     default_identity_grid,
     fit_exponential_decay,
     j_real_projection,
     linearization_order_check,
+    random_antisymmetric,
     random_j_real_positive,
     run_identity_suite,
 )
@@ -46,6 +50,58 @@ def test_identity_suite_n4_pointwise_only():
         "top_quotient_dual_path",
         "volume_form_top_coefficient",
     }
+
+
+def test_stacked_trials_match_per_trial_loop(monkeypatch):
+    n, seed, trials = 2, 31, TRIAL_BLOCK + 1
+    block_sizes = []
+    stacked = verify._pointwise_identities
+
+    def recording(anti, alpha, n):
+        block_sizes.append(anti.shape[-1])
+        return stacked(anti, alpha, n)
+
+    monkeypatch.setattr(verify, "_pointwise_identities", recording)
+    reports = {r.name: r.max_rel_err for r in run_identity_suite(n, trials, seed)}
+    assert block_sizes == [TRIAL_BLOCK, 1]
+
+    worst = dict.fromkeys(
+        ("pfaffian_squared_equals_det", "top_quotient_dual_path", "volume_form_top_coefficient"),
+        0.0,
+    )
+    for trial in range(trials):
+        rng = verify._trial_rng(seed, trial)
+        anti = random_antisymmetric(rng, 2 * n)
+        alpha = random_j_real_positive(rng, n)
+        det = np.linalg.det(anti)
+        q_slow = top_quotient(alpha, standard_form(n), n, method="exterior")
+        q_fast = top_quotient(alpha, standard_form(n), n, method="pfaffian")
+        errs = {
+            "pfaffian_squared_equals_det": abs(pfaffian(anti) ** 2 - det) / max(abs(det), 1.0),
+            "top_quotient_dual_path": abs(q_fast - q_slow) / max(abs(q_slow), 1.0),
+            "volume_form_top_coefficient": verify._volume_identity_err(alpha, n),
+        }
+        for name, err in errs.items():
+            worst[name] = max(worst[name], err)
+    for name, err in worst.items():
+        assert abs(reports[name] - err) <= 1e-15
+
+
+@pytest.mark.parametrize("planted", [0, 3])
+def test_defect_in_one_stacked_trial_is_reported(monkeypatch, planted):
+    exact = verify.positivity_matrix
+
+    def defective(entries, n):
+        matrix = exact(entries, n).copy()
+        matrix[0, 0, planted] += 1e-6  # only trial ``planted`` of the block
+        return matrix
+
+    monkeypatch.setattr(verify, "positivity_matrix", defective)
+    reports = {r.name: r for r in run_identity_suite(4, trials=4, seed=2)}
+    assert not reports["volume_form_top_coefficient"].passed
+    assert reports["volume_form_top_coefficient"].max_rel_err > 1e-8
+    assert reports["pfaffian_squared_equals_det"].passed
+    assert reports["top_quotient_dual_path"].passed
 
 
 def test_identity_suite_rejects_bad_n():
