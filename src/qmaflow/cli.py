@@ -250,7 +250,11 @@ def cmd_identities(args) -> int:
         "all_passed": all(r.passed for r in reports),
     }
     out = Path(args.out)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:
+        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     width = max(len(r.name) for r in reports)
     print(f"identity suite: n={args.n} trials={args.trials} seed={args.seed}")
     for r in reports:
@@ -271,12 +275,16 @@ def cmd_flow(args) -> int:
         return EXIT_INVALID
 
     out_dir = config.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "diagnostics.csv"
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        csv_file = (out_dir / "diagnostics.csv").open("w")
+    except OSError as exc:
+        print(f"error: cannot write to the output directory: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     next_snapshot = [0.0]
     wall_start = time.perf_counter()
 
-    with csv_path.open("w") as csv_file:
+    with csv_file:
         csv_file.write(",".join(DiagnosticsRecord.CSV_FIELDS) + "\n")
 
         def on_step(state, record):

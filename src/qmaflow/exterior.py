@@ -38,6 +38,18 @@ def _parity_above(keys):
     return keys >> 1
 
 
+def _sorted_unique(keys):
+    """The distinct keys in ascending order.
+
+    A sort and a neighbour mask rather than ``np.unique``, whose first call
+    imports ``numpy.ma``.
+    """
+    keys = np.sort(keys)
+    keep = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def _lift(stack, ndim: int):
     """``stack`` with its trailing shape padded on the left to ``ndim`` axes."""
     pad = ndim - (stack.ndim - 1)
@@ -151,7 +163,7 @@ class ExteriorElement:
             short, long, flips = other, self, _parity_below(other.keys)
         hits = [np.flatnonzero((long.keys & key) == 0) for key in short.keys]
         parts = [long.keys[idx] | key for idx, key in zip(hits, short.keys)]
-        keys = np.unique(np.concatenate(parts)) if parts else short.keys
+        keys = _sorted_unique(np.concatenate(parts)) if parts else short.keys
         shape = np.broadcast_shapes(short.stack.shape[1:], long.stack.shape[1:])
         long_stack = _lift(long.stack, len(shape))
         out = np.zeros(
@@ -184,7 +196,7 @@ class ExteriorElement:
     def __add__(self, other: "ExteriorElement") -> "ExteriorElement":
         if self.n_gen != other.n_gen:
             raise ValueError("generator counts differ")
-        keys = np.union1d(self.keys, other.keys)
+        keys = _sorted_unique(np.concatenate((self.keys, other.keys)))
         shape = np.broadcast_shapes(self.stack.shape[1:], other.stack.shape[1:])
         out = np.zeros(
             (keys.size,) + shape, dtype=np.result_type(self.stack, other.stack)

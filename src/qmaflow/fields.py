@@ -21,6 +21,13 @@ transforms one complex slot per partner pair and packs the real blocks two
 per slot (multiplier M_a + i M_b, read back as real and imaginary parts);
 entries whose multiplier vanishes on the grid (inactive coordinates) are
 not transformed at all.  It expects the FFT of a real field.
+
+Each grid picks its FFT once, from its point count: grids below
+SCIPY_FFT_MIN_POINTS transform with numpy.fft on one thread, larger ones
+with scipy.fft on ``fft_workers()`` threads.  Below the threshold a
+transform costs microseconds, so the scipy import and a second thread
+would cost more than they save; scipy.fft is imported only when a large
+grid's SpectralOps is built.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
+from numpy import fft as np_fft  # numpy loads its fft lazily; do it at import
 
 from .errors import SpecValidationError
 from .exterior import full_from_upper
@@ -43,6 +50,7 @@ from .model import (
 )
 
 PERIOD = 2.0 * np.pi
+SCIPY_FFT_MIN_POINTS = 4096  # grids this large transform with scipy.fft
 
 
 def fft_workers() -> int:
@@ -266,16 +274,26 @@ class SpectralOps:
 
     Precomputes the holomorphic/antiholomorphic first-derivative multipliers
     and the packed slot multipliers for the quaternionic Hessian; resolves
-    the FFT worker count once.  All methods operating "from_hat" expect the
-    full FFT of a field and return position-space arrays; the two batched
-    bundles expect the FFT of a real field.  The packed
-    :meth:`ddj_upper_s1_from_hat` is the only Hessian transform.
+    the FFT worker count and the FFT itself once: numpy.fft on one thread
+    below SCIPY_FFT_MIN_POINTS grid points, scipy.fft with ``workers`` from
+    there on.  All methods operating "from_hat" expect the full FFT of a
+    field and return position-space arrays; the two batched bundles expect
+    the FFT of a real field.  The packed :meth:`ddj_upper_s1_from_hat` is
+    the only Hessian transform.
     """
 
     def __init__(self, grid: TorusGrid):
         self.grid = grid
         self.n = grid.n
-        self.workers = fft_workers()
+        self.workers = fft_workers()  # validated for every grid, used by scipy.fft only
+        if grid.num_points >= SCIPY_FFT_MIN_POINTS:
+            from scipy import fft as backend
+
+            self._fft_kw = {"workers": self.workers}
+            self._batch_kw = {"workers": self.workers, "overwrite_x": True}
+        else:
+            backend, self._fft_kw, self._batch_kw = np_fft, {}, {}
+        self._backend = backend
         m = 2 * self.n
         self._ik = self._build_ik()
         # d/dz^a -> (ik_a + k_{2n+a})/2,  d/dzbar^a -> (ik_a - k_{2n+a})/2
@@ -351,7 +369,7 @@ class SpectralOps:
         out = []
         d = len(self.grid.sizes)
         for p, size in enumerate(self.grid.sizes):
-            k = sp_fft.fftfreq(size) * size
+            k = np_fft.fftfreq(size) * size
             if size % 2 == 0:
                 k[size // 2] = 0.0  # Nyquist zeroed; inputs are band-limited
             shape = [1] * d
@@ -384,7 +402,7 @@ class SpectralOps:
         d = len(self.grid.sizes)
         mask = np.zeros(self.grid.shape, dtype=bool)
         for p, size in enumerate(self.grid.sizes):
-            k = np.abs(sp_fft.fftfreq(size) * size)
+            k = np.abs(np_fft.fftfreq(size) * size)
             shape = [1] * d
             shape[p] = size
             mask |= np.broadcast_to(k.reshape(shape) >= size / 3.0, self.grid.shape)
@@ -393,15 +411,15 @@ class SpectralOps:
     # -- transforms ---------------------------------------------------
 
     def fft(self, values):
-        return sp_fft.fftn(np.asarray(values), workers=self.workers)
+        return self._backend.fftn(np.asarray(values), **self._fft_kw)
 
     def ifft(self, hat):
-        return sp_fft.ifftn(hat, workers=self.workers)
+        return self._backend.ifftn(hat, **self._fft_kw)
 
     def _ifft_batch(self, hats):
-        """Inverse transform of each leading slot; ``hats`` is overwritten."""
+        """Inverse transform of each leading slot; ``hats`` may be overwritten."""
         axes = tuple(range(1, hats.ndim))
-        return sp_fft.ifftn(hats, axes=axes, workers=self.workers, overwrite_x=True)
+        return self._backend.ifftn(hats, axes=axes, **self._batch_kw)
 
     # -- first derivatives ---------------------------------------------
 
@@ -415,7 +433,7 @@ class SpectralOps:
         return self.ifft(self.zbmult[a] * self.fft(values))
 
     def z_gradient_from_hat(self, hat):
-        return np.stack([self.ifft(self.zmult[a] * hat) for a in range(2 * self.n)])
+        return self._ifft_batch(np.stack([mult * hat for mult in self.zmult]))
 
     # -- second derivatives ---------------------------------------------
 
@@ -426,11 +444,12 @@ class SpectralOps:
         filled by the Hermitian symmetry H[b, a] = conj(H[a, b]).
         """
         m = 2 * self.n
+        entries = [(a, b) for a in range(m) for b in range(a if real_input else 0, m)]
+        rows, cols = zip(*entries)
         H = np.empty((m, m) + self.grid.shape, dtype=complex)
-        for a in range(m):
-            start = a if real_input else 0
-            for b in range(start, m):
-                H[a, b] = self.ifft(self.zmult[a] * self.zbmult[b] * hat)
+        H[rows, cols] = self._ifft_batch(
+            np.stack([self.zmult[a] * self.zbmult[b] * hat for a, b in entries])
+        )
         if real_input:
             for a in range(m):
                 for b in range(a):

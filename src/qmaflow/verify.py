@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng  # at import, not in the first trial
 
 from .errors import PositivityError, SpecValidationError
 from .exterior import ExteriorElement, pfaffian, s_m, top_quotient
@@ -96,7 +97,7 @@ class OrderCheckResult:
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, trial]))
+    return default_rng(SeedSequence([seed, trial]))
 
 
 def random_trig_spec(

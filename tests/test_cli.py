@@ -93,6 +93,15 @@ def test_identities_rejects_trial_count_below_one(tmp_path, capsys, trials):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["missing/r.json", "file.txt/r.json", "."])
+def test_identities_unwritable_out_exits_two(tmp_path, capsys, out):
+    (tmp_path / "file.txt").write_text("not a directory")
+    code = main(["identities", "--n", "2", "--trials", "1", "--out", str(tmp_path / out)])
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["identities"]) == EXIT_INVALID  # missing required --n
 
@@ -171,6 +180,15 @@ def test_flow_invalid_config_exit_two(tmp_path):
     bad["f"] = [{"k": [99, 0], "amplitude": 0.1}]
     path3 = write_config(tmp_path, bad, "band.json")
     assert main(["flow", "--config", str(path3)]) == EXIT_INVALID
+
+
+@pytest.mark.parametrize("output_dir", ["file.txt", "file.txt/out"])
+def test_flow_unwritable_output_dir_exits_two(tmp_path, capsys, output_dir):
+    (tmp_path / "file.txt").write_text("not a directory")
+    path = write_config(tmp_path, base_config(tmp_path / output_dir))
+    assert main(["flow", "--config", str(path)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_flow_initial_positivity_exit_three(tmp_path):

@@ -1,12 +1,20 @@
 """Grids, sampling, spectral derivatives, background form construction."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
+
+import qmaflow
+from qmaflow import fields
 
 from qmaflow.errors import PositivityError, SpecValidationError
 from qmaflow.fields import (
+    SCIPY_FFT_MIN_POINTS,
     ScalarField,
     SpectralOps,
     TorusGrid,
@@ -235,6 +243,74 @@ def test_zbar_gradient_batched_matches_partial_zbar(name):
         if not np.any(ops.zbmult[a]):
             assert np.all(batched[a] == 0) and np.all(single == 0)
         assert np.max(np.abs(batched[a] - single)) <= 1e-13 * max(np.max(np.abs(single)), 1.0)
+
+
+SMALL_BUNDLE_GRIDS = [
+    name for name, g in BUNDLE_GRIDS.items() if g.num_points < SCIPY_FFT_MIN_POINTS
+]
+
+
+@pytest.mark.parametrize("name", SMALL_BUNDLE_GRIDS)
+def test_numpy_backend_matches_scipy_fft(name, monkeypatch):
+    # below the threshold numpy.fft transforms; the same grid forced onto
+    # scipy.fft is the reference for the transforms and every bundle
+    grid = BUNDLE_GRIDS[name]
+    ops = SpectralOps(grid)
+    monkeypatch.setattr(fields, "SCIPY_FFT_MIN_POINTS", 0)
+    ref = SpectralOps(grid)
+    assert ops._backend is np.fft and ref._backend is sp_fft
+    u = np.random.default_rng(13).standard_normal(grid.shape)
+    hat = ops.fft(u)
+
+    def close(a, b):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-13 * max(np.max(np.abs(b)), 1e-300)
+
+    close(hat, sp_fft.fftn(u))
+    close(ops.ifft(hat), sp_fft.ifftn(hat))
+    for a, b in zip(ops.ddj_upper_s1_from_hat(hat), ref.ddj_upper_s1_from_hat(hat)):
+        close(a, b)
+    close(ops.zbar_gradient_batched_from_hat(hat), ref.zbar_gradient_batched_from_hat(hat))
+    close(ops.z_gradient_from_hat(hat), ref.z_gradient_from_hat(hat))
+    close(ops.mixed_hessian_from_hat(hat), ref.mixed_hessian_from_hat(hat))
+
+
+def test_threshold_grid_transforms_exactly_as_scipy_fft(grid):
+    ops = spectral_ops(grid)
+    assert grid.num_points == SCIPY_FFT_MIN_POINTS
+    u = np.random.default_rng(14).standard_normal(grid.shape)
+    hat = ops.fft(u)
+    assert np.array_equal(hat, sp_fft.fftn(u, workers=ops.workers))
+    assert np.array_equal(ops.ifft(hat), sp_fft.ifftn(hat, workers=ops.workers))
+
+
+def test_small_grids_never_load_scipy():
+    # a fresh process: small flows and every identity suite run on numpy.fft
+    # and import nothing once qmaflow.cli is loaded; a 64x64 grid loads scipy.fft
+    script = """
+import sys
+import qmaflow.cli
+from qmaflow.fields import ScalarField, SpectralOps, TorusGrid, TrigPolySpec, TrigTerm
+from qmaflow.flow import run_to_steady
+from qmaflow.verify import build_manufactured, run_identity_suite
+
+before = set(sys.modules)
+grid = TorusGrid(n=2, active_dims=(0, 4), sizes=(16, 16))
+uspec = TrigPolySpec.from_terms([TrigTerm((1, 0), 0.1), TrigTerm((1, 1), 0.05)])
+prob = build_manufactured(uspec, grid, c=1.0, rho=TrigPolySpec.single((0, 1), 0.05))
+assert run_to_steady(ScalarField.zeros(grid), prob.omega_h, prob.f, tol_steady=1e-8).converged
+for n in (2, 3, 4):
+    assert all(r.passed for r in run_identity_suite(n, trials=1))
+assert "scipy" not in sys.modules, "scipy was loaded"
+assert set(sys.modules) == before, sorted(set(sys.modules) - before)
+SpectralOps(TorusGrid(n=2, active_dims=(0, 4), sizes=(64, 64)))
+assert "scipy.fft" in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(qmaflow.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_fft_workers_follow_cpu_affinity(monkeypatch):

@@ -354,6 +354,25 @@ def test_run_manufactured_exponential_decay(manufactured_run):
     assert r2 > 0.99
 
 
+def test_run_manufactured_n4_converges():
+    # the first n=4 flow: an 8^4 grid over the z0 and z1 planes
+    grid = TorusGrid(n=4, active_dims=(0, 1, 8, 9), sizes=(8, 8, 8, 8))
+    uspec = TrigPolySpec.from_terms(
+        [TrigTerm((1, 0, 0, 0), 0.1), TrigTerm((1, 0, 1, 0), 0.05), TrigTerm((0, 1, 0, 0), 0.05)]
+    )
+    rspec = TrigPolySpec.from_terms([TrigTerm((0, 0, 0, 1), 0.05)])
+    prob = build_manufactured(uspec, grid, c=1.0, rho=rspec)
+    result = run_to_steady(
+        ScalarField.zeros(grid), prob.omega_h, prob.f, tol_steady=1e-8, t_max=200.0
+    )
+    assert result.converged
+    target = normalize(prob.u_star)
+    assert np.max(np.abs(result.u_normalized.values - target.values)) <= 1e-7
+    assert abs(result.b_tilde) < 1e-8
+    assert all(r.min_eig_omega_tilde > 0 for r in result.history)
+    assert monitor_maximum_principle(result.history)
+
+
 # -- maximum-principle monitor ----------------------------------------------------
 
 
