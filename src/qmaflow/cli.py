@@ -314,9 +314,11 @@ def cmd_flow(args) -> int:
             if exc.diagnostics is not None:
                 print(f"last accepted step: {exc.diagnostics}", file=sys.stderr)
             return EXIT_STIFF
+        except OSError as exc:  # a diagnostics row or a periodic snapshot
+            print(f"error: cannot write the output: {exc}", file=sys.stderr)
+            return EXIT_INVALID
 
     wall = time.perf_counter() - wall_start
-    write_snapshot(out_dir / "u_final.snap", result.u_normalized, result.t_final)
     result_payload = {
         "converged": result.converged,
         "b_tilde": result.b_tilde,
@@ -327,9 +329,14 @@ def cmd_flow(args) -> int:
         "evaluations": result.evaluations,
         "wall_time_s": wall,
     }
-    (out_dir / "result.json").write_text(
-        json.dumps(result_payload, indent=2, sort_keys=True) + "\n"
-    )
+    try:
+        write_snapshot(out_dir / "u_final.snap", result.u_normalized, result.t_final)
+        (out_dir / "result.json").write_text(
+            json.dumps(result_payload, indent=2, sort_keys=True) + "\n"
+        )
+    except OSError as exc:
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     status = "converged" if result.converged else "did not converge"
     print(
         f"{status}: t={result.t_final:.4g} steps={result.steps} "
@@ -340,6 +347,9 @@ def cmd_flow(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        print(f"error: --tol must be finite and non-negative, got {args.tol}", file=sys.stderr)
+        return EXIT_INVALID
     try:
         config = RunConfig.load(args.config)
         omega_h, f, _ = _build_problem(config)

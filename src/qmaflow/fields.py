@@ -9,10 +9,13 @@ tensors of the flat model are constant, so nothing else changes.
 Derivatives are Fourier multipliers.  No dealiasing is applied (the flow's
 right-hand side involves a logarithm, which no truncation rule handles
 exactly); instead the energy fraction in the top third of the spectrum is
-reported as a per-step diagnostic.  The Nyquist mode multiplier is zeroed,
-which keeps real fields real under differentiation; inputs are required to
-be band-limited below Nyquist anyway, and the stepper projects its updates
-onto the modes below Nyquist (``SpectralOps.below_nyquist``).
+reported as a per-step diagnostic.  Every multiplier vanishes on every mode
+with a Nyquist index on any even axis, differentiated or not
+(``SpectralOps.below_nyquist``, applied once when the multipliers are
+built): the derivatives see only the modes below Nyquist, the "live"
+modes, which keeps real fields real under differentiation.  Inputs are
+required to be band-limited below Nyquist anyway, and the stepper projects
+its updates onto the live modes.
 
 The quaternionic Hessian of a real field is a J-real form: the entry
 (sigma j, sigma k) is +-conj of the entry (j, k), and the n diagonal blocks
@@ -22,12 +25,24 @@ per slot (multiplier M_a + i M_b, read back as real and imaginary parts);
 entries whose multiplier vanishes on the grid (inactive coordinates) are
 not transformed at all.  It expects the FFT of a real field.
 
-Each grid picks its FFT once, from its point count: grids below
-SCIPY_FFT_MIN_POINTS transform with numpy.fft on one thread, larger ones
-with scipy.fft on ``fft_workers()`` threads.  Below the threshold a
-transform costs microseconds, so the scipy import and a second thread
-would cost more than they save; scipy.fft is imported only when a large
-grid's SpectralOps is built.
+Each grid picks its transform once, from its shape:
+
+* below SCIPY_FFT_MIN_POINTS points, numpy.fft on one thread: a transform
+  costs microseconds, so the scipy import and a second thread would cost
+  more than they save;
+* from there on, if no axis is longer than DFT_MATRIX_MAX_AXIS points, DFT
+  matrices on the live modes for the derivative bundles and the stepper's
+  transform pair, and numpy.fft for the full ``fft``/``ifft``.  Adjacent
+  axes fuse into groups of at most DFT_GROUP_MAX_POINTS points, each
+  group's matrix is the Kronecker product of its axes' DFT matrices
+  restricted to the live modes (3^8 of the 4^8 modes), and a transform is
+  one matrix product per group; this is exact because every multiplier
+  vanishes off the live modes.  An FFT library pays per line of each axis,
+  which on such grids (4^8: 16,384 lines of 4 points per axis) costs far
+  more than the arithmetic;
+* otherwise scipy.fft on ``fft_workers()`` threads.
+
+scipy.fft is imported only when a SpectralOps of the last kind is built.
 """
 
 from __future__ import annotations
@@ -50,7 +65,9 @@ from .model import (
 )
 
 PERIOD = 2.0 * np.pi
-SCIPY_FFT_MIN_POINTS = 4096  # grids this large transform with scipy.fft
+SCIPY_FFT_MIN_POINTS = 4096  # grids this large leave numpy.fft ...
+DFT_MATRIX_MAX_AXIS = 4  # ... for DFT matrices if no axis is longer, else scipy.fft
+DFT_GROUP_MAX_POINTS = 64  # adjacent axes fuse into DFT matrices of at most this order
 
 
 def fft_workers() -> int:
@@ -269,49 +286,111 @@ def sample(spec: TrigPolySpec, grid: TorusGrid) -> ScalarField:
 # -- spectral calculus ----------------------------------------------------
 
 
+def _axis_groups(sizes):
+    """Runs of adjacent axes whose point count stays within DFT_GROUP_MAX_POINTS."""
+    groups, points = [[]], 1
+    for p, size in enumerate(sizes):
+        if groups[-1] and points * size > DFT_GROUP_MAX_POINTS:
+            groups.append([])
+            points = 1
+        groups[-1].append(p)
+        points *= size
+    return groups
+
+
+class _KroneckerDft:
+    """A multidimensional DFT as one matrix per group of adjacent axes.
+
+    ``modes`` holds, per axis, the mode indices the transform keeps: the
+    forward transform returns only those modes, the inverse reads only
+    them.  A group's matrix is the Kronecker product of its axes' DFT
+    matrices (row-major, so it acts on the group's axes flattened in
+    place).  Each product contracts the leading group and moves it behind
+    the rest, so after one product per group the axes are back in order.
+    """
+
+    def __init__(self, sizes, modes, inverse: bool):
+        self._operands = []
+        for group in _axis_groups(sizes):
+            mat = np.ones((1, 1))
+            for p in group:
+                size = sizes[p]
+                phase = np.outer(modes[p], np.arange(size)) % size  # exact integers
+                forward = np.exp(-2j * np.pi / size * phase)  # mode x position
+                mat = np.kron(mat, forward.conj().T / size if inverse else forward)
+            self._operands.append(np.ascontiguousarray(mat.T))  # right operand
+
+    def __call__(self, x):
+        """Transform ``x``: the grid axes first, any batch axes after them.
+
+        Returns a 2-d array whose row-major order is the batch axes, then
+        the transformed grid axes.
+        """
+        for operand in self._operands:
+            x = x.reshape(len(operand), -1).T @ operand
+        return x
+
+
 class SpectralOps:
     """Fourier-multiplier derivatives for one grid and one model dimension.
 
     Precomputes the holomorphic/antiholomorphic first-derivative multipliers
-    and the packed slot multipliers for the quaternionic Hessian; resolves
-    the FFT worker count and the FFT itself once: numpy.fft on one thread
-    below SCIPY_FFT_MIN_POINTS grid points, scipy.fft with ``workers`` from
-    there on.  All methods operating "from_hat" expect the full FFT of a
+    and the packed slot multipliers for the quaternionic Hessian, every one
+    of them zero off the modes below Nyquist; resolves the FFT worker count
+    and the transform once, by the module's three-way rule: numpy.fft on
+    one thread below SCIPY_FFT_MIN_POINTS grid points, then live-mode DFT
+    matrices (next to numpy.fft for :meth:`fft` and :meth:`ifft`) while no
+    axis is longer than DFT_MATRIX_MAX_AXIS, else scipy.fft with
+    ``workers``.  :meth:`fft` and :meth:`ifft` are the full transforms on
+    every grid.  All methods operating "from_hat" expect the full FFT of a
     field and return position-space arrays; the two batched bundles expect
     the FFT of a real field.  The packed :meth:`ddj_upper_s1_from_hat` is
-    the only Hessian transform.
+    the only Hessian transform.  :meth:`live_fft` and
+    :meth:`live_ifft_real` are the stepper's transform pair.
     """
 
     def __init__(self, grid: TorusGrid):
         self.grid = grid
         self.n = grid.n
         self.workers = fft_workers()  # validated for every grid, used by scipy.fft only
-        if grid.num_points >= SCIPY_FFT_MIN_POINTS:
+        self.below_nyquist = self._build_below_nyquist()
+        self._live_dft = None
+        if grid.num_points >= SCIPY_FFT_MIN_POINTS and max(grid.sizes) > DFT_MATRIX_MAX_AXIS:
             from scipy import fft as backend
 
             self._fft_kw = {"workers": self.workers}
             self._batch_kw = {"workers": self.workers, "overwrite_x": True}
         else:
             backend, self._fft_kw, self._batch_kw = np_fft, {}, {}
+            if grid.num_points >= SCIPY_FFT_MIN_POINTS:
+                self._build_live_dft()
         self._backend = backend
         m = 2 * self.n
         self._ik = self._build_ik()
-        # d/dz^a -> (ik_a + k_{2n+a})/2,  d/dzbar^a -> (ik_a - k_{2n+a})/2
+        # d/dz^a -> (ik_a + k_{2n+a})/2,  d/dzbar^a -> (ik_a - k_{2n+a})/2,
+        # both restricted to the live modes
         self.zmult = [
-            0.5 * (self._ik_for(a) + (-1j) * self._ik_for(2 * self.n + a))
+            self.below_nyquist * 0.5 * (self._ik_for(a) + (-1j) * self._ik_for(2 * self.n + a))
             for a in range(m)
         ]
         self.zbmult = [
-            0.5 * (self._ik_for(a) - (-1j) * self._ik_for(2 * self.n + a))
+            self.below_nyquist * 0.5 * (self._ik_for(a) - (-1j) * self._ik_for(2 * self.n + a))
             for a in range(m)
         ]
         self.pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
         self.s1_mult = sum(self.zmult[a] * self.zbmult[a] for a in range(m))
-        self.below_nyquist = self._build_below_nyquist()
         self._tail_mask = self._build_tail_mask()
         self._build_ddj_slots(j_tables(self.n))
         self._zbar_live = [a for a in range(m) if np.any(self.zbmult[a])]
         self._zbar_stack = self._full_stack([self.zbmult[a] for a in self._zbar_live])
+
+    def _build_live_dft(self):
+        """DFT matrices on the live modes, and the flat index of those modes."""
+        sizes = self.grid.sizes
+        live = [np.flatnonzero(2 * np.arange(size) != size) for size in sizes]
+        self._live_dft = _KroneckerDft(sizes, live, inverse=False)
+        self._live_idft = _KroneckerDft(sizes, live, inverse=True)
+        self._live_index = np.flatnonzero(self.below_nyquist)
 
     def _full_stack(self, mults):
         """Grid-sized stack of multipliers for one batched transform, or None."""
@@ -370,8 +449,6 @@ class SpectralOps:
         d = len(self.grid.sizes)
         for p, size in enumerate(self.grid.sizes):
             k = np_fft.fftfreq(size) * size
-            if size % 2 == 0:
-                k[size // 2] = 0.0  # Nyquist zeroed; inputs are band-limited
             shape = [1] * d
             shape[p] = size
             out.append(1j * k.reshape(shape))
@@ -384,11 +461,12 @@ class SpectralOps:
         return self._ik[axis]
 
     def _build_below_nyquist(self):
-        """1.0 on modes with no Nyquist index on any even axis, 0.0 elsewhere.
+        """1.0 on the live modes (no Nyquist index on any even axis), 0.0 elsewhere.
 
-        The derivative multipliers drop the Nyquist index, so the flow map
-        cannot see a pure Nyquist mode; the stepper's update keeps ``u``
-        out of all Nyquist modes, which makes the normalized limit unique.
+        Every derivative multiplier is zero off the live modes, so the flow
+        map cannot see a mode with a Nyquist index; the stepper's update
+        keeps ``u`` out of those modes, which makes the normalized limit
+        unique.
         """
         keep = np.ones(self.grid.shape)
         for p, size in enumerate(self.grid.sizes):
@@ -417,14 +495,38 @@ class SpectralOps:
         return self._backend.ifftn(hat, **self._fft_kw)
 
     def _ifft_batch(self, hats):
-        """Inverse transform of each leading slot; ``hats`` may be overwritten."""
-        axes = tuple(range(1, hats.ndim))
-        return self._backend.ifftn(hats, axes=axes, **self._batch_kw)
+        """Inverse transform of each leading slot; ``hats`` may be overwritten.
+
+        Every slot must vanish off the live modes, as every multiplier
+        times a spectrum does; the DFT matrices read the live modes only.
+        """
+        if self._live_dft is None:
+            axes = tuple(range(1, hats.ndim))
+            return self._backend.ifftn(hats, axes=axes, **self._batch_kw)
+        live = hats.reshape(len(hats), -1).T[self._live_index]  # slots after the grid axes
+        return self._live_idft(live).reshape(hats.shape)
+
+    def live_fft(self, values):
+        """``below_nyquist * fft(values)``: the spectrum on the live modes, zero elsewhere."""
+        if self._live_dft is None:
+            return self.below_nyquist * self.fft(values)
+        hat = np.zeros(self.grid.num_points, dtype=complex)
+        hat[self._live_index] = self._live_dft(values).ravel()
+        return hat.reshape(self.grid.shape)
+
+    def live_ifft_real(self, hat):
+        """``ifft(hat).real`` for a ``hat`` that vanishes off the live modes.
+
+        ``hat`` is left intact.
+        """
+        if self._live_dft is None:
+            return self.ifft(hat).real
+        return self._live_idft(hat.reshape(-1)[self._live_index]).real.reshape(self.grid.shape)
 
     # -- first derivatives ---------------------------------------------
 
     def partial_x(self, values, real_dim: int):
-        return self.ifft(self._ik_for(real_dim) * self.fft(values))
+        return self.ifft(self.below_nyquist * self._ik_for(real_dim) * self.fft(values))
 
     def partial_z(self, values, a: int):
         return self.ifft(self.zmult[a] * self.fft(values))

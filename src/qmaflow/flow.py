@@ -7,9 +7,12 @@ taken implicitly, so one step solves
 
     (1 - dt * a * S_1) du = dt * N(u),    u <- u + du
 
-by one forward and one inverse FFT.  The spectrum of the new state is
-carried, not recomputed: it is the old spectrum plus the update's, which
-the step already holds.  The linearization of N at u is
+by one transform pair of the grid's SpectralOps: the right-hand side goes
+forward onto the modes below Nyquist (``live_fft``) and the update comes
+back as a real field (``live_ifft_real``); on the grids that transform with
+DFT matrices both read or write the live modes only.  The spectrum of the
+new state is carried, not recomputed: it is the old spectrum plus the
+update's, which the step already holds.  The linearization of N at u is
 v -> 1/2 tr(omega_tilde^-1 beta(v)), beta(v) the change of the evolving
 form; its coefficients are averages of reciprocal block eigenvalues, so
 a = 1 / min_eig (min_eig the smallest block eigenvalue over the grid; a = 1
@@ -19,8 +22,8 @@ those of the flow.  The step is capped at dt = sigma * min_eig / (1/4),
 1/4 being the symbol of -S_1 at unit wavenumber: sigma is the one
 step-size factor, and the cap does not depend on the grid spacing.  The
 update is projected onto the modes below Nyquist
-(the derivative multipliers cannot see Nyquist modes, so without the
-projection the limit would not be unique on an even grid).
+(the derivative multipliers cannot see a mode with a Nyquist index, so
+without the projection the limit would not be unique on an even grid).
 
 Steps whose result leaves the positive cone (or goes non-finite) are
 rejected and retried with half the step, up to a bounded number of
@@ -252,12 +255,12 @@ class FlowEngine:
         if stage is None:
             stage = self.evaluate_or_raise(state.u.values, "flow state violates strict positivity")
         u = state.u.values
-        rhs_hat = self.ops.below_nyquist * self.ops.fft(stage.rhs)
+        rhs_hat = self.ops.live_fft(stage.rhs)
         a_s1 = self.ops.s1_mult / stage.min_eig  # a * S_1 <= 0
         dt = min(state.dt, self.step_cap(stage))
         for _ in range(MAX_HALVINGS + 1):
             du_hat = dt / (1.0 - dt * a_s1) * rhs_hat
-            new_u = u + self.ops.ifft(du_hat).real
+            new_u = u + self.ops.live_ifft_real(du_hat)
             # du_hat is Hermitian and below Nyquist: this is fft(new_u) up to rounding
             new_stage = self.evaluate(new_u, stage.hat + du_hat)
             if new_stage.ok:

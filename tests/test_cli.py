@@ -191,6 +191,17 @@ def test_flow_unwritable_output_dir_exits_two(tmp_path, capsys, output_dir):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["u_final.snap", "result.json", "u_00000000.snap"])
+def test_flow_output_file_collision_exits_two(tmp_path, capsys, name):
+    # a directory where an output file goes: the write fails, the run reports it
+    out_dir = tmp_path / "out"
+    (out_dir / name).mkdir(parents=True)
+    path = write_config(tmp_path, base_config(out_dir))
+    assert main(["flow", "--config", str(path)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+
+
 def test_flow_initial_positivity_exit_three(tmp_path):
     config = base_config(tmp_path / "o3", u0=[{"k": [1, 0], "amplitude": 10.0}])
     path = write_config(tmp_path, config, "bad-u0.json")
@@ -233,6 +244,20 @@ def test_check_zero_potential_against_nontrivial_source(flow_run, tmp_path):
     write_snapshot(snap, ScalarField.zeros(grid), 0.0)
     code = main(["check", "--config", str(config_path), "--snapshot", str(snap)])
     assert code == EXIT_NOT_CONVERGED
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [["--tol", "nan"], ["--tol", "inf"], ["--tol", "-1"], ["--tol=-inf"]],
+    ids=["nan", "inf", "-1", "-inf"],
+)
+def test_check_rejects_non_finite_or_negative_tol(flow_run, capsys, tol):
+    _, config_path, out_dir = flow_run
+    snapshot = str(out_dir / "u_final.snap")
+    code = main(["check", "--config", str(config_path), "--snapshot", snapshot] + tol)
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_check_truncated_snapshot_exit_two(flow_run, tmp_path):

@@ -257,6 +257,7 @@ def test_numpy_backend_matches_scipy_fft(name, monkeypatch):
     grid = BUNDLE_GRIDS[name]
     ops = SpectralOps(grid)
     monkeypatch.setattr(fields, "SCIPY_FFT_MIN_POINTS", 0)
+    monkeypatch.setattr(fields, "DFT_MATRIX_MAX_AXIS", 0)
     ref = SpectralOps(grid)
     assert ops._backend is np.fft and ref._backend is sp_fft
     u = np.random.default_rng(13).standard_normal(grid.shape)
@@ -305,6 +306,106 @@ assert "scipy" not in sys.modules, "scipy was loaded"
 assert set(sys.modules) == before, sorted(set(sys.modules) - before)
 SpectralOps(TorusGrid(n=2, active_dims=(0, 4), sizes=(64, 64)))
 assert "scipy.fft" in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(qmaflow.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+DFT_GRIDS = {
+    "4^8": TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(4,) * 8),
+    "8^4": TorusGrid(n=2, active_dims=(0, 1, 4, 5), sizes=(8,) * 4),
+    **{name: BUNDLE_GRIDS[name] for name in ("n2-full-3x4", "n3-full-3x2", "n4-every-z")},
+}
+
+
+def _close(a, b):
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b)) <= 1e-13 * max(np.max(np.abs(b)), 1e-300)
+
+
+@pytest.mark.parametrize("name", list(DFT_GRIDS))
+def test_dft_matrix_backend_matches_scipy_fft(name, monkeypatch):
+    # large grids of short axes transform the bundles and the step pair by
+    # DFT matrices on the live modes only; input with content on every mode, and
+    # the same grid forced onto scipy.fft as the reference
+    grid = DFT_GRIDS[name]
+    monkeypatch.setattr(fields, "DFT_MATRIX_MAX_AXIS", max(grid.sizes))  # 8^4's axes too
+    ops = SpectralOps(grid)
+    monkeypatch.setattr(fields, "DFT_MATRIX_MAX_AXIS", 0)
+    ref = SpectralOps(grid)
+    assert grid.num_points >= SCIPY_FFT_MIN_POINTS
+    assert ops._live_dft is not None and ref._backend is sp_fft
+    rng = np.random.default_rng(16)
+    u = rng.standard_normal(grid.shape)
+    z = u + 1j * rng.standard_normal(grid.shape)
+    hat = ops.fft(u)
+
+    _close(hat, sp_fft.fftn(u))
+    _close(ops.fft(z), sp_fft.fftn(z))
+    _close(ops.ifft(z), sp_fft.ifftn(z))
+    for a, b in zip(ops.ddj_upper_s1_from_hat(hat), ref.ddj_upper_s1_from_hat(hat)):
+        _close(a, b)
+    _close(ops.zbar_gradient_batched_from_hat(hat), ref.zbar_gradient_batched_from_hat(hat))
+    _close(ops.z_gradient_from_hat(hat), ref.z_gradient_from_hat(hat))
+    _close(ops.mixed_hessian_from_hat(hat), ref.mixed_hessian_from_hat(hat))
+    _close(ops.s1_from_hat(hat), ref.s1_from_hat(hat))
+    _close(ops.partial_x(u, grid.active_dims[0]), ref.partial_x(u, grid.active_dims[0]))
+    # the step's pair: forward onto the live modes, real inverse of an update
+    rhs_hat = ops.live_fft(u)
+    _close(rhs_hat, ref.live_fft(u))
+    du_hat = rhs_hat / (1.0 - ops.s1_mult)
+    kept = du_hat.copy()
+    _close(ops.live_ifft_real(du_hat), ref.live_ifft_real(du_hat))
+    assert np.array_equal(du_hat, kept)  # the step carries du_hat on
+
+
+@pytest.mark.parametrize("sizes", [(4, 4), (5, 4)], ids=["4x4", "5x4"])
+def test_every_multiplier_vanishes_on_nyquist_modes(sizes):
+    # one Nyquist rule: a mode with a Nyquist index on any even axis is
+    # invisible to every derivative, also along an axis it does not vary on
+    grid = TorusGrid(n=2, active_dims=(0, 1), sizes=sizes)
+    ops = SpectralOps(grid)
+    nyquist = np.zeros(grid.shape, dtype=bool)
+    for p, size in enumerate(sizes):
+        if size % 2 == 0:
+            nyquist[(slice(None),) * p + (size // 2,)] = True
+    assert np.array_equal(ops.below_nyquist == 0, nyquist)
+    mults = ops.zmult + ops.zbmult + [ops.s1_mult, *ops._ddj_slots, *ops._zbar_stack]
+    for mult in mults:
+        assert np.all(np.broadcast_to(mult, grid.shape)[nyquist] == 0)
+    assert any(np.any(mult) for mult in mults)
+
+    x0, x1 = grid.coordinates()
+    hidden = np.cos(x0) * np.cos(2 * x1)  # Nyquist index on axis 1
+    for dim in (0, 1):
+        assert np.all(ops.partial_x(hidden, dim) == 0)
+    upper, s1 = ops.ddj_upper_s1_from_hat(ops.fft(hidden))
+    assert np.all(upper == 0) and np.all(s1 == 0)
+    assert np.all(ops.zbar_gradient_batched_from_hat(ops.fft(hidden)) == 0)
+    k = (sizes[0] - 1) // 2  # the highest live wavenumber on axis 0
+    seen = np.cos(k * x0) * np.cos(x1)
+    assert np.max(np.abs(ops.partial_x(seen, 0) + k * np.sin(k * x0) * np.cos(x1))) < 1e-13
+
+
+def test_dft_matrix_grids_never_load_scipy():
+    # a fresh process: building the 4^8 operators and taking a flow step
+    # transforms by DFT matrices and imports no scipy
+    script = """
+import sys
+from qmaflow.fields import ScalarField, SpectralOps, TorusGrid, TrigPolySpec, build_omega_h, sample
+from qmaflow.flow import FlowEngine, FlowState
+from qmaflow.model import build_model
+
+grid = TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(4,) * 8)
+assert SpectralOps(grid)._live_dft is not None
+omega_h = build_omega_h(build_model(2), grid, 1.0, TrigPolySpec.single((0, 0, 0, 1, 0, 0, 1, 0), 0.02))
+f = sample(TrigPolySpec.single((1, 0, 0, 0, 0, 1, 0, 0), 0.1), grid)
+state, stage = FlowEngine(omega_h, f).step(FlowState(ScalarField.zeros(grid), 0.0, 0.05, 0))
+assert state.step_count == 1 and stage.ok and state.u.osc() > 0
+assert "scipy" not in sys.modules, "scipy was loaded"
 """
     env = dict(os.environ, PYTHONPATH=str(Path(qmaflow.__file__).resolve().parents[1]))
     proc = subprocess.run(
