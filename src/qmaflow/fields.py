@@ -23,7 +23,14 @@ The quaternionic Hessian of a real field is a J-real form: the entry
 transforms one complex slot per partner pair and packs the real blocks two
 per slot (multiplier M_a + i M_b, read back as real and imaginary parts);
 entries whose multiplier vanishes on the grid (inactive coordinates) are
-not transformed at all.  It expects the FFT of a real field.
+not transformed at all.  The flow's evolving form minus its background,
+(S_1(ddj u) Omega - ddj u) / (n - 1), is a Fourier multiplier of u as
+well, so a second slot table folds it into one bundle of the same kind:
+the flow packs the background once and adds that bundle, and never
+assembles the form entry by entry.  Both bundles expect the FFT of a real
+field.  Every batched multiplier stack holds the live modes only, and a
+bundle multiplies the live modes of the spectrum alone (3^8 of the 4^8
+modes).
 
 Each grid picks its transform once, from its shape:
 
@@ -41,6 +48,9 @@ Each grid picks its transform once, from its shape:
   which on such grids (4^8: 16,384 lines of 4 points per axis) costs far
   more than the arithmetic;
 * otherwise scipy.fft on ``fft_workers()`` threads.
+
+On the two FFT backends a batched inverse transform scatters its live
+modes into a zero grid first.
 
 scipy.fft is imported only when a SpectralOps of the last kind is built.
 """
@@ -106,6 +116,12 @@ class TorusGrid:
             )
         if any(s < 2 for s in self.sizes):
             raise SpecValidationError("grid sizes must be at least 2")
+        field_bytes = self.num_points * np.dtype(complex).itemsize
+        if field_bytes > np.iinfo(np.intp).max:
+            raise SpecValidationError(
+                f"grid of {self.num_points} points is too large: one complex field "
+                f"would take {field_bytes} bytes"
+            )
 
     @property
     def shape(self) -> tuple:
@@ -113,7 +129,7 @@ class TorusGrid:
 
     @property
     def num_points(self) -> int:
-        return int(np.prod(self.sizes))
+        return math.prod(self.sizes)
 
     @property
     def spacings(self) -> tuple:
@@ -298,6 +314,49 @@ def _axis_groups(sizes):
     return groups
 
 
+def _slot_layout(pairs, blocks, ndim: int):
+    """Packed layout: (entries, partners, signs, real_blocks, imag_blocks).
+
+    ``pairs`` lists (entry, partner, sign) with partner = sign * conj(entry);
+    each takes one slot, in order, and ``signs`` broadcasts against slots of
+    ``ndim`` grid axes.  ``blocks`` are the real block entries, packed two
+    per slot after the pair slots: the real part holds ``real_blocks[s]``
+    and the imaginary part ``imag_blocks[s]``.
+    """
+    entries, partners, signs = zip(*pairs) if pairs else ((), (), ())
+    return (
+        np.array(entries, dtype=int),
+        np.array(partners, dtype=int),
+        np.array(signs, dtype=float).reshape((-1,) + (1,) * ndim),
+        np.array(blocks[0::2], dtype=int),
+        np.array(blocks[1::2], dtype=int),
+    )
+
+
+def _pack_slots(upper, entries, partners, signs, real_blocks, imag_blocks):
+    """The slots of a layout, from per-entry values ``upper`` (indexable by entry)."""
+    slots = [upper[e] for e in entries]
+    slots += [np.real(upper[a]) + 1j * np.real(upper[b]) for a, b in zip(real_blocks, imag_blocks)]
+    if len(real_blocks) > len(imag_blocks):
+        slots.append(np.real(upper[real_blocks[-1]]))
+    return slots
+
+
+def _unpack_slots(slots, num_entries, entries, partners, signs, real_blocks, imag_blocks):
+    """Upper-triangle entries from packed slots, and their S_1 (sum of the blocks).
+
+    Entries the layout does not hold are zero.
+    """
+    upper = np.zeros((num_entries,) + slots.shape[1:], dtype=complex)
+    c = len(entries)
+    upper[entries] = slots[:c]
+    upper[partners] = signs * np.conj(slots[:c])
+    real, imag = slots[c:].real, slots[c : c + len(imag_blocks)].imag
+    upper[real_blocks] = real
+    upper[imag_blocks] = imag
+    return upper, real.sum(axis=0) + imag.sum(axis=0)
+
+
 class _KroneckerDft:
     """A multidimensional DFT as one matrix per group of adjacent axes.
 
@@ -335,17 +394,19 @@ class SpectralOps:
     """Fourier-multiplier derivatives for one grid and one model dimension.
 
     Precomputes the holomorphic/antiholomorphic first-derivative multipliers
-    and the packed slot multipliers for the quaternionic Hessian, every one
-    of them zero off the modes below Nyquist; resolves the FFT worker count
-    and the transform once, by the module's three-way rule: numpy.fft on
-    one thread below SCIPY_FFT_MIN_POINTS grid points, then live-mode DFT
-    matrices (next to numpy.fft for :meth:`fft` and :meth:`ifft`) while no
-    axis is longer than DFT_MATRIX_MAX_AXIS, else scipy.fft with
-    ``workers``.  :meth:`fft` and :meth:`ifft` are the full transforms on
-    every grid.  All methods operating "from_hat" expect the full FFT of a
-    field and return position-space arrays; the two batched bundles expect
-    the FFT of a real field.  The packed :meth:`ddj_upper_s1_from_hat` is
-    the only Hessian transform.  :meth:`live_fft` and
+    and the packed slot multipliers of the quaternionic Hessian and of the
+    flow's evolving form, every one of them zero off the modes below
+    Nyquist; the batched stacks hold the live modes only.  Resolves the FFT
+    worker count and the transform once, by the module's three-way rule:
+    numpy.fft on one thread below SCIPY_FFT_MIN_POINTS grid points, then
+    live-mode DFT matrices (next to numpy.fft for :meth:`fft` and
+    :meth:`ifft`) while no axis is longer than DFT_MATRIX_MAX_AXIS, else
+    scipy.fft with ``workers``.  :meth:`fft` and :meth:`ifft` are the full
+    transforms on every grid.  All methods operating "from_hat" expect the
+    full FFT of a field and return position-space arrays; the batched
+    bundles expect the FFT of a real field.  The packed
+    :meth:`ddj_upper_s1_from_hat` is the Hessian transform and
+    :meth:`packed_form_from_hat` the flow's.  :meth:`live_fft` and
     :meth:`live_ifft_real` are the stepper's transform pair.
     """
 
@@ -354,6 +415,7 @@ class SpectralOps:
         self.n = grid.n
         self.workers = fft_workers()  # validated for every grid, used by scipy.fft only
         self.below_nyquist = self._build_below_nyquist()
+        self._live_index = np.flatnonzero(self.below_nyquist)
         self._live_dft = None
         if grid.num_points >= SCIPY_FFT_MIN_POINTS and max(grid.sizes) > DFT_MATRIX_MAX_AXIS:
             from scipy import fft as backend
@@ -378,71 +440,87 @@ class SpectralOps:
             for a in range(m)
         ]
         self.pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
-        self.s1_mult = sum(self.zmult[a] * self.zbmult[a] for a in range(m))
+        # (ik + k')(ik - k') / 4: the cross terms are the same two products, so
+        # the imaginary part cancels exactly
+        self.s1_mult = sum(self.zmult[a] * self.zbmult[a] for a in range(m)).real
         self._tail_mask = self._build_tail_mask()
-        self._build_ddj_slots(j_tables(self.n))
+        self._build_slot_tables(j_tables(self.n))
         self._zbar_live = [a for a in range(m) if np.any(self.zbmult[a])]
-        self._zbar_stack = self._full_stack([self.zbmult[a] for a in self._zbar_live])
+        self._zbar_stack = self._live_stack(self.zbmult)[self._zbar_live]
 
     def _build_live_dft(self):
-        """DFT matrices on the live modes, and the flat index of those modes."""
+        """DFT matrices on the live modes, in the order of ``_live_index``."""
         sizes = self.grid.sizes
         live = [np.flatnonzero(2 * np.arange(size) != size) for size in sizes]
         self._live_dft = _KroneckerDft(sizes, live, inverse=False)
         self._live_idft = _KroneckerDft(sizes, live, inverse=True)
-        self._live_index = np.flatnonzero(self.below_nyquist)
 
-    def _full_stack(self, mults):
-        """Grid-sized stack of multipliers for one batched transform, or None."""
-        if not mults:
-            return None
-        return np.stack([np.broadcast_to(mult, self.grid.shape) for mult in mults])
+    def _live_stack(self, mults):
+        """Grid-shaped multipliers stacked on their live modes."""
+        return np.stack([mult.reshape(-1)[self._live_index] for mult in mults])
 
-    def _build_ddj_slots(self, t):
-        """Slot tables of the packed Hessian bundle, from the J tables.
+    def _build_slot_tables(self, t):
+        """Slot layouts and multipliers of the Hessian and form bundles, from the J tables.
 
         For a real field, entry (sigma j, sigma k) equals
         form_sign[j] * form_sign[k] * conj(entry (j, k)); sigma only swaps
         within a block, so sigma j < sigma k whenever j < k lie in different
         blocks.  Each partner pair takes one slot; the real blocks
-        (j, sigma j) share slots two at a time.  Entries with an identically
-        zero multiplier get no slot and stay zero.
+        (j, sigma j) share slots two at a time.
+
+        The Hessian layout holds only the entries whose multiplier is not
+        identically zero; the others stay zero.  The form layout holds every
+        entry, since the background form may be non-zero where the Hessian
+        vanishes; a slot is transformed only if its multiplier
+        (S_1-mult * Omega_e - ddj-mult_e) / (n - 1) is not zero.  Blocks with
+        a zero form multiplier (at most one: the only block the Hessian
+        reaches) go last, so they do not share a slot with a live one.
         """
 
+        z, zb = self._live_stack(self.zmult), self._live_stack(self.zbmult)
+
         def ddj_mult(e):
-            # (ddj u)_{jk} = dj_k u_{j sigma(k)bar} - dj_j u_{k sigma(j)bar}
+            # (ddj u)_{jk} = dj_k u_{j sigma(k)bar} - dj_j u_{k sigma(j)bar}, on the live modes
             j, k = self.pairs[e]
-            return (
-                t.dj_sign[k] * self.zmult[j] * self.zbmult[t.sigma[k]]
-                - t.dj_sign[j] * self.zmult[k] * self.zbmult[t.sigma[j]]
-            )
+            return t.dj_sign[k] * z[j] * zb[t.sigma[k]] - t.dj_sign[j] * z[k] * zb[t.sigma[j]]
 
         index = {pair: e for e, pair in enumerate(self.pairs)}
         self._blocks = [index[(j, int(t.sigma[j]))] for j in range(0, 2 * self.n, 2)]
-        blocks = [(e, ddj_mult(e)) for e in self._blocks]
-        blocks = [(e, mult) for e, mult in blocks if np.any(mult)]
-        slots, entries, partners, signs = [], [], [], []
+        pairs = []  # (entry, partner, sign) of every partner pair
         seen = set(self._blocks)
         for e, (j, k) in enumerate(self.pairs):
-            if e in seen:
-                continue
-            partner = index[(int(t.sigma[j]), int(t.sigma[k]))]
-            seen.add(partner)
-            mult = ddj_mult(e)
-            if np.any(mult):
-                slots.append(mult)
-                entries.append(e)
-                partners.append(partner)
-                signs.append(int(t.form_sign[j] * t.form_sign[k]))
-        self._pair_entries = np.array(entries, dtype=int)
-        self._pair_partners = np.array(partners, dtype=int)
-        self._pair_signs = np.array(signs, dtype=float).reshape((-1,) + (1,) * len(self.grid.shape))
-        self._real_blocks = np.array([e for e, _ in blocks[0::2]], dtype=int)
-        self._imag_blocks = np.array([e for e, _ in blocks[1::2]], dtype=int)
-        slots += [a + 1j * b for (_, a), (_, b) in zip(blocks[0::2], blocks[1::2])]
-        if len(blocks) % 2:
-            slots.append(blocks[-1][1])
-        self._ddj_slots = self._full_stack(slots)
+            if e not in seen:
+                partner = index[(int(t.sigma[j]), int(t.sigma[k]))]
+                seen.add(partner)
+                pairs.append((e, partner, int(t.form_sign[j] * t.form_sign[k])))
+        ddj = {e: ddj_mult(e) for e in [p[0] for p in pairs] + self._blocks}
+        eta = sum(ddj[e] for e in self._blocks)  # S_1 of the Hessian
+        form = {e: -mult / (self.n - 1) for e, mult in ddj.items()}
+        for e in self._blocks:
+            form[e] = (eta - ddj[e]) / (self.n - 1)  # Omega is 1 on every block
+
+        ndim = len(self.grid.shape)
+        ddj_layout = _slot_layout(
+            [p for p in pairs if np.any(ddj[p[0]])],
+            [e for e in self._blocks if np.any(ddj[e])],
+            ndim,
+        )
+        (
+            self._pair_entries,
+            self._pair_partners,
+            self._pair_signs,
+            self._real_blocks,
+            self._imag_blocks,
+        ) = ddj_layout
+        ddj_slots = _pack_slots(ddj, *ddj_layout)
+        self._ddj_slots = np.stack(ddj_slots) if ddj_slots else None
+        self._form_layout = _slot_layout(
+            pairs, sorted(self._blocks, key=lambda e: not np.any(form[e])), ndim
+        )
+        form_slots = _pack_slots(form, *self._form_layout)
+        live = [c for c, mult in enumerate(form_slots) if np.any(mult)]
+        self._form_live = np.array(live, dtype=int)
+        self._form_slots = np.stack(form_slots)[self._form_live] if len(self._form_live) else None
 
     def _build_ik(self):
         out = []
@@ -494,17 +572,26 @@ class SpectralOps:
     def ifft(self, hat):
         return self._backend.ifftn(hat, **self._fft_kw)
 
-    def _ifft_batch(self, hats):
-        """Inverse transform of each leading slot; ``hats`` may be overwritten.
+    def _ifft_batch(self, live):
+        """Inverse transforms of spectra given on the live modes, one per leading slot.
 
-        Every slot must vanish off the live modes, as every multiplier
-        times a spectrum does; the DFT matrices read the live modes only.
+        ``live`` (slots x live modes) may be overwritten.  Every spectrum
+        vanishes off the live modes, as every multiplier times a spectrum
+        does: the DFT matrices read the live modes only, the FFT backends
+        transform them scattered into a zero grid.
         """
-        if self._live_dft is None:
-            axes = tuple(range(1, hats.ndim))
-            return self._backend.ifftn(hats, axes=axes, **self._batch_kw)
-        live = hats.reshape(len(hats), -1).T[self._live_index]  # slots after the grid axes
-        return self._live_idft(live).reshape(hats.shape)
+        shape = (len(live),) + self.grid.shape
+        if self._live_dft is not None:
+            return self._live_idft(live.T).reshape(shape)
+        full = np.zeros((len(live), self.grid.num_points), dtype=complex)
+        for slot, spectrum in zip(full, live):  # per slot: 3x faster than full[:, index]
+            slot[self._live_index] = spectrum
+        axes = tuple(range(1, len(shape)))
+        return self._backend.ifftn(full.reshape(shape), axes=axes, **self._batch_kw)
+
+    def _bundle(self, stack, hat):
+        """Inverse transforms of each live multiplier of ``stack`` times ``hat``."""
+        return self._ifft_batch(stack * hat.reshape(-1)[self._live_index])
 
     def live_fft(self, values):
         """``below_nyquist * fft(values)``: the spectrum on the live modes, zero elsewhere."""
@@ -535,7 +622,7 @@ class SpectralOps:
         return self.ifft(self.zbmult[a] * self.fft(values))
 
     def z_gradient_from_hat(self, hat):
-        return self._ifft_batch(np.stack([mult * hat for mult in self.zmult]))
+        return self._bundle(self._live_stack(self.zmult), hat)
 
     # -- second derivatives ---------------------------------------------
 
@@ -547,11 +634,10 @@ class SpectralOps:
         """
         m = 2 * self.n
         entries = [(a, b) for a in range(m) for b in range(a if real_input else 0, m)]
-        rows, cols = zip(*entries)
+        rows, cols = (list(idx) for idx in zip(*entries))
+        z, zb = self._live_stack(self.zmult), self._live_stack(self.zbmult)
         H = np.empty((m, m) + self.grid.shape, dtype=complex)
-        H[rows, cols] = self._ifft_batch(
-            np.stack([self.zmult[a] * self.zbmult[b] * hat for a, b in entries])
-        )
+        H[rows, cols] = self._bundle(z[rows] * zb[cols], hat)
         if real_input:
             for a in range(m):
                 for b in range(a):
@@ -571,17 +657,56 @@ class SpectralOps:
         partners are rebuilt by conjugation and S_1 is the sum of the
         blocks.
         """
-        upper = np.zeros((len(self.pairs),) + self.grid.shape, dtype=complex)
         if self._ddj_slots is None:
+            upper = np.zeros((len(self.pairs),) + self.grid.shape, dtype=complex)
             return upper, np.zeros(self.grid.shape)
-        slots = self._ifft_batch(self._ddj_slots * hat[None])
-        c = len(self._pair_entries)
-        upper[self._pair_entries] = slots[:c]
-        upper[self._pair_partners] = self._pair_signs * np.conj(slots[:c])
-        real, imag = slots[c:].real, slots[c : c + len(self._imag_blocks)].imag
-        upper[self._real_blocks] = real
-        upper[self._imag_blocks] = imag
-        return upper, real.sum(axis=0) + imag.sum(axis=0)
+        return _unpack_slots(
+            self._bundle(self._ddj_slots, hat),
+            len(self.pairs),
+            self._pair_entries,
+            self._pair_partners,
+            self._pair_signs,
+            self._real_blocks,
+            self._imag_blocks,
+        )
+
+    def pack_j_real(self, upper):
+        """Packed slots of a J-real form in the layout of :meth:`packed_form_from_hat`.
+
+        Every entry is packed, also where no multiplier of the grid reaches.
+        ``upper`` stacks the (j, k) entries in ``self.pairs`` order.  Raises
+        SpecValidationError unless each partner entry equals sign * conj of
+        its entry and the blocks are real, to 1e-12 of the largest entry.
+        """
+        entries, partners, signs, real_blocks, imag_blocks = self._form_layout
+        blocks = np.concatenate([real_blocks, imag_blocks])
+        defect = max(
+            float(np.max(np.abs(upper[partners] - signs * np.conj(upper[entries])))),
+            float(np.max(np.abs(upper[blocks].imag))),
+        )
+        if not defect <= 1e-12 * float(np.max(np.abs(upper))):
+            raise SpecValidationError(f"the background form is not J-real (defect {defect:.3e})")
+        return np.stack(_pack_slots(upper, *self._form_layout))
+
+    def packed_form_from_hat(self, packed_base, hat):
+        """``packed_base`` plus the packed (S_1(ddj u) Omega - ddj u) / (n - 1).
+
+        ``packed_base`` comes from :meth:`pack_j_real`; ``hat`` must be the
+        FFT of a real field.  Only the slots with a non-zero multiplier are
+        transformed.
+        """
+        if self._form_slots is None:
+            return packed_base.copy()
+        delta = self._bundle(self._form_slots, hat)
+        if len(delta) == len(packed_base):
+            return packed_base + delta
+        out = packed_base.copy()
+        out[self._form_live] += delta
+        return out
+
+    def unpack_form(self, packed):
+        """Upper-triangle entries and S_1 of a form packed as by :meth:`pack_j_real`."""
+        return _unpack_slots(packed, len(self.pairs), *self._form_layout)
 
     def zbar_gradient_batched_from_hat(self, hat):
         """u_{abar} for a = 0..2n-1, stacked on a leading axis.
@@ -590,10 +715,10 @@ class SpectralOps:
         vanishes on the grid are zero and not transformed.
         """
         if len(self._zbar_live) == 2 * self.n:
-            return self._ifft_batch(self._zbar_stack * hat[None])
+            return self._bundle(self._zbar_stack, hat)
         out = np.zeros((2 * self.n,) + self.grid.shape, dtype=complex)
         if self._zbar_live:
-            out[self._zbar_live] = self._ifft_batch(self._zbar_stack * hat[None])
+            out[self._zbar_live] = self._bundle(self._zbar_stack, hat)
         return out
 
     # -- diagnostics ----------------------------------------------------

@@ -25,6 +25,15 @@ update is projected onto the modes below Nyquist
 (the derivative multipliers cannot see a mode with a Nyquist index, so
 without the projection the limit would not be unique on an even grid).
 
+The flow map itself runs on the packed J-real slots of the evolving form
+(see ``fields``): the background form is packed once per run, each
+evaluation adds one batched inverse transform of the form's slot
+multipliers to it, and for n = 2 the positivity guard and the log
+right-hand side read S_1 and the Pfaffian straight off the slots as real
+polynomials, with the matching signs derived from the Pfaffian's perfect
+matchings.  For n >= 3 the slots are unpacked into the upper-triangle
+entries for the Pfaffian and the block eigenvalues.
+
 Steps whose result leaves the positive cone (or goes non-finite) are
 rejected and retried with half the step, up to a bounded number of
 halvings; the step then regrows geometrically toward the cap after a run
@@ -52,7 +61,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import PositivityError, StiffnessError
-from .exterior import full_from_upper, pfaffian, pfaffian_upper
+from .exterior import full_from_upper, perfect_matchings, pfaffian, pfaffian_upper
 from .fields import ScalarField, TwoFormField, spectral_ops
 from .model import block_eigenvalues, pair_eigenvalues, standard_form
 
@@ -147,6 +156,9 @@ class FlowEngine:
     """Shared per-run workspace and the one implementation of the flow map.
 
     ``flow_form``, ``flow_rhs`` and the manufactured problems go through it.
+    ``omega_h`` must be J-real (SpecValidationError otherwise): the engine
+    keeps only its packed slots, one entry per partner pair and the real
+    parts of the blocks.
     """
 
     def __init__(
@@ -164,33 +176,60 @@ class FlowEngine:
         self.margin = margin
         self.halvings = 0
         self.evaluations = 0
-        omega = standard_form(self.n)
-        self._pf_omega = float(pfaffian(omega).real)
-        self._inv_nm1 = 1.0 / (self.n - 1)
-        pairs = self.ops.pairs
-        self._omega_h_upper = np.stack([omega_h.entries[j, k] for j, k in pairs])
-        sh = (len(pairs),) + (1,) * len(self.grid.shape)
-        self._omega_upper = np.array([omega[j, k] for j, k in pairs]).reshape(sh)
+        self._pf_omega = float(pfaffian(standard_form(self.n)).real)
+        upper_h = np.stack([omega_h.entries[j, k] for j, k in self.ops.pairs])
+        self._packed_omega_h = self.ops.pack_j_real(upper_h)
+        _, self._s1_omega_h = self.ops.unpack_form(self._packed_omega_h)
+        if self.n == 2:
+            self._block_sign, self._pair_coefs = self._pair_pfaffian_signs()
+
+    def _pair_pfaffian_signs(self):
+        """Pf = block_sign * b_0 * b_1 + sum_c coef_c * |p_c|^2 on the n = 2 packed slots.
+
+        b_0, b_1 are the two blocks (one slot, real and imaginary part) and
+        p_c the pair slots, whose partner is sign_c * conj(p_c): each of the
+        three perfect matchings of a 4 x 4 form pairs either the blocks or
+        an entry with its partner.
+        """
+        entries, partners, signs, real_blocks, imag_blocks = self.ops._form_layout
+        index = {pair: e for e, pair in enumerate(self.ops.pairs)}
+        by_entries = {frozenset(pair): c for c, pair in enumerate(zip(entries, partners))}
+        blocks = frozenset((real_blocks[0], imag_blocks[0]))
+        block_sign, coefs = None, np.zeros(len(entries))
+        for sign, matching in perfect_matchings(4):
+            matched = frozenset(index[pair] for pair in matching)
+            if matched == blocks:
+                block_sign = float(sign)
+            else:
+                c = by_entries[matched]
+                coefs[c] = sign * signs.flat[c]
+        return block_sign, coefs
 
     def evaluate(self, u_values, hat=None) -> _Stage:
         """Evolving form, positivity guard, right-hand side at one state.
 
         ``hat`` is the FFT of ``u_values`` when the caller already holds it.
-        Runs on stacked upper-triangle entries: the form is antisymmetric,
-        so the (j, k), j < k entries determine it, and one batched inverse
-        transform covers the whole quaternionic Hessian plus its trace.
+        Runs on the packed J-real slots of the form: for n = 2, S_1 and the
+        Pfaffian are real polynomials in the slots and no upper-triangle
+        entries are built; for n >= 3 the slots are unpacked for the
+        Pfaffian and the block eigenvalues.
         """
         self.evaluations += 1
         if not np.all(np.isfinite(u_values)):
             return _Stage(ok=False)
         if hat is None:
             hat = self.ops.fft(u_values)
-        omt_upper, eta = self.form_upper(hat)
-        pf = pfaffian_upper(omt_upper, 2 * self.n).real
+        packed = self.ops.packed_form_from_hat(self._packed_omega_h, hat)
         if self.n == 2:
-            s1 = (omt_upper[0] + omt_upper[-1]).real  # blocks (0, 1) and (2, 3)
+            pairs, blocks = packed[:-1], packed[-1]
+            s1 = blocks.real + blocks.imag
+            pf = self._block_sign * blocks.real * blocks.imag
+            for coef, pair in zip(self._pair_coefs, pairs):
+                pf += coef * (pair.real * pair.real + pair.imag * pair.imag)
             lam_min, _ = pair_eigenvalues(s1, pf)
         else:
+            omt_upper, s1 = self.ops.unpack_form(packed)
+            pf = pfaffian_upper(omt_upper, 2 * self.n).real
             lam = block_eigenvalues(full_from_upper(omt_upper, 2 * self.n), self.n)
             lam_min = lam[..., 0]
         min_eig = float(lam_min.min())
@@ -202,7 +241,8 @@ class FlowEngine:
         rhs = np.log(pf / self._pf_omega) - self.f
         if not np.all(np.isfinite(rhs)):
             return _Stage(ok=False, min_eig=min_eig)
-        return _Stage(True, rhs, min_eig, kappa, eta, hat)
+        # S_1(Omega) = n, so S_1 of the form grows by exactly S_1(ddj u)
+        return _Stage(True, rhs, min_eig, kappa, s1 - self._s1_omega_h, hat)
 
     def evaluate_or_raise(self, u_values, what: str) -> _Stage:
         """:meth:`evaluate`, raising PositivityError naming the worst point."""
@@ -218,8 +258,9 @@ class FlowEngine:
 
     def form_upper(self, hat):
         """Evolving form in ``ops.pairs`` order, and S_1(ddj u), from u's FFT."""
-        upper, eta = self.ops.ddj_upper_s1_from_hat(hat)
-        return self._omega_h_upper + (eta * self._omega_upper - upper) * self._inv_nm1, eta
+        packed = self.ops.packed_form_from_hat(self._packed_omega_h, hat)
+        upper, s1 = self.ops.unpack_form(packed)
+        return upper, s1 - self._s1_omega_h
 
     def cfl_cap(self, stage: _Stage) -> float:
         """Parabolic bound of the Heun reference step."""
@@ -256,7 +297,7 @@ class FlowEngine:
             stage = self.evaluate_or_raise(state.u.values, "flow state violates strict positivity")
         u = state.u.values
         rhs_hat = self.ops.live_fft(stage.rhs)
-        a_s1 = self.ops.s1_mult / stage.min_eig  # a * S_1 <= 0
+        a_s1 = self.ops.s1_mult / stage.min_eig  # a * S_1 <= 0, real
         dt = min(state.dt, self.step_cap(stage))
         for _ in range(MAX_HALVINGS + 1):
             du_hat = dt / (1.0 - dt * a_s1) * rhs_hat

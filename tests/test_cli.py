@@ -182,6 +182,19 @@ def test_flow_invalid_config_exit_two(tmp_path):
     assert main(["flow", "--config", str(path3)]) == EXIT_INVALID
 
 
+@pytest.mark.parametrize("command", ["flow", "check"])
+def test_grid_too_large_exits_two(tmp_path, capsys, command):
+    # 2^64 points: rejected when the config is read, before any allocation
+    config = base_config(tmp_path / "o", grid={"active_dims": [0, 4], "sizes": [2**32, 2**32]})
+    path = write_config(tmp_path, config)
+    argv = [command, "--config", str(path)]
+    if command == "check":
+        argv += ["--snapshot", str(tmp_path / "u.snap")]
+    assert main(argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "too large" in err
+
+
 @pytest.mark.parametrize("output_dir", ["file.txt", "file.txt/out"])
 def test_flow_unwritable_output_dir_exits_two(tmp_path, capsys, output_dir):
     (tmp_path / "file.txt").write_text("not a directory")

@@ -52,6 +52,13 @@ def test_grid_validation():
     assert g.axis_of(4) == 1 and g.axis_of(2) is None
 
 
+def test_grid_too_large_to_allocate_is_rejected():
+    # 2^64 points: the point count is exact (np.prod wraps it to 0) and one
+    # complex field would exceed the address space, so the grid is invalid
+    with pytest.raises(SpecValidationError, match=str(2**64)):
+        TorusGrid(n=2, active_dims=(0, 4), sizes=(2**32, 2**32))
+
+
 def test_sample_constant_and_cosine(grid):
     const = TrigPolySpec.from_terms([TrigTerm((0, 0), 2.5)])
     assert np.all(sample(const, grid).values == 2.5)
@@ -373,10 +380,14 @@ def test_every_multiplier_vanishes_on_nyquist_modes(sizes):
         if size % 2 == 0:
             nyquist[(slice(None),) * p + (size // 2,)] = True
     assert np.array_equal(ops.below_nyquist == 0, nyquist)
-    mults = ops.zmult + ops.zbmult + [ops.s1_mult, *ops._ddj_slots, *ops._zbar_stack]
+    mults = ops.zmult + ops.zbmult + [ops.s1_mult]
     for mult in mults:
         assert np.all(np.broadcast_to(mult, grid.shape)[nyquist] == 0)
     assert any(np.any(mult) for mult in mults)
+    # the batched stacks hold the live modes only
+    assert len(ops._live_index) == np.count_nonzero(~nyquist)
+    for stack in (ops._ddj_slots, ops._form_slots, ops._zbar_stack):
+        assert stack.shape[1:] == (len(ops._live_index),) and np.any(stack)
 
     x0, x1 = grid.coordinates()
     hidden = np.cos(x0) * np.cos(2 * x1)  # Nyquist index on axis 1

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qmaflow.errors import PositivityError, StiffnessError
+from qmaflow.errors import PositivityError, SpecValidationError, StiffnessError
+from qmaflow.exterior import full_from_upper, pfaffian
 from qmaflow.fields import (
     ScalarField,
     TorusGrid,
@@ -12,6 +13,7 @@ from qmaflow.fields import (
     build_omega_h,
     constant_two_form_field,
     sample,
+    spectral_ops,
 )
 from qmaflow.flow import (
     DiagnosticsRecord,
@@ -30,7 +32,12 @@ from qmaflow.model import (
     standard_form,
 )
 from qmaflow.operators import flow_form
-from qmaflow.verify import admissible_potential, build_manufactured, fit_exponential_decay
+from qmaflow.verify import (
+    admissible_potential,
+    build_manufactured,
+    fit_exponential_decay,
+    random_j_real_positive,
+)
 
 GRID = TorusGrid(n=2, active_dims=(0, 4), sizes=(16, 16))
 MODEL = build_model(2)
@@ -116,6 +123,116 @@ def test_engine_guard_matches_bruteforce_eigen_scan(n):
     assert stage.ok
     assert stage.kappa == pytest.approx(float((1.0 / paired).sum(axis=-1).max()), rel=1e-10)
     assert stage.min_eig == pytest.approx(float(eig.min()), rel=1e-10)
+
+
+# -- the packed flow map -------------------------------------------------------------
+
+
+def _smooth_field(grid, seed, ddj_size):
+    """A random real field on the modes |k| <= 1, scaled so its Hessian peaks at ddj_size."""
+    ops = spectral_ops(grid)
+    freqs = np.meshgrid(*[np.fft.fftfreq(s) * s for s in grid.sizes], indexing="ij")
+    low = np.all([np.abs(k) <= 1 for k in freqs], axis=0)
+    noise = np.random.default_rng(seed).standard_normal(grid.shape)
+    u = np.fft.ifftn(low * np.fft.fftn(noise)).real
+    upper, _ = ops.ddj_upper_s1_from_hat(ops.fft(u))
+    return ddj_size * u / np.max(np.abs(upper))
+
+
+def _background(grid, kind, seed):
+    if kind == "rho":  # c Omega + ddj(rho), varying over the grid
+        rho = TrigPolySpec.single((1,) + (0,) * (len(grid.sizes) - 2) + (1,), 0.03)
+        return build_omega_h(build_model(grid.n), grid, 1.1, rho)
+    # a constant non-standard J-real form: on the z0 plane its off-block
+    # entries sit where every multiplier of the flow map vanishes
+    alpha = random_j_real_positive(np.random.default_rng(seed), grid.n)
+    return constant_two_form_field(grid, alpha)
+
+
+PACKED_CASES = {
+    "n2-4^8-dft": (TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(4,) * 8), "rho"),
+    "n2-16x16": (TorusGrid(n=2, active_dims=(0, 4), sizes=(16, 16)), "rho"),
+    "n3-8^3": (TorusGrid(n=3, active_dims=(0, 1, 8), sizes=(8, 8, 8)), "rho"),
+    "n4-z0-8x8": (TorusGrid(n=4, active_dims=(0, 8), sizes=(8, 8)), "rho"),
+    **{
+        f"n{n}-z0-constant": (TorusGrid(n=n, active_dims=(0, 2 * n), sizes=(8, 8)), "constant")
+        for n in (2, 3, 4)
+    },
+}
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("name", list(PACKED_CASES))
+def test_packed_flow_map_matches_references(name):
+    # the engine's packed J-real slots against the unpacked references: the
+    # form from the Hessian bundle, eta from S_1, the right-hand side from
+    # the full-matrix Pfaffian of flow_form
+    grid, kind = PACKED_CASES[name]
+    n = grid.n
+    oh = _background(grid, kind, seed=31)
+    f = ScalarField(grid, _smooth_field(grid, 32, 0.2))
+    u = ScalarField(grid, _smooth_field(grid, 33, 0.1))
+    engine = FlowEngine(oh, f)
+    ops = engine.ops
+    hat = ops.fft(u.values)
+    stage = engine.evaluate(u.values, hat)
+    assert stage.ok
+    # S_1's multiplier is real: the complex product's imaginary part cancels exactly
+    assert ops.s1_mult.dtype == float
+    assert not np.any(sum(z * zb for z, zb in zip(ops.zmult, ops.zbmult)).imag)
+
+    ddj, s1 = ops.ddj_upper_s1_from_hat(hat)
+    omega_upper = np.array([standard_form(n)[j, k] for j, k in ops.pairs])
+    omega_upper = omega_upper.reshape((-1,) + (1,) * len(grid.shape))
+    oh_upper = np.stack([oh.entries[j, k] for j, k in ops.pairs])
+    form_ref = oh_upper + (s1 * omega_upper - ddj) / (n - 1)
+    form, eta = engine.form_upper(hat)
+    assert _rel(form, form_ref) <= 1e-12
+    assert _rel(eta, ops.s1_from_hat(hat)) <= 1e-12
+    assert _rel(stage.eta, ops.s1_from_hat(hat)) <= 1e-12
+
+    pf = pfaffian(flow_form(u, oh).entries).real
+    rhs_ref = np.log(pf / pfaffian(standard_form(n)).real) - f.values
+    assert _rel(stage.rhs, rhs_ref) <= 1e-12
+    assert _rel(pfaffian(full_from_upper(form_ref, 2 * n)).real, pf) <= 1e-12
+
+
+def test_packed_background_keeps_entries_with_vanishing_multipliers():
+    # on the z0 plane no multiplier reaches an off-block entry, yet a
+    # constant J-real background is non-zero there and enters the Pfaffian
+    grid, _ = PACKED_CASES["n2-z0-constant"]
+    alpha = random_j_real_positive(np.random.default_rng(34), 2)
+    engine = FlowEngine(constant_two_form_field(grid, alpha), ScalarField.zeros(grid))
+    stage = engine.evaluate(np.zeros(grid.shape))
+    assert stage.ok and abs(alpha[0, 2]) > 0.01
+    assert np.allclose(stage.rhs, np.log(pfaffian(alpha).real), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("where", ["partner", "block"])
+def test_engine_rejects_a_background_that_is_not_j_real(where):
+    alpha = random_j_real_positive(np.random.default_rng(35), 2)
+    j, k = (0, 2) if where == "partner" else (0, 1)
+    bump = 0.05 if where == "partner" else 0.05j  # a complex block, or a broken partner relation
+    alpha[j, k] += bump
+    alpha[k, j] -= bump
+    with pytest.raises(SpecValidationError, match="J-real"):
+        FlowEngine(constant_two_form_field(GRID, alpha), ScalarField.zeros(GRID))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_engine_accepts_j_real_backgrounds(n):
+    grid = TorusGrid(n=n, active_dims=(0, 1, 2 * n), sizes=(4, 4, 4))
+    rho = TrigPolySpec.from_terms([TrigTerm((1, 1, 0), 0.02), TrigTerm((0, 1, 1), 0.02)])
+    alpha = random_j_real_positive(np.random.default_rng(36), n)
+    for oh in (
+        build_omega_h(build_model(n), grid, 1.0, rho),
+        constant_two_form_field(grid, standard_form(n)),
+        constant_two_form_field(grid, alpha),
+    ):
+        assert FlowEngine(oh, ScalarField.zeros(grid)).evaluate(np.zeros(grid.shape)).ok
 
 
 def test_cfl_dt_requires_positivity():
