@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PositivityError, SpecValidationError, StiffnessError
-from .fields import ScalarField, TorusGrid, TrigPolySpec, build_omega_h, sample, spectral_ops
+from .fields import ScalarField, TorusGrid, TrigPolySpec, build_omega_h, sample
 from .flow import DiagnosticsRecord, run_to_steady
 from .model import build_model
 from .operators import flow_rhs
@@ -141,7 +141,6 @@ class RunConfig:
 
 def _build_problem(config: RunConfig):
     """Background form, source and initial data for a run config."""
-    spectral_ops(config.grid)  # reads QMAFLOW_WORKERS: a bad value is a config error
     model = build_model(config.n)
     if config.u_star_spec is not None:
         problem = build_manufactured(
@@ -268,9 +267,10 @@ def cmd_flow(args) -> int:
     try:
         config = RunConfig.load(args.config)
         omega_h, f, u0 = _build_problem(config)
-    except (SpecValidationError, PositivityError) as exc:
-        # a bad background form or unreachable manufactured target is a
-        # config problem; only the initial data gets the dedicated code
+    except (SpecValidationError, PositivityError, MemoryError) as exc:
+        # a bad background form, an unreachable manufactured target or a grid
+        # too large for memory is a config problem; only the initial data
+        # gets the dedicated code
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
@@ -293,8 +293,10 @@ def cmd_flow(args) -> int:
                 write_snapshot(
                     out_dir / f"u_{state.step_count:08d}.snap", state.u, state.t
                 )
-                while next_snapshot[0] <= state.t:
-                    next_snapshot[0] += config.snapshot_interval
+                # the first multiple of the interval above t (fmod is exact); an
+                # interval below the rounding of t gives t, so every step writes
+                interval = config.snapshot_interval
+                next_snapshot[0] = state.t - math.fmod(state.t, interval) + interval
 
         try:
             result = run_to_steady(
@@ -354,7 +356,7 @@ def cmd_check(args) -> int:
         config = RunConfig.load(args.config)
         omega_h, f, _ = _build_problem(config)
         _, u = read_snapshot(args.snapshot, config.grid)
-    except (SpecValidationError, PositivityError) as exc:
+    except (SpecValidationError, PositivityError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     tol = args.tol if args.tol is not None else config.tol_steady

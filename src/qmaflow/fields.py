@@ -32,33 +32,25 @@ field.  Every batched multiplier stack holds the live modes only, and a
 bundle multiplies the live modes of the spectrum alone (3^8 of the 4^8
 modes).
 
-Each grid picks its transform once, from its shape:
-
-* below SCIPY_FFT_MIN_POINTS points, numpy.fft on one thread: a transform
-  costs microseconds, so the scipy import and a second thread would cost
-  more than they save;
-* from there on, if no axis is longer than DFT_MATRIX_MAX_AXIS points, DFT
-  matrices on the live modes for the derivative bundles and the stepper's
-  transform pair, and numpy.fft for the full ``fft``/``ifft``.  Adjacent
-  axes fuse into groups of at most DFT_GROUP_MAX_POINTS points, each
-  group's matrix is the Kronecker product of its axes' DFT matrices
-  restricted to the live modes (3^8 of the 4^8 modes), and a transform is
-  one matrix product per group; this is exact because every multiplier
-  vanishes off the live modes.  An FFT library pays per line of each axis,
-  which on such grids (4^8: 16,384 lines of 4 points per axis) costs far
-  more than the arithmetic;
-* otherwise scipy.fft on ``fft_workers()`` threads.
-
-On the two FFT backends a batched inverse transform scatters its live
-modes into a zero grid first.
-
-scipy.fft is imported only when a SpectralOps of the last kind is built.
+Each grid picks its transform once, from its shape.  From
+DFT_MATRIX_MIN_POINTS points on, if no axis is longer than
+DFT_MATRIX_MAX_AXIS points, the derivative bundles and the stepper's
+transform pair use DFT matrices on the live modes: adjacent axes fuse into
+groups of at most DFT_GROUP_MAX_POINTS points, each group's matrix is the
+Kronecker product of its axes' DFT matrices restricted to the live modes
+(3^8 of the 4^8 modes), and a transform is one matrix product per group,
+exact because every multiplier vanishes off the live modes.  An FFT
+library pays per line of each axis, which on such grids (4^8: 16,384 lines
+of 4 points per axis) costs far more than the arithmetic.  Every other
+transform runs on numpy.fft: a batched inverse scatters its live modes into
+a zero grid first, and the FFT of a real field is rfftn's half spectrum
+filled out by conjugation (``_hermitian_gather``), so it is Hermitian
+exactly, not just to rounding.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,22 +67,9 @@ from .model import (
 )
 
 PERIOD = 2.0 * np.pi
-SCIPY_FFT_MIN_POINTS = 4096  # grids this large leave numpy.fft ...
-DFT_MATRIX_MAX_AXIS = 4  # ... for DFT matrices if no axis is longer, else scipy.fft
+DFT_MATRIX_MIN_POINTS = 4096  # grids this large leave numpy.fft for DFT matrices ...
+DFT_MATRIX_MAX_AXIS = 4  # ... if no axis is longer
 DFT_GROUP_MAX_POINTS = 64  # adjacent axes fuse into DFT matrices of at most this order
-
-
-def fft_workers() -> int:
-    """Worker count for FFT calls: QMAFLOW_WORKERS, else the CPUs this process may use."""
-    env = os.environ.get("QMAFLOW_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise SpecValidationError(f"QMAFLOW_WORKERS must be an integer: {env!r}") from exc
-    if hasattr(os, "sched_getaffinity"):
-        return max(1, len(os.sched_getaffinity(0)))
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -357,6 +336,32 @@ def _unpack_slots(slots, num_entries, entries, partners, signs, real_blocks, ima
     return upper, real.sum(axis=0) + imag.sum(axis=0)
 
 
+def _hermitian_gather(sizes):
+    """(index, real) such that ``concatenate([h, conj(h), h[real].real])[index]``
+    is the FFT of a real field whose raveled rfftn is h.
+
+    The last axis p on which 2 k_p is not 0 mod size_p decides: mode k reads
+    conj(h) at -k iff k_p > size_p / 2, else h at k, which rfftn holds; a
+    mode with no such axis is its own mirror and reads the real part of h.
+    """
+    half_sizes = sizes[:-1] + (sizes[-1] // 2 + 1,)
+    strides = np.cumprod((1,) + half_sizes[:0:-1])[::-1]  # row-major, of h
+    mirrored = np.zeros(sizes, dtype=bool)
+    self_mirror = np.ones(sizes, dtype=bool)
+    own = mirror = 0
+    for p, (size, stride) in enumerate(zip(sizes, strides)):
+        k = np.arange(size).reshape((-1,) + (1,) * (len(sizes) - p - 1))
+        mirrored = np.where(2 * k % size == 0, mirrored, 2 * k > size)
+        self_mirror &= 2 * k % size == 0
+        own = own + k * stride
+        mirror = mirror + (-k % size) * stride
+    h_size = math.prod(half_sizes)
+    index = np.where(mirrored, mirror + h_size, own)
+    real = own[self_mirror]
+    index[self_mirror] = 2 * h_size + np.arange(len(real))
+    return index, real
+
+
 class _KroneckerDft:
     """A multidimensional DFT as one matrix per group of adjacent axes.
 
@@ -396,15 +401,12 @@ class SpectralOps:
     Precomputes the holomorphic/antiholomorphic first-derivative multipliers
     and the packed slot multipliers of the quaternionic Hessian and of the
     flow's evolving form, every one of them zero off the modes below
-    Nyquist; the batched stacks hold the live modes only.  Resolves the FFT
-    worker count and the transform once, by the module's three-way rule:
-    numpy.fft on one thread below SCIPY_FFT_MIN_POINTS grid points, then
-    live-mode DFT matrices (next to numpy.fft for :meth:`fft` and
-    :meth:`ifft`) while no axis is longer than DFT_MATRIX_MAX_AXIS, else
-    scipy.fft with ``workers``.  :meth:`fft` and :meth:`ifft` are the full
-    transforms on every grid.  All methods operating "from_hat" expect the
-    full FFT of a field and return position-space arrays; the batched
-    bundles expect the FFT of a real field.  The packed
+    Nyquist; the batched stacks hold the live modes only.  Picks live-mode
+    DFT matrices or numpy.fft once, by the module's rule.  :meth:`fft` and
+    :meth:`ifft` are the full transforms, on numpy.fft for every grid, and
+    :meth:`fft` of a real field is exactly Hermitian.  All methods operating
+    "from_hat" expect the full FFT of a field and return position-space
+    arrays; the batched bundles expect the FFT of a real field.  The packed
     :meth:`ddj_upper_s1_from_hat` is the Hessian transform and
     :meth:`packed_form_from_hat` the flow's.  :meth:`live_fft` and
     :meth:`live_ifft_real` are the stepper's transform pair.
@@ -413,20 +415,12 @@ class SpectralOps:
     def __init__(self, grid: TorusGrid):
         self.grid = grid
         self.n = grid.n
-        self.workers = fft_workers()  # validated for every grid, used by scipy.fft only
         self.below_nyquist = self._build_below_nyquist()
         self._live_index = np.flatnonzero(self.below_nyquist)
+        self._hermitian_index, self._real_modes = _hermitian_gather(grid.sizes)
         self._live_dft = None
-        if grid.num_points >= SCIPY_FFT_MIN_POINTS and max(grid.sizes) > DFT_MATRIX_MAX_AXIS:
-            from scipy import fft as backend
-
-            self._fft_kw = {"workers": self.workers}
-            self._batch_kw = {"workers": self.workers, "overwrite_x": True}
-        else:
-            backend, self._fft_kw, self._batch_kw = np_fft, {}, {}
-            if grid.num_points >= SCIPY_FFT_MIN_POINTS:
-                self._build_live_dft()
-        self._backend = backend
+        if grid.num_points >= DFT_MATRIX_MIN_POINTS and max(grid.sizes) <= DFT_MATRIX_MAX_AXIS:
+            self._build_live_dft()
         m = 2 * self.n
         self._ik = self._build_ik()
         # d/dz^a -> (ik_a + k_{2n+a})/2,  d/dzbar^a -> (ik_a - k_{2n+a})/2,
@@ -567,18 +561,21 @@ class SpectralOps:
     # -- transforms ---------------------------------------------------
 
     def fft(self, values):
-        return self._backend.fftn(np.asarray(values), **self._fft_kw)
+        """Full FFT; a real field's is gathered from its rfftn, exactly Hermitian."""
+        if np.iscomplexobj(values):
+            return np_fft.fftn(values)
+        h = np_fft.rfftn(values).reshape(-1)
+        return np.concatenate([h, h.conj(), h[self._real_modes].real])[self._hermitian_index]
 
     def ifft(self, hat):
-        return self._backend.ifftn(hat, **self._fft_kw)
+        return np_fft.ifftn(hat)
 
     def _ifft_batch(self, live):
         """Inverse transforms of spectra given on the live modes, one per leading slot.
 
-        ``live`` (slots x live modes) may be overwritten.  Every spectrum
-        vanishes off the live modes, as every multiplier times a spectrum
-        does: the DFT matrices read the live modes only, the FFT backends
-        transform them scattered into a zero grid.
+        Every spectrum vanishes off the live modes, as every multiplier
+        times a spectrum does: the DFT matrices read the live modes only,
+        numpy.fft transforms them scattered into a zero grid.
         """
         shape = (len(live),) + self.grid.shape
         if self._live_dft is not None:
@@ -587,7 +584,7 @@ class SpectralOps:
         for slot, spectrum in zip(full, live):  # per slot: 3x faster than full[:, index]
             slot[self._live_index] = spectrum
         axes = tuple(range(1, len(shape)))
-        return self._backend.ifftn(full.reshape(shape), axes=axes, **self._batch_kw)
+        return np_fft.ifftn(full.reshape(shape), axes=axes)
 
     def _bundle(self, stack, hat):
         """Inverse transforms of each live multiplier of ``stack`` times ``hat``."""

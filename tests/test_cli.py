@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,19 @@ def write_config(tmp_path, config, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config))
     return path
+
+
+def run_cli(argv, timeout=60, preexec_fn=None):
+    """``qmaflow`` in a child process, so a hang or a crash fails the test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qmaflow.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "qmaflow.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=env,
+        preexec_fn=preexec_fn,
+    )
 
 
 # -- identities ----------------------------------------------------------------
@@ -195,6 +209,26 @@ def test_grid_too_large_exits_two(tmp_path, capsys, command):
     assert err.startswith("error:") and "too large" in err
 
 
+def _cap_address_space():
+    limit = 1 << 30  # several times what the program needs, far below the grid
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("command", ["flow", "check"])
+def test_grid_beyond_memory_exits_two(tmp_path, command):
+    # 2^40 points pass the size check, but no field of them can be allocated;
+    # the child's address space is capped, so the first allocation fails at once
+    config = base_config(tmp_path / "o", grid={"active_dims": [0, 4], "sizes": [2**20, 2**20]})
+    path = write_config(tmp_path, config)
+    argv = [command, "--config", str(path)]
+    if command == "check":
+        argv += ["--snapshot", str(tmp_path / "u.snap")]
+    proc = run_cli(argv, preexec_fn=_cap_address_space)
+    assert proc.returncode == EXIT_INVALID, proc.stderr
+    assert proc.stderr.startswith("error:") and "allocate" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("output_dir", ["file.txt", "file.txt/out"])
 def test_flow_unwritable_output_dir_exits_two(tmp_path, capsys, output_dir):
     (tmp_path / "file.txt").write_text("not a directory")
@@ -234,17 +268,22 @@ def test_flow_stall_at_positivity_margin_exits_four(tmp_path):
         snapshot_interval=0,
     )
     path = write_config(tmp_path, config)
-    env = dict(os.environ, PYTHONPATH=str(Path(qmaflow.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qmaflow.cli", "flow", "--config", str(path)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
-    )
+    proc = run_cli(["flow", "--config", str(path)])
     assert proc.returncode == EXIT_STIFF
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     assert "last accepted step" in proc.stderr
+
+
+@pytest.mark.parametrize("interval", [1e-300, 5e-324])
+def test_flow_tiny_snapshot_interval_terminates(tmp_path, interval):
+    # an interval below the rounding of t: every step writes a snapshot, and
+    # the run still ends
+    out_dir = tmp_path / "o"
+    path = write_config(tmp_path, base_config(out_dir, snapshot_interval=interval))
+    proc = run_cli(["flow", "--config", str(path)])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    rows = (out_dir / "diagnostics.csv").read_text().strip().splitlines()[1:]
+    assert len(list(out_dir.glob("u_0*.snap"))) == len(rows)
 
 
 # -- check ------------------------------------------------------------------------

@@ -14,14 +14,13 @@ from qmaflow import fields
 
 from qmaflow.errors import PositivityError, SpecValidationError
 from qmaflow.fields import (
-    SCIPY_FFT_MIN_POINTS,
+    DFT_MATRIX_MIN_POINTS,
     ScalarField,
     SpectralOps,
     TorusGrid,
     TrigPolySpec,
     TrigTerm,
     build_omega_h,
-    fft_workers,
     sample,
     spectral_ops,
 )
@@ -172,6 +171,7 @@ def test_hessian_hermitian_symmetry(grid):
 # only the (zeroed) Nyquist index, so its derivative multipliers vanish
 BUNDLE_GRIDS = {
     "n2-z0-16x15": TorusGrid(n=2, active_dims=(0, 4), sizes=(16, 15)),
+    "n2-z0-10x6": TorusGrid(n=2, active_dims=(0, 4), sizes=(10, 6)),
     "n2-full-3x4": TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(3, 4) * 4),
     "n3-z0-9x8": TorusGrid(n=3, active_dims=(0, 6), sizes=(9, 8)),
     "n3-full-3x2": TorusGrid(
@@ -252,67 +252,69 @@ def test_zbar_gradient_batched_matches_partial_zbar(name):
         assert np.max(np.abs(batched[a] - single)) <= 1e-13 * max(np.max(np.abs(single)), 1.0)
 
 
+def _close(a, b):
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b)) <= 1e-13 * max(np.max(np.abs(b)), 1e-300)
+
+
+def _assert_hermitian(hat):
+    negated = np.ix_(*[-np.arange(size) % size for size in hat.shape])
+    assert np.array_equal(hat, np.conj(hat[negated]))
+
+
 SMALL_BUNDLE_GRIDS = [
-    name for name, g in BUNDLE_GRIDS.items() if g.num_points < SCIPY_FFT_MIN_POINTS
+    name for name, g in BUNDLE_GRIDS.items() if g.num_points < DFT_MATRIX_MIN_POINTS
 ]
 
 
 @pytest.mark.parametrize("name", SMALL_BUNDLE_GRIDS)
-def test_numpy_backend_matches_scipy_fft(name, monkeypatch):
-    # below the threshold numpy.fft transforms; the same grid forced onto
-    # scipy.fft is the reference for the transforms and every bundle
+def test_numpy_backend_matches_scipy_fft(name):
+    # below the threshold numpy.fft transforms; scipy.fft is the reference
     grid = BUNDLE_GRIDS[name]
     ops = SpectralOps(grid)
-    monkeypatch.setattr(fields, "SCIPY_FFT_MIN_POINTS", 0)
-    monkeypatch.setattr(fields, "DFT_MATRIX_MAX_AXIS", 0)
-    ref = SpectralOps(grid)
-    assert ops._backend is np.fft and ref._backend is sp_fft
-    u = np.random.default_rng(13).standard_normal(grid.shape)
+    assert ops._live_dft is None
+    rng = np.random.default_rng(13)
+    u = rng.standard_normal(grid.shape)
+    z = u + 1j * rng.standard_normal(grid.shape)
     hat = ops.fft(u)
-
-    def close(a, b):
-        assert a.shape == b.shape
-        assert np.max(np.abs(a - b)) <= 1e-13 * max(np.max(np.abs(b)), 1e-300)
-
-    close(hat, sp_fft.fftn(u))
-    close(ops.ifft(hat), sp_fft.ifftn(hat))
-    for a, b in zip(ops.ddj_upper_s1_from_hat(hat), ref.ddj_upper_s1_from_hat(hat)):
-        close(a, b)
-    close(ops.zbar_gradient_batched_from_hat(hat), ref.zbar_gradient_batched_from_hat(hat))
-    close(ops.z_gradient_from_hat(hat), ref.z_gradient_from_hat(hat))
-    close(ops.mixed_hessian_from_hat(hat), ref.mixed_hessian_from_hat(hat))
+    _assert_hermitian(hat)
+    _close(hat, sp_fft.fftn(u))
+    _close(ops.fft(z), sp_fft.fftn(z))
+    _close(ops.ifft(hat), sp_fft.ifftn(hat))
 
 
 def test_threshold_grid_transforms_exactly_as_scipy_fft(grid):
+    # the FFT of a real field is Hermitian exactly, and scipy.fft's to 1e-13
     ops = spectral_ops(grid)
-    assert grid.num_points == SCIPY_FFT_MIN_POINTS
+    assert grid.num_points == DFT_MATRIX_MIN_POINTS and ops._live_dft is None
     u = np.random.default_rng(14).standard_normal(grid.shape)
     hat = ops.fft(u)
-    assert np.array_equal(hat, sp_fft.fftn(u, workers=ops.workers))
-    assert np.array_equal(ops.ifft(hat), sp_fft.ifftn(hat, workers=ops.workers))
+    _assert_hermitian(hat)
+    _close(hat, sp_fft.fftn(u))
+    _close(ops.ifft(hat), sp_fft.ifftn(hat))
 
 
 def test_small_grids_never_load_scipy():
-    # a fresh process: small flows and every identity suite run on numpy.fft
-    # and import nothing once qmaflow.cli is loaded; a 64x64 grid loads scipy.fft
+    # a fresh process: flows up to run3's 64x64 and every identity suite run
+    # on numpy.fft and import nothing once qmaflow.cli is loaded
     script = """
 import sys
 import qmaflow.cli
-from qmaflow.fields import ScalarField, SpectralOps, TorusGrid, TrigPolySpec, TrigTerm
+from qmaflow.fields import ScalarField, TorusGrid, TrigPolySpec, TrigTerm
 from qmaflow.flow import run_to_steady
 from qmaflow.verify import build_manufactured, run_identity_suite
 
 before = set(sys.modules)
-grid = TorusGrid(n=2, active_dims=(0, 4), sizes=(16, 16))
 uspec = TrigPolySpec.from_terms([TrigTerm((1, 0), 0.1), TrigTerm((1, 1), 0.05)])
-prob = build_manufactured(uspec, grid, c=1.0, rho=TrigPolySpec.single((0, 1), 0.05))
-assert run_to_steady(ScalarField.zeros(grid), prob.omega_h, prob.f, tol_steady=1e-8).converged
+for size in (16, 64):
+    grid = TorusGrid(n=2, active_dims=(0, 4), sizes=(size, size))
+    prob = build_manufactured(uspec, grid, c=1.0, rho=TrigPolySpec.single((0, 1), 0.05))
+    result = run_to_steady(ScalarField.zeros(grid), prob.omega_h, prob.f, tol_steady=1e-8, t_max=200.0)
+    assert result.converged
 for n in (2, 3, 4):
     assert all(r.passed for r in run_identity_suite(n, trials=1))
 assert "scipy" not in sys.modules, "scipy was loaded"
 assert set(sys.modules) == before, sorted(set(sys.modules) - before)
-SpectralOps(TorusGrid(n=2, active_dims=(0, 4), sizes=(64, 64)))
-assert "scipy.fft" in sys.modules
 """
     env = dict(os.environ, PYTHONPATH=str(Path(qmaflow.__file__).resolve().parents[1]))
     proc = subprocess.run(
@@ -328,28 +330,25 @@ DFT_GRIDS = {
 }
 
 
-def _close(a, b):
-    assert a.shape == b.shape
-    assert np.max(np.abs(a - b)) <= 1e-13 * max(np.max(np.abs(b)), 1e-300)
-
-
 @pytest.mark.parametrize("name", list(DFT_GRIDS))
 def test_dft_matrix_backend_matches_scipy_fft(name, monkeypatch):
     # large grids of short axes transform the bundles and the step pair by
-    # DFT matrices on the live modes only; input with content on every mode, and
-    # the same grid forced onto scipy.fft as the reference
+    # DFT matrices on the live modes only; input with content on every mode,
+    # scipy.fft as the reference for the full transforms and the same grid
+    # forced onto numpy.fft as the reference for the rest
     grid = DFT_GRIDS[name]
     monkeypatch.setattr(fields, "DFT_MATRIX_MAX_AXIS", max(grid.sizes))  # 8^4's axes too
     ops = SpectralOps(grid)
     monkeypatch.setattr(fields, "DFT_MATRIX_MAX_AXIS", 0)
     ref = SpectralOps(grid)
-    assert grid.num_points >= SCIPY_FFT_MIN_POINTS
-    assert ops._live_dft is not None and ref._backend is sp_fft
+    assert grid.num_points >= DFT_MATRIX_MIN_POINTS
+    assert ops._live_dft is not None and ref._live_dft is None
     rng = np.random.default_rng(16)
     u = rng.standard_normal(grid.shape)
     z = u + 1j * rng.standard_normal(grid.shape)
     hat = ops.fft(u)
 
+    _assert_hermitian(hat)
     _close(hat, sp_fft.fftn(u))
     _close(ops.fft(z), sp_fft.fftn(z))
     _close(ops.ifft(z), sp_fft.ifftn(z))
@@ -423,13 +422,6 @@ assert "scipy" not in sys.modules, "scipy was loaded"
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-
-
-def test_fft_workers_follow_cpu_affinity(monkeypatch):
-    monkeypatch.delenv("QMAFLOW_WORKERS", raising=False)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert fft_workers() == 1
-    assert SpectralOps(TorusGrid(n=2, active_dims=(0, 4), sizes=(8, 8))).workers == 1
 
 
 def test_spectral_tail_detects_high_modes():
