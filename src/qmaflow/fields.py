@@ -32,20 +32,19 @@ field.  Every batched multiplier stack holds the live modes only, and a
 bundle multiplies the live modes of the spectrum alone (3^8 of the 4^8
 modes).
 
-Each grid picks its transform once, from its shape.  From
-DFT_MATRIX_MIN_POINTS points on, if no axis is longer than
-DFT_MATRIX_MAX_AXIS points, the derivative bundles and the stepper's
+Each grid picks its transform once, from its shape.  If no axis is longer
+than DFT_MATRIX_MAX_AXIS points, every derivative and the stepper's
 transform pair use DFT matrices on the live modes: adjacent axes fuse into
 groups of at most DFT_GROUP_MAX_POINTS points, each group's matrix is the
-Kronecker product of its axes' DFT matrices restricted to the live modes
-(3^8 of the 4^8 modes), and a transform is one matrix product per group,
-exact because every multiplier vanishes off the live modes.  An FFT
-library pays per line of each axis, which on such grids (4^8: 16,384 lines
-of 4 points per axis) costs far more than the arithmetic.  Every other
-transform runs on numpy.fft: a batched inverse scatters its live modes into
-a zero grid first, and the FFT of a real field is rfftn's half spectrum
-filled out by conjugation (``_hermitian_gather``), so it is Hermitian
-exactly, not just to rounding.
+Kronecker product of its axes' DFT matrices restricted to the live modes,
+and a transform is one matrix product per group, exact because every
+multiplier vanishes off the live modes.  An FFT library pays per call and
+per line of each axis, which on short axes costs far more than the
+arithmetic (4^8: 16,384 lines of 4 points per axis).  Grids with a longer
+axis run on numpy.fft, where a batched inverse scatters its live modes into
+a zero grid first.  The full transforms run on numpy.fft on every grid; the
+FFT of a real field is rfftn's half spectrum filled out by conjugation
+(``_hermitian_gather``), so it is Hermitian exactly, not just to rounding.
 """
 
 from __future__ import annotations
@@ -67,8 +66,7 @@ from .model import (
 )
 
 PERIOD = 2.0 * np.pi
-DFT_MATRIX_MIN_POINTS = 4096  # grids this large leave numpy.fft for DFT matrices ...
-DFT_MATRIX_MAX_AXIS = 4  # ... if no axis is longer
+DFT_MATRIX_MAX_AXIS = 32  # grids with no longer axis transform by live-mode DFT matrices
 DFT_GROUP_MAX_POINTS = 64  # adjacent axes fuse into DFT matrices of at most this order
 
 
@@ -401,15 +399,16 @@ class SpectralOps:
     Precomputes the holomorphic/antiholomorphic first-derivative multipliers
     and the packed slot multipliers of the quaternionic Hessian and of the
     flow's evolving form, every one of them zero off the modes below
-    Nyquist; the batched stacks hold the live modes only.  Picks live-mode
-    DFT matrices or numpy.fft once, by the module's rule.  :meth:`fft` and
-    :meth:`ifft` are the full transforms, on numpy.fft for every grid, and
-    :meth:`fft` of a real field is exactly Hermitian.  All methods operating
-    "from_hat" expect the full FFT of a field and return position-space
-    arrays; the batched bundles expect the FFT of a real field.  The packed
-    :meth:`ddj_upper_s1_from_hat` is the Hessian transform and
-    :meth:`packed_form_from_hat` the flow's.  :meth:`live_fft` and
-    :meth:`live_ifft_real` are the stepper's transform pair.
+    Nyquist; the batched stacks hold the live modes only.  Every
+    derivative is a live-mode bundle (one-row for a single one), on DFT
+    matrices or numpy.fft as the module's rule picks, and so is the step
+    pair; :meth:`fft` and :meth:`ifft` are the full transforms, on
+    numpy.fft for every grid, and :meth:`fft` of a real field is exactly
+    Hermitian.  "from_hat" methods expect the full FFT of a field and
+    return position-space arrays; the batched bundles expect the FFT of a
+    real field.  The packed :meth:`ddj_upper_s1_from_hat` is the Hessian
+    transform and :meth:`packed_form_from_hat` the flow's.
+    :meth:`live_fft` and :meth:`live_ifft_real` are the step pair.
     """
 
     def __init__(self, grid: TorusGrid):
@@ -418,9 +417,11 @@ class SpectralOps:
         self.below_nyquist = self._build_below_nyquist()
         self._live_index = np.flatnonzero(self.below_nyquist)
         self._hermitian_index, self._real_modes = _hermitian_gather(grid.sizes)
-        self._live_dft = None
-        if grid.num_points >= DFT_MATRIX_MIN_POINTS and max(grid.sizes) <= DFT_MATRIX_MAX_AXIS:
-            self._build_live_dft()
+        self._live_dft = None  # DFT matrices on the live modes, in the order of _live_index
+        if max(grid.sizes) <= DFT_MATRIX_MAX_AXIS:
+            live = [np.flatnonzero(2 * np.arange(size) != size) for size in grid.sizes]
+            self._live_dft = _KroneckerDft(grid.sizes, live, inverse=False)
+            self._live_idft = _KroneckerDft(grid.sizes, live, inverse=True)
         m = 2 * self.n
         self._ik = self._build_ik()
         # d/dz^a -> (ik_a + k_{2n+a})/2,  d/dzbar^a -> (ik_a - k_{2n+a})/2,
@@ -441,13 +442,6 @@ class SpectralOps:
         self._build_slot_tables(j_tables(self.n))
         self._zbar_live = [a for a in range(m) if np.any(self.zbmult[a])]
         self._zbar_stack = self._live_stack(self.zbmult)[self._zbar_live]
-
-    def _build_live_dft(self):
-        """DFT matrices on the live modes, in the order of ``_live_index``."""
-        sizes = self.grid.sizes
-        live = [np.flatnonzero(2 * np.arange(size) != size) for size in sizes]
-        self._live_dft = _KroneckerDft(sizes, live, inverse=False)
-        self._live_idft = _KroneckerDft(sizes, live, inverse=True)
 
     def _live_stack(self, mults):
         """Grid-shaped multipliers stacked on their live modes."""
@@ -590,6 +584,10 @@ class SpectralOps:
         """Inverse transforms of each live multiplier of ``stack`` times ``hat``."""
         return self._ifft_batch(stack * hat.reshape(-1)[self._live_index])
 
+    def _single(self, mult, hat):
+        """Inverse transform of one grid-shaped multiplier times ``hat``."""
+        return self._bundle(self._live_stack([mult]), hat)[0]
+
     def live_fft(self, values):
         """``below_nyquist * fft(values)``: the spectrum on the live modes, zero elsewhere."""
         if self._live_dft is None:
@@ -610,13 +608,13 @@ class SpectralOps:
     # -- first derivatives ---------------------------------------------
 
     def partial_x(self, values, real_dim: int):
-        return self.ifft(self.below_nyquist * self._ik_for(real_dim) * self.fft(values))
+        return self._single(self.below_nyquist * self._ik_for(real_dim), self.fft(values))
 
     def partial_z(self, values, a: int):
-        return self.ifft(self.zmult[a] * self.fft(values))
+        return self._single(self.zmult[a], self.fft(values))
 
     def partial_zbar(self, values, a: int):
-        return self.ifft(self.zbmult[a] * self.fft(values))
+        return self._single(self.zbmult[a], self.fft(values))
 
     def z_gradient_from_hat(self, hat):
         return self._bundle(self._live_stack(self.zmult), hat)
@@ -643,7 +641,7 @@ class SpectralOps:
 
     def s1_from_hat(self, hat):
         """Trace of the mixed Hessian (half the model Laplacian), real part."""
-        return self.ifft(self.s1_mult * hat).real
+        return self._single(self.s1_mult, hat).real
 
     def ddj_upper_s1_from_hat(self, hat):
         """Upper-triangle quaternionic Hessian entries plus its S_1 trace.

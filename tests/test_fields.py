@@ -14,7 +14,7 @@ from qmaflow import fields
 
 from qmaflow.errors import PositivityError, SpecValidationError
 from qmaflow.fields import (
-    DFT_MATRIX_MIN_POINTS,
+    DFT_MATRIX_MAX_AXIS,
     ScalarField,
     SpectralOps,
     TorusGrid,
@@ -25,6 +25,7 @@ from qmaflow.fields import (
     spectral_ops,
 )
 from qmaflow.model import build_model, j_tables, standard_form
+from qmaflow.verify import default_identity_grid
 
 
 @pytest.fixture
@@ -262,41 +263,53 @@ def _assert_hermitian(hat):
     assert np.array_equal(hat, np.conj(hat[negated]))
 
 
-SMALL_BUNDLE_GRIDS = [
-    name for name, g in BUNDLE_GRIDS.items() if g.num_points < DFT_MATRIX_MIN_POINTS
-]
-
-
-@pytest.mark.parametrize("name", SMALL_BUNDLE_GRIDS)
-def test_numpy_backend_matches_scipy_fft(name):
-    # below the threshold numpy.fft transforms; scipy.fft is the reference
-    grid = BUNDLE_GRIDS[name]
-    ops = SpectralOps(grid)
-    assert ops._live_dft is None
-    rng = np.random.default_rng(13)
-    u = rng.standard_normal(grid.shape)
-    z = u + 1j * rng.standard_normal(grid.shape)
+def _matches_scipy_fft(ops, u):
+    """The full transforms, the step pair and single derivatives against scipy.fft."""
+    z = u + 1j * np.random.default_rng(17).standard_normal(u.shape)
     hat = ops.fft(u)
     _assert_hermitian(hat)
     _close(hat, sp_fft.fftn(u))
     _close(ops.fft(z), sp_fft.fftn(z))
     _close(ops.ifft(hat), sp_fft.ifftn(hat))
+    live = ops.below_nyquist * sp_fft.fftn(u)
+    _close(ops.live_fft(u), live)
+    _close(ops.live_ifft_real(live), sp_fft.ifftn(live).real)
+    _close(ops.s1_from_hat(hat), sp_fft.ifftn(ops.s1_mult * live).real)
+    _close(ops.partial_z(u, 0), sp_fft.ifftn(ops.zmult[0] * live))
 
 
-def test_threshold_grid_transforms_exactly_as_scipy_fft(grid):
-    # the FFT of a real field is Hermitian exactly, and scipy.fft's to 1e-13
-    ops = spectral_ops(grid)
-    assert grid.num_points == DFT_MATRIX_MIN_POINTS and ops._live_dft is None
-    u = np.random.default_rng(14).standard_normal(grid.shape)
-    hat = ops.fft(u)
-    _assert_hermitian(hat)
-    _close(hat, sp_fft.fftn(u))
-    _close(ops.ifft(hat), sp_fft.ifftn(hat))
+# grids with an axis longer than DFT_MATRIX_MAX_AXIS keep numpy.fft; the
+# others are forced onto it, the reference backend of the DFT-matrix tests
+NUMPY_GRIDS = {
+    "n2-z0-64x64": TorusGrid(n=2, active_dims=(0, 4), sizes=(64, 64)),
+    "n2-z0-4x64": TorusGrid(n=2, active_dims=(0, 4), sizes=(4, 64)),
+    **{name: BUNDLE_GRIDS[name] for name in ("n2-z0-16x15", "n2-z0-10x6", "n3-z0-9x8", "n4-z0-7x6")},
+}
+
+
+@pytest.mark.parametrize("name", list(NUMPY_GRIDS))
+def test_numpy_backend_matches_scipy_fft(name, monkeypatch):
+    grid = NUMPY_GRIDS[name]
+    if max(grid.sizes) <= DFT_MATRIX_MAX_AXIS:
+        monkeypatch.setattr(fields, "DFT_MATRIX_MAX_AXIS", 0)
+    ops = SpectralOps(grid)
+    assert ops._live_dft is None
+    _matches_scipy_fft(ops, np.random.default_rng(13).standard_normal(grid.shape))
+
+
+def test_threshold_grid_transforms_exactly_as_scipy_fft():
+    # the rule's boundary: a longest axis of DFT_MATRIX_MAX_AXIS points takes
+    # DFT matrices, one point more takes numpy.fft; both transform as scipy.fft
+    for size, on_dft in ((DFT_MATRIX_MAX_AXIS, True), (DFT_MATRIX_MAX_AXIS + 1, False)):
+        grid = TorusGrid(n=2, active_dims=(0, 4), sizes=(size, 6))
+        ops = SpectralOps(grid)
+        assert (ops._live_dft is not None) == on_dft
+        _matches_scipy_fft(ops, np.random.default_rng(14).standard_normal(grid.shape))
 
 
 def test_small_grids_never_load_scipy():
-    # a fresh process: flows up to run3's 64x64 and every identity suite run
-    # on numpy.fft and import nothing once qmaflow.cli is loaded
+    # a fresh process: a 16x16 flow and every identity suite (DFT matrices)
+    # and run3's 64x64 flow (numpy.fft) import nothing once qmaflow.cli is loaded
     script = """
 import sys
 import qmaflow.cli
@@ -327,21 +340,25 @@ DFT_GRIDS = {
     "4^8": TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(4,) * 8),
     "8^4": TorusGrid(n=2, active_dims=(0, 1, 4, 5), sizes=(8,) * 4),
     **{name: BUNDLE_GRIDS[name] for name in ("n2-full-3x4", "n3-full-3x2", "n4-every-z")},
+    "n2-z0-16x16": TorusGrid(n=2, active_dims=(0, 4), sizes=(16, 16)),
+    "n3-z0-8x8": TorusGrid(n=3, active_dims=(0, 6), sizes=(8, 8)),
+    "identity-n2": default_identity_grid(2),
+    "identity-n3": default_identity_grid(3),
+    "n2-z0-5x7": TorusGrid(n=2, active_dims=(0, 4), sizes=(5, 7)),
+    "n2-2x8x6": TorusGrid(n=2, active_dims=(0, 1, 4), sizes=(2, 8, 6)),
 }
 
 
 @pytest.mark.parametrize("name", list(DFT_GRIDS))
 def test_dft_matrix_backend_matches_scipy_fft(name, monkeypatch):
-    # large grids of short axes transform the bundles and the step pair by
+    # grids of short axes transform every derivative and the step pair by
     # DFT matrices on the live modes only; input with content on every mode,
     # scipy.fft as the reference for the full transforms and the same grid
     # forced onto numpy.fft as the reference for the rest
     grid = DFT_GRIDS[name]
-    monkeypatch.setattr(fields, "DFT_MATRIX_MAX_AXIS", max(grid.sizes))  # 8^4's axes too
     ops = SpectralOps(grid)
     monkeypatch.setattr(fields, "DFT_MATRIX_MAX_AXIS", 0)
     ref = SpectralOps(grid)
-    assert grid.num_points >= DFT_MATRIX_MIN_POINTS
     assert ops._live_dft is not None and ref._live_dft is None
     rng = np.random.default_rng(16)
     u = rng.standard_normal(grid.shape)
@@ -359,6 +376,9 @@ def test_dft_matrix_backend_matches_scipy_fft(name, monkeypatch):
     _close(ops.mixed_hessian_from_hat(hat), ref.mixed_hessian_from_hat(hat))
     _close(ops.s1_from_hat(hat), ref.s1_from_hat(hat))
     _close(ops.partial_x(u, grid.active_dims[0]), ref.partial_x(u, grid.active_dims[0]))
+    for a in range(2 * grid.n):
+        _close(ops.partial_z(u, a), ref.partial_z(u, a))
+        _close(ops.partial_zbar(z, a), ref.partial_zbar(z, a))
     # the step's pair: forward onto the live modes, real inverse of an update
     rhs_hat = ops.live_fft(u)
     _close(rhs_hat, ref.live_fft(u))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qmaflow import fields
 from qmaflow.errors import PositivityError, SpecValidationError, StiffnessError
 from qmaflow.exterior import full_from_upper, pfaffian
 from qmaflow.fields import (
@@ -350,6 +351,33 @@ def test_step_and_heun_reference_reach_same_limit(grid):
     assert np.max(np.abs(result.u_normalized.values - u_heun.values)) <= 1e-7
     assert abs(result.b_tilde - b_heun) <= 1e-9
     assert 10 * result.steps < heun_steps
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        TorusGrid(n=2, active_dims=(0, 4), sizes=(16, 16)),
+        TorusGrid(n=3, active_dims=(0, 6), sizes=(8, 8)),
+    ],
+    ids=["n2-16x16", "n3-8x8"],
+)
+def test_dft_matrices_reach_the_numpy_fft_fixed_point(grid, monkeypatch):
+    # the same manufactured run on live-mode DFT matrices and forced onto numpy.fft
+    uspec = TrigPolySpec.from_terms([TrigTerm((1, 0), 0.1), TrigTerm((1, 1), 0.05)])
+    rspec = TrigPolySpec.from_terms([TrigTerm((0, 1), 0.05)])
+    results = []
+    for max_axis, on_dft in ((fields.DFT_MATRIX_MAX_AXIS, True), (0, False)):
+        monkeypatch.setattr(fields, "DFT_MATRIX_MAX_AXIS", max_axis)
+        monkeypatch.setattr(fields, "_SPECTRAL_CACHE", {})
+        assert (spectral_ops(grid)._live_dft is not None) == on_dft
+        prob = build_manufactured(uspec, grid, c=1.0, rho=rspec)
+        results.append(
+            run_to_steady(ScalarField.zeros(grid), prob.omega_h, prob.f, tol_steady=1e-8, t_max=200.0)
+        )
+    dft, ref = results
+    assert dft.converged and ref.converged and dft.steps == ref.steps
+    assert np.max(np.abs(dft.u_normalized.values - ref.u_normalized.values)) <= 1e-13
+    assert abs(dft.b_tilde - ref.b_tilde) <= 1e-13
 
 
 def test_limit_has_no_nyquist_content():
