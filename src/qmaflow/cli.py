@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import PositivityError, SpecValidationError, StiffnessError
 from .fields import ScalarField, TorusGrid, TrigPolySpec, build_omega_h, sample
+from .fields import json_int, json_ints, json_number
 from .flow import DiagnosticsRecord, run_to_steady
 from .model import build_model
 from .operators import flow_rhs
@@ -67,17 +68,21 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, data: dict, base_dir: Path) -> "RunConfig":
-        """Parse and validate a config document; every float must be finite."""
+        """Parse and validate a config document.
+
+        Integer fields take JSON integers only and number fields JSON
+        numbers only (no strings, no booleans); every float must be finite.
+        """
         try:
-            n = int(data["n"])
+            n = json_int(data["n"], "n")
             grid_spec = data["grid"]
             grid = TorusGrid(
                 n=n,
-                active_dims=tuple(grid_spec["active_dims"]),
-                sizes=tuple(grid_spec["sizes"]),
+                active_dims=json_ints(grid_spec["active_dims"], "active_dims"),
+                sizes=json_ints(grid_spec["sizes"], "sizes"),
             )
             oh = data.get("omega_h", {})
-            omega_h_c = float(oh.get("c", 1.0))
+            omega_h_c = json_number(oh.get("c", 1.0), "omega_h.c")
             omega_h_rho = (
                 TrigPolySpec.from_json(oh["rho"]) if oh.get("rho") else None
             )
@@ -105,11 +110,13 @@ class RunConfig:
                 f_spec=f_spec,
                 u_star_spec=u_star_spec,
                 u0_spec=u0_spec,
-                sigma=float(data.get("sigma", 0.2)),
-                tol_steady=float(data.get("tol_steady", 1e-8)),
-                t_max=float(data.get("t_max", 1000.0)),
-                snapshot_interval=float(data.get("snapshot_interval", 0.0)),
-                seed=int(data.get("seed", 0)),
+                sigma=json_number(data.get("sigma", 0.2), "sigma"),
+                tol_steady=json_number(data.get("tol_steady", 1e-8), "tol_steady"),
+                t_max=json_number(data.get("t_max", 1000.0), "t_max"),
+                snapshot_interval=json_number(
+                    data.get("snapshot_interval", 0.0), "snapshot_interval"
+                ),
+                seed=json_int(data.get("seed", 0), "seed"),
                 output_dir=base_dir / str(data.get("output_dir", "out")),
             )
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
@@ -202,9 +209,9 @@ def read_snapshot(path, grid: TorusGrid | None = None):
         raise SpecValidationError(f"snapshot {path} has no header line")
     try:
         header = json.loads(raw[:newline].decode("utf-8"))
-        sizes = tuple(int(s) for s in header["sizes"])
-        active_dims = tuple(header.get("active_dims", ()))
-        n = int(header.get("n", -1))
+        sizes = json_ints(header["sizes"], "sizes")
+        active_dims = json_ints(header.get("active_dims", []), "active_dims")
+        n = json_int(header.get("n", -1), "n")
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise SpecValidationError(f"snapshot {path} has a bad header: {exc!r}") from exc
     if header.get("format") != SNAPSHOT_MAGIC:

@@ -19,18 +19,21 @@ its updates onto the live modes.
 
 The quaternionic Hessian of a real field is a J-real form: the entry
 (sigma j, sigma k) is +-conj of the entry (j, k), and the n diagonal blocks
-(2i, 2i+1) are real and sum to S_1.  The Hessian bundle therefore inverse
-transforms one complex slot per partner pair and packs the real blocks two
-per slot (multiplier M_a + i M_b, read back as real and imaginary parts);
-entries whose multiplier vanishes on the grid (inactive coordinates) are
-not transformed at all.  The flow's evolving form minus its background,
+(2i, 2i+1) are real and sum to S_1.  Every J-real form is held in one
+packed layout: one complex slot per partner pair, and the real blocks two
+per slot, read back as real and imaginary parts.  The Hessian bundle
+inverse transforms that layout's slots (multiplier M_a + i M_b for two
+blocks).  The flow's evolving form minus its background,
 (S_1(ddj u) Omega - ddj u) / (n - 1), is a Fourier multiplier of u as
-well, so a second slot table folds it into one bundle of the same kind:
-the flow packs the background once and adds that bundle, and never
-assembles the form entry by entry.  Both bundles expect the FFT of a real
-field.  Every batched multiplier stack holds the live modes only, and a
-bundle multiplies the live modes of the spectrum alone (3^8 of the 4^8
-modes).
+well and fills the same slots: the flow packs the background once, adds
+that bundle, and never assembles the form entry by entry.  A bundle
+transforms only the slots whose multiplier does not vanish on the grid
+(inactive coordinates zero some).  S_1 and S_2 of a packed form, the
+first two elementary symmetric functions of its block eigenvalues, are
+real polynomials in its slots (``SpectralOps.slot_invariants``).  Both
+bundles expect the FFT of a real field.  Every batched multiplier stack
+holds the live modes only, and a bundle multiplies the live modes of the
+spectrum alone (3^8 of the 4^8 modes).
 
 Each grid picks its transform once, from its shape.  If no axis is longer
 than DFT_MATRIX_MAX_AXIS points, every derivative and the stepper's
@@ -188,6 +191,27 @@ class ScalarField:
 # -- trig-polynomial input language --------------------------------------
 
 
+def json_int(value, what: str) -> int:
+    """A JSON integer, not a boolean; SpecValidationError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_ints(value, what: str) -> tuple:
+    """A JSON array of integers, as a tuple."""
+    if not isinstance(value, list):
+        raise SpecValidationError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(json_int(v, what) for v in value)
+
+
+def json_number(value, what: str) -> float:
+    """A JSON number, not a boolean or a string, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecValidationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class TrigTerm:
     """One term amplitude * cos(<k, x> + phase) over the active coordinates."""
@@ -248,15 +272,11 @@ class TrigPolySpec:
         terms = []
         for entry in data:
             try:
-                terms.append(
-                    TrigTerm(
-                        tuple(entry["k"]),
-                        float(entry["amplitude"]),
-                        float(entry.get("phase", 0.0)),
-                    )
-                )
+                amplitude = json_number(entry["amplitude"], "amplitude")
+                phase = json_number(entry.get("phase", 0.0), "phase")
+                terms.append(TrigTerm(json_ints(entry["k"], "k"), amplitude, phase))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise SpecValidationError(f"bad trig term {entry!r}") from exc
+                raise SpecValidationError(f"bad trig term {entry!r}: {exc}") from exc
         return cls(tuple(terms))
 
 
@@ -291,47 +311,10 @@ def _axis_groups(sizes):
     return groups
 
 
-def _slot_layout(pairs, blocks, ndim: int):
-    """Packed layout: (entries, partners, signs, real_blocks, imag_blocks).
-
-    ``pairs`` lists (entry, partner, sign) with partner = sign * conj(entry);
-    each takes one slot, in order, and ``signs`` broadcasts against slots of
-    ``ndim`` grid axes.  ``blocks`` are the real block entries, packed two
-    per slot after the pair slots: the real part holds ``real_blocks[s]``
-    and the imaginary part ``imag_blocks[s]``.
-    """
-    entries, partners, signs = zip(*pairs) if pairs else ((), (), ())
-    return (
-        np.array(entries, dtype=int),
-        np.array(partners, dtype=int),
-        np.array(signs, dtype=float).reshape((-1,) + (1,) * ndim),
-        np.array(blocks[0::2], dtype=int),
-        np.array(blocks[1::2], dtype=int),
-    )
-
-
-def _pack_slots(upper, entries, partners, signs, real_blocks, imag_blocks):
-    """The slots of a layout, from per-entry values ``upper`` (indexable by entry)."""
-    slots = [upper[e] for e in entries]
-    slots += [np.real(upper[a]) + 1j * np.real(upper[b]) for a, b in zip(real_blocks, imag_blocks)]
-    if len(real_blocks) > len(imag_blocks):
-        slots.append(np.real(upper[real_blocks[-1]]))
-    return slots
-
-
-def _unpack_slots(slots, num_entries, entries, partners, signs, real_blocks, imag_blocks):
-    """Upper-triangle entries from packed slots, and their S_1 (sum of the blocks).
-
-    Entries the layout does not hold are zero.
-    """
-    upper = np.zeros((num_entries,) + slots.shape[1:], dtype=complex)
-    c = len(entries)
-    upper[entries] = slots[:c]
-    upper[partners] = signs * np.conj(slots[:c])
-    real, imag = slots[c:].real, slots[c : c + len(imag_blocks)].imag
-    upper[real_blocks] = real
-    upper[imag_blocks] = imag
-    return upper, real.sum(axis=0) + imag.sum(axis=0)
+def _nonzero_rows(stack):
+    """(rows, stack[rows], len(stack)): the rows of a multiplier stack that are not zero."""
+    rows = np.flatnonzero(np.any(stack, axis=1))
+    return rows, stack[rows], len(stack)
 
 
 def _hermitian_gather(sizes):
@@ -407,8 +390,10 @@ class SpectralOps:
     Hermitian.  "from_hat" methods expect the full FFT of a field and
     return position-space arrays; the batched bundles expect the FFT of a
     real field.  The packed :meth:`ddj_upper_s1_from_hat` is the Hessian
-    transform and :meth:`packed_form_from_hat` the flow's.
-    :meth:`live_fft` and :meth:`live_ifft_real` are the step pair.
+    transform and :meth:`packed_form_from_hat` the flow's; both use the one
+    slot layout of :meth:`pack_j_real`, which :meth:`unpack_form` and
+    :meth:`slot_invariants` read.  :meth:`live_fft` and
+    :meth:`live_ifft_real` are the step pair.
     """
 
     def __init__(self, grid: TorusGrid):
@@ -440,29 +425,39 @@ class SpectralOps:
         self.s1_mult = sum(self.zmult[a] * self.zbmult[a] for a in range(m)).real
         self._tail_mask = self._build_tail_mask()
         self._build_slot_tables(j_tables(self.n))
-        self._zbar_live = [a for a in range(m) if np.any(self.zbmult[a])]
-        self._zbar_stack = self._live_stack(self.zbmult)[self._zbar_live]
+        self._zbar_rows = _nonzero_rows(self._live_stack(self.zbmult))
 
     def _live_stack(self, mults):
         """Grid-shaped multipliers stacked on their live modes."""
         return np.stack([mult.reshape(-1)[self._live_index] for mult in mults])
 
     def _build_slot_tables(self, t):
-        """Slot layouts and multipliers of the Hessian and form bundles, from the J tables.
+        """The one packed slot layout, and the Hessian and form multipliers on it.
 
         For a real field, entry (sigma j, sigma k) equals
         form_sign[j] * form_sign[k] * conj(entry (j, k)); sigma only swaps
         within a block, so sigma j < sigma k whenever j < k lie in different
         blocks.  Each partner pair takes one slot; the real blocks
-        (j, sigma j) share slots two at a time.
+        (j, sigma j) share slots two at a time.  ``_form_layout`` is
+        (entries, partners, signs, real_blocks, imag_blocks): pair slot c
+        holds entry ``entries[c]``, whose partner is ``signs[c]`` times its
+        conjugate, and block slot s holds ``real_blocks[s]`` in its real
+        part and ``imag_blocks[s]`` in its imaginary part.
 
-        The Hessian layout holds only the entries whose multiplier is not
-        identically zero; the others stay zero.  The form layout holds every
-        entry, since the background form may be non-zero where the Hessian
-        vanishes; a slot is transformed only if its multiplier
-        (S_1-mult * Omega_e - ddj-mult_e) / (n - 1) is not zero.  Blocks with
-        a zero form multiplier (at most one: the only block the Hessian
-        reaches) go last, so they do not share a slot with a live one.
+        The layout holds every entry, since a background form may be
+        non-zero where no multiplier reaches; packed forms, the Hessian
+        bundle and the form bundle all use it.  A bundle transforms only the
+        slots whose multiplier is not identically zero: the Hessian's
+        ddj-mult_e, or the form's (S_1-mult * Omega_e - ddj-mult_e) / (n - 1).
+        The blocks are ordered by (form multiplier zero, Hessian multiplier
+        zero), zero last.  A block's form multiplier is the sum of the other
+        blocks' Hessian multipliers, so at most one block has a zero form
+        multiplier and a non-zero Hessian one, and then it is the only block
+        the Hessian reaches.  Either way each bundle's live blocks come
+        first or stand alone, and it transforms no more block slots than
+        half of them, rounded up.  Sorting by the form multiplier alone
+        would leave the Hessian's live blocks apart on some grids (n = 3
+        with x^0 and x^4 active reaches blocks 0 and 2) and cost it a slot.
         """
 
         z, zb = self._live_stack(self.zmult), self._live_stack(self.zbmult)
@@ -473,42 +468,39 @@ class SpectralOps:
             return t.dj_sign[k] * z[j] * zb[t.sigma[k]] - t.dj_sign[j] * z[k] * zb[t.sigma[j]]
 
         index = {pair: e for e, pair in enumerate(self.pairs)}
-        self._blocks = [index[(j, int(t.sigma[j]))] for j in range(0, 2 * self.n, 2)]
-        pairs = []  # (entry, partner, sign) of every partner pair
-        seen = set(self._blocks)
+        blocks = [index[(j, int(t.sigma[j]))] for j in range(0, 2 * self.n, 2)]
+        pairs = []  # (entry, partner, sign) of every partner pair, entry < partner
         for e, (j, k) in enumerate(self.pairs):
-            if e not in seen:
-                partner = index[(int(t.sigma[j]), int(t.sigma[k]))]
-                seen.add(partner)
+            partner = index.get((int(t.sigma[j]), int(t.sigma[k])))  # None for a block
+            if e not in blocks and e < partner:
                 pairs.append((e, partner, int(t.form_sign[j] * t.form_sign[k])))
-        ddj = {e: ddj_mult(e) for e in [p[0] for p in pairs] + self._blocks}
-        eta = sum(ddj[e] for e in self._blocks)  # S_1 of the Hessian
+        ddj = {e: ddj_mult(e) for e in [p[0] for p in pairs] + blocks}
+        eta = sum(ddj[e] for e in blocks)  # S_1 of the Hessian
         form = {e: -mult / (self.n - 1) for e, mult in ddj.items()}
-        for e in self._blocks:
+        for e in blocks:
             form[e] = (eta - ddj[e]) / (self.n - 1)  # Omega is 1 on every block
 
-        ndim = len(self.grid.shape)
-        ddj_layout = _slot_layout(
-            [p for p in pairs if np.any(ddj[p[0]])],
-            [e for e in self._blocks if np.any(ddj[e])],
-            ndim,
-        )
-        (
-            self._pair_entries,
-            self._pair_partners,
-            self._pair_signs,
-            self._real_blocks,
-            self._imag_blocks,
-        ) = ddj_layout
-        ddj_slots = _pack_slots(ddj, *ddj_layout)
-        self._ddj_slots = np.stack(ddj_slots) if ddj_slots else None
-        self._form_layout = _slot_layout(
-            pairs, sorted(self._blocks, key=lambda e: not np.any(form[e])), ndim
-        )
-        form_slots = _pack_slots(form, *self._form_layout)
-        live = [c for c, mult in enumerate(form_slots) if np.any(mult)]
-        self._form_live = np.array(live, dtype=int)
-        self._form_slots = np.stack(form_slots)[self._form_live] if len(self._form_live) else None
+        blocks.sort(key=lambda e: (not np.any(form[e]), not np.any(ddj[e])))
+        entries, partners, signs = np.array(pairs).T
+        signs = signs.astype(float).reshape((-1,) + (1,) * len(self.grid.shape))
+        real_blocks, imag_blocks = np.array(blocks[0::2]), np.array(blocks[1::2])
+        self._form_layout = (entries, partners, signs, real_blocks, imag_blocks)
+        self._ddj_rows = _nonzero_rows(self._pack(ddj))
+        self._form_rows = _nonzero_rows(self._pack(form))
+        # block b sits in slot len(pairs) + b // 2, in the real part iff b is even;
+        # a dead Hessian block that shares a live slot would read rounding there
+        dead = [b for b, e in enumerate(blocks) if not np.any(ddj[e])]
+        self._ddj_dead_parts = [[len(pairs) + b // 2 for b in dead if b % 2 == p] for p in (0, 1)]
+
+    def _pack(self, upper):
+        """The slots of the layout, from per-entry values ``upper`` (indexable by entry)."""
+        entries, _, _, real_blocks, imag_blocks = self._form_layout
+        slots = [upper[e] for e in entries]
+        two_blocks = zip(real_blocks, imag_blocks)
+        slots += [np.real(upper[a]) + 1j * np.real(upper[b]) for a, b in two_blocks]
+        if len(real_blocks) > len(imag_blocks):
+            slots.append(np.real(upper[real_blocks[-1]]))
+        return np.stack(slots)
 
     def _build_ik(self):
         out = []
@@ -643,6 +635,20 @@ class SpectralOps:
         """Trace of the mixed Hessian (half the model Laplacian), real part."""
         return self._single(self.s1_mult, hat).real
 
+    def _live_rows(self, nonzero_rows, hat):
+        """The bundle of a stack of ``size`` multipliers, from ``_nonzero_rows(stack)``.
+
+        Only the ``rows`` whose multiplier is not zero are transformed; the
+        others come out zero.
+        """
+        rows, stack, size = nonzero_rows
+        if len(rows) == size:
+            return self._bundle(stack, hat)
+        out = np.zeros((size,) + self.grid.shape, dtype=complex)
+        if len(rows):
+            out[rows] = self._bundle(stack, hat)
+        return out
+
     def ddj_upper_s1_from_hat(self, hat):
         """Upper-triangle quaternionic Hessian entries plus its S_1 trace.
 
@@ -650,23 +656,15 @@ class SpectralOps:
         ``upper`` stacks the (j, k) entries in ``self.pairs`` order.  One
         batched transform of the packed slots serves the whole bundle; the
         partners are rebuilt by conjugation and S_1 is the sum of the
-        blocks.
+        blocks.  Entries whose multiplier vanishes on the grid are zero.
         """
-        if self._ddj_slots is None:
-            upper = np.zeros((len(self.pairs),) + self.grid.shape, dtype=complex)
-            return upper, np.zeros(self.grid.shape)
-        return _unpack_slots(
-            self._bundle(self._ddj_slots, hat),
-            len(self.pairs),
-            self._pair_entries,
-            self._pair_partners,
-            self._pair_signs,
-            self._real_blocks,
-            self._imag_blocks,
-        )
+        slots = self._live_rows(self._ddj_rows, hat)
+        slots.real[self._ddj_dead_parts[0]] = 0.0
+        slots.imag[self._ddj_dead_parts[1]] = 0.0
+        return self.unpack_form(slots)
 
     def pack_j_real(self, upper):
-        """Packed slots of a J-real form in the layout of :meth:`packed_form_from_hat`.
+        """Packed slots of a J-real form, in the layout of every bundle.
 
         Every entry is packed, also where no multiplier of the grid reaches.
         ``upper`` stacks the (j, k) entries in ``self.pairs`` order.  Raises
@@ -681,7 +679,7 @@ class SpectralOps:
         )
         if not defect <= 1e-12 * float(np.max(np.abs(upper))):
             raise SpecValidationError(f"the background form is not J-real (defect {defect:.3e})")
-        return np.stack(_pack_slots(upper, *self._form_layout))
+        return self._pack(upper)
 
     def packed_form_from_hat(self, packed_base, hat):
         """``packed_base`` plus the packed (S_1(ddj u) Omega - ddj u) / (n - 1).
@@ -690,18 +688,39 @@ class SpectralOps:
         FFT of a real field.  Only the slots with a non-zero multiplier are
         transformed.
         """
-        if self._form_slots is None:
-            return packed_base.copy()
-        delta = self._bundle(self._form_slots, hat)
-        if len(delta) == len(packed_base):
-            return packed_base + delta
-        out = packed_base.copy()
-        out[self._form_live] += delta
-        return out
+        return packed_base + self._live_rows(self._form_rows, hat)
 
     def unpack_form(self, packed):
-        """Upper-triangle entries and S_1 of a form packed as by :meth:`pack_j_real`."""
-        return _unpack_slots(packed, len(self.pairs), *self._form_layout)
+        """Upper-triangle entries and S_1 (the sum of the blocks) of packed slots."""
+        entries, partners, signs, real_blocks, imag_blocks = self._form_layout
+        upper = np.empty((len(self.pairs),) + packed.shape[1:], dtype=complex)
+        c = len(entries)
+        upper[entries] = packed[:c]
+        upper[partners] = signs * np.conj(packed[:c])
+        real, imag = packed[c:].real, packed[c : c + len(imag_blocks)].imag
+        upper[real_blocks] = real
+        upper[imag_blocks] = imag
+        return upper, real.sum(axis=0) + imag.sum(axis=0)
+
+    def slot_invariants(self, packed):
+        """S_1 and S_2 of a J-real form packed as by :meth:`pack_j_real`.
+
+        These are the first two elementary symmetric functions of the block
+        eigenvalues, read off the slots for every n: S_1 is the sum of the
+        blocks b, and S_2 = e_2(b) - sum of |p|^2 over the pair slots p,
+        since the positivity matrix M has every block eigenvalue twice and
+        tr M^2 = 2 sum b^2 + 4 sum |p|^2.  For n = 2, S_2 is the Pfaffian.
+        """
+        entries, _, _, _, imag_blocks = self._form_layout
+        c = len(entries)
+        blocks = [*packed[c:].real, *packed[c : c + len(imag_blocks)].imag]
+        s1, s2 = blocks[0], 0.0
+        for b in blocks[1:]:
+            s2 = s2 + b * s1
+            s1 = s1 + b
+        for p in packed[:c]:
+            s2 -= p.real * p.real + p.imag * p.imag
+        return s1, s2
 
     def zbar_gradient_batched_from_hat(self, hat):
         """u_{abar} for a = 0..2n-1, stacked on a leading axis.
@@ -709,12 +728,7 @@ class SpectralOps:
         ``hat`` must be the FFT of a real field; entries whose multiplier
         vanishes on the grid are zero and not transformed.
         """
-        if len(self._zbar_live) == 2 * self.n:
-            return self._bundle(self._zbar_stack, hat)
-        out = np.zeros((2 * self.n,) + self.grid.shape, dtype=complex)
-        if self._zbar_live:
-            out[self._zbar_live] = self._bundle(self._zbar_stack, hat)
-        return out
+        return self._live_rows(self._zbar_rows, hat)
 
     # -- diagnostics ----------------------------------------------------
 

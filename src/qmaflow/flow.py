@@ -26,13 +26,16 @@ update is projected onto the modes below Nyquist
 without the projection the limit would not be unique on an even grid).
 
 The flow map itself runs on the packed J-real slots of the evolving form
-(see ``fields``): the background form is packed once per run, each
+(see ``fields``): the background form is packed once per run, and each
 evaluation adds one batched inverse transform of the form's slot
-multipliers to it, and for n = 2 the positivity guard and the log
-right-hand side read S_1 and the Pfaffian straight off the slots as real
-polynomials, with the matching signs derived from the Pfaffian's perfect
-matchings.  For n >= 3 the slots are unpacked into the upper-triangle
-entries for the Pfaffian and the block eigenvalues.
+multipliers to it.  The right-hand side is log S_n - f with
+S_n = Pf(omega_tilde) / Pf(Omega) (Pf(Omega) = 1), the product of the
+block eigenvalues: the quaternionic determinant of the J-real form
+(Aslaksen, Math. Intelligencer 18, 1996).  For n = 2 the guard and the
+right-hand side read S_1 and S_2 = S_n straight off the slots as real
+polynomials, and the pair's eigenvalues come in closed form.  For n >= 3
+the slots are unpacked for the batched eigensolver, whose block
+eigenvalues give the guard, S_n and kappa.  No Pfaffian is computed.
 
 Steps whose result leaves the positive cone (or goes non-finite) are
 rejected and retried with half the step, up to a bounded number of
@@ -61,9 +64,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import PositivityError, StiffnessError
-from .exterior import full_from_upper, perfect_matchings, pfaffian, pfaffian_upper
+from .exterior import full_from_upper
+# perfbench/tracing.py patches flow.block_eigenvalues, flow.pfaffian_upper and
+# flow.pfaffian; the last two are not called here
+from .exterior import pfaffian, pfaffian_upper  # noqa: F401
 from .fields import ScalarField, TwoFormField, spectral_ops
-from .model import block_eigenvalues, pair_eigenvalues, standard_form
+from .model import block_eigenvalues, pair_eigenvalues
 
 GROW_FACTOR = 1.1
 GROW_AFTER_ACCEPTS = 10
@@ -176,43 +182,20 @@ class FlowEngine:
         self.margin = margin
         self.halvings = 0
         self.evaluations = 0
-        self._pf_omega = float(pfaffian(standard_form(self.n)).real)
         upper_h = np.stack([omega_h.entries[j, k] for j, k in self.ops.pairs])
         self._packed_omega_h = self.ops.pack_j_real(upper_h)
-        _, self._s1_omega_h = self.ops.unpack_form(self._packed_omega_h)
-        if self.n == 2:
-            self._block_sign, self._pair_coefs = self._pair_pfaffian_signs()
-
-    def _pair_pfaffian_signs(self):
-        """Pf = block_sign * b_0 * b_1 + sum_c coef_c * |p_c|^2 on the n = 2 packed slots.
-
-        b_0, b_1 are the two blocks (one slot, real and imaginary part) and
-        p_c the pair slots, whose partner is sign_c * conj(p_c): each of the
-        three perfect matchings of a 4 x 4 form pairs either the blocks or
-        an entry with its partner.
-        """
-        entries, partners, signs, real_blocks, imag_blocks = self.ops._form_layout
-        index = {pair: e for e, pair in enumerate(self.ops.pairs)}
-        by_entries = {frozenset(pair): c for c, pair in enumerate(zip(entries, partners))}
-        blocks = frozenset((real_blocks[0], imag_blocks[0]))
-        block_sign, coefs = None, np.zeros(len(entries))
-        for sign, matching in perfect_matchings(4):
-            matched = frozenset(index[pair] for pair in matching)
-            if matched == blocks:
-                block_sign = float(sign)
-            else:
-                c = by_entries[matched]
-                coefs[c] = sign * signs.flat[c]
-        return block_sign, coefs
+        self._s1_omega_h, _ = self.ops.slot_invariants(self._packed_omega_h)
 
     def evaluate(self, u_values, hat=None) -> _Stage:
         """Evolving form, positivity guard, right-hand side at one state.
 
         ``hat`` is the FFT of ``u_values`` when the caller already holds it.
-        Runs on the packed J-real slots of the form: for n = 2, S_1 and the
-        Pfaffian are real polynomials in the slots and no upper-triangle
-        entries are built; for n >= 3 the slots are unpacked for the
-        Pfaffian and the block eigenvalues.
+        Runs on the packed J-real slots of the form.  The right-hand side is
+        log S_n - f, S_n = Pf(omega_tilde) / Pf(Omega) the product of the
+        block eigenvalues (Pf(Omega) = 1).  For n = 2, S_1 and S_2 = S_n come
+        straight off the slots and the pair's eigenvalues in closed form; for
+        n >= 3 the slots are unpacked for the block eigenvalues, whose
+        product is S_n and whose smallest one is the guard.
         """
         self.evaluations += 1
         if not np.all(np.isfinite(u_values)):
@@ -221,24 +204,20 @@ class FlowEngine:
             hat = self.ops.fft(u_values)
         packed = self.ops.packed_form_from_hat(self._packed_omega_h, hat)
         if self.n == 2:
-            pairs, blocks = packed[:-1], packed[-1]
-            s1 = blocks.real + blocks.imag
-            pf = self._block_sign * blocks.real * blocks.imag
-            for coef, pair in zip(self._pair_coefs, pairs):
-                pf += coef * (pair.real * pair.real + pair.imag * pair.imag)
-            lam_min, _ = pair_eigenvalues(s1, pf)
+            s1, s_n = self.ops.slot_invariants(packed)
+            lam_min, _ = pair_eigenvalues(s1, s_n)
         else:
-            omt_upper, s1 = self.ops.unpack_form(packed)
-            pf = pfaffian_upper(omt_upper, 2 * self.n).real
-            lam = block_eigenvalues(full_from_upper(omt_upper, 2 * self.n), self.n)
+            upper, s1 = self.ops.unpack_form(packed)
+            lam = block_eigenvalues(full_from_upper(upper, 2 * self.n), self.n)
             lam_min = lam[..., 0]
+            s_n = np.prod(lam, axis=-1)
         min_eig = float(lam_min.min())
         if not (min_eig > self.margin and np.isfinite(min_eig)):
             point = np.unravel_index(np.argmin(lam_min), lam_min.shape)
             return _Stage(ok=False, min_eig=min_eig, point=tuple(int(i) for i in point))
-        # kappa = sum of reciprocal block eigenvalues; S_1 / Pf when n = 2
-        kappa = float((s1 / pf if self.n == 2 else (1.0 / lam).sum(axis=-1)).max())
-        rhs = np.log(pf / self._pf_omega) - self.f
+        # kappa = sum of reciprocal block eigenvalues; S_1 / S_2 when n = 2
+        kappa = float((s1 / s_n if self.n == 2 else (1.0 / lam).sum(axis=-1)).max())
+        rhs = np.log(s_n) - self.f
         if not np.all(np.isfinite(rhs)):
             return _Stage(ok=False, min_eig=min_eig)
         # S_1(Omega) = n, so S_1 of the form grows by exactly S_1(ddj u)

@@ -346,6 +346,48 @@ def test_run_config_validation(tmp_path):
     assert config.output_dir == tmp_path / "x"
 
 
+# JSON values of the wrong type, which would otherwise be coerced: integer fields
+# take JSON integers only, number fields JSON numbers only, never strings or booleans
+MALFORMED_TYPES = {
+    "k-1.5": ("f.k", [1.5, 0]),
+    "sizes-string": ("sizes", "88"),
+    "active_dims-string": ("active_dims", "04"),
+    "sizes-float": ("sizes", [16.9, 16]),
+    "n-float": ("n", 2.7),
+    "n-string": ("n", "2"),
+    "sigma-true": ("sigma", True),
+    "amplitude-string": ("f.amplitude", "0.1"),
+    "t_max-string": ("t_max", "1e3"),
+    "seed-float": ("seed", 3.9),
+}
+
+
+def _malformed_config(tmp_path, case):
+    key, value = MALFORMED_TYPES[case]
+    config = base_config(tmp_path / "o")
+    if key in ("sizes", "active_dims"):
+        config["grid"][key] = value
+    elif key.startswith("f."):
+        config["f"]["manufactured"]["u_star"][0][key[2:]] = value
+    else:
+        config[key] = value
+    return config
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_TYPES))
+def test_config_values_of_the_wrong_json_type_are_rejected(tmp_path, case):
+    with pytest.raises(SpecValidationError, match="must be"):
+        RunConfig.from_json(_malformed_config(tmp_path, case), tmp_path)
+
+
+def test_flow_on_a_fractional_wavevector_exits_two(tmp_path):
+    # k = [1.5, 0] was truncated to (1, 0), a different problem
+    path = write_config(tmp_path, _malformed_config(tmp_path, "k-1.5"))
+    proc = run_cli(["flow", "--config", str(path)])
+    assert proc.returncode == EXIT_INVALID
+    assert proc.stderr.startswith("error:") and "integer" in proc.stderr
+
+
 # -- non-finite and malformed input ---------------------------------------------------
 
 

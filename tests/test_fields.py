@@ -1,5 +1,7 @@
 """Grids, sampling, spectral derivatives, background form construction."""
 
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -175,6 +177,8 @@ BUNDLE_GRIDS = {
     "n2-z0-10x6": TorusGrid(n=2, active_dims=(0, 4), sizes=(10, 6)),
     "n2-full-3x4": TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(3, 4) * 4),
     "n3-z0-9x8": TorusGrid(n=3, active_dims=(0, 6), sizes=(9, 8)),
+    # the Hessian reaches the non-adjacent blocks 0 and 2
+    "n3-x0x4-6x7": TorusGrid(n=3, active_dims=(0, 4), sizes=(6, 7)),
     "n3-full-3x2": TorusGrid(
         n=3, active_dims=tuple(range(12)), sizes=(3, 2, 3, 2, 3, 2, 2, 3, 2, 3, 2, 3)
     ),
@@ -219,24 +223,36 @@ def test_packed_bundle_matches_per_entry_oracle(name):
     assert upper.shape == oracle.shape and s1.dtype == float
     assert np.max(np.abs(upper - oracle)) <= 1e-13 * scale
     assert np.max(np.abs(s1 - s1_oracle)) <= 1e-13 * np.max(np.abs(s1_oracle))
+    # an entry no multiplier reaches is exactly zero, also where it shares a slot
+    dead = [e for e, (j, k) in enumerate(ops.pairs) if not np.any(_ddj_multiplier(ops, j, k))]
+    assert np.all(upper[dead] == 0)
 
 
 @pytest.mark.parametrize("name", list(BUNDLE_GRIDS))
 def test_packed_bundle_partner_signs_match_multipliers(name):
     # for a real field, entry p equals sign * conj(entry e) iff
-    # M_p(xi) = sign * conj(M_e(-xi)); the blocks have real multipliers
+    # M_p(xi) = sign * conj(M_e(-xi)); the blocks have real multipliers.
+    # The one layout holds every entry once; the Hessian bundle transforms a
+    # slot iff its multiplier is not zero, and no more slots than it must
     ops = spectral_ops(BUNDLE_GRIDS[name])
     mults = [_ddj_multiplier(ops, j, k) for j, k in ops.pairs]
-    for e, p, sign in zip(ops._pair_entries, ops._pair_partners, ops._pair_signs.ravel()):
-        assert np.any(mults[e])
+    entries, partners, signs, real_blocks, imag_blocks = ops._form_layout
+    for e, p, sign in zip(entries, partners, signs.ravel()):
         assert np.array_equal(mults[p], sign * np.conj(_negated_frequencies(mults[e])))
-    covered = set(ops._pair_entries) | set(ops._pair_partners)
-    for e in ops._blocks:
+    blocks = [*real_blocks, *imag_blocks]
+    assert sorted([*entries, *partners, *blocks]) == list(range(len(ops.pairs)))
+    for e in blocks:
         assert np.all(mults[e].imag == 0)
-        assert e not in covered
-    covered |= set(ops._real_blocks) | set(ops._imag_blocks)
-    for e, mult in enumerate(mults):
-        assert (e in covered) == bool(np.any(mult))
+    block_slots = itertools.zip_longest(real_blocks, imag_blocks)
+    slots = [[e] for e in entries] + [[a] if b is None else [a, b] for a, b in block_slots]
+    live = [c for c, members in enumerate(slots) if any(np.any(mults[e]) for e in members)]
+    assert list(ops._ddj_rows[0]) == live
+    live_pairs = sum(bool(np.any(mults[e])) for e in entries)
+    live_blocks = sum(bool(np.any(mults[e])) for e in blocks)
+    assert len(live) == live_pairs + math.ceil(live_blocks / 2)
+    # a block's form multiplier is the sum of the other blocks' Hessian ones
+    form_blocks = sum(bool(np.any([mults[f] for f in blocks if f != e])) for e in blocks)
+    assert len(ops._form_rows[0]) == live_pairs + math.ceil(form_blocks / 2)
 
 
 @pytest.mark.parametrize("name", ["n2-z0-16x15", "n2-full-3x4", "n3-full-3x2"])
@@ -405,7 +421,7 @@ def test_every_multiplier_vanishes_on_nyquist_modes(sizes):
     assert any(np.any(mult) for mult in mults)
     # the batched stacks hold the live modes only
     assert len(ops._live_index) == np.count_nonzero(~nyquist)
-    for stack in (ops._ddj_slots, ops._form_slots, ops._zbar_stack):
+    for _, stack, _ in (ops._ddj_rows, ops._form_rows, ops._zbar_rows):
         assert stack.shape[1:] == (len(ops._live_index),) and np.any(stack)
 
     x0, x1 = grid.coordinates()

@@ -1,5 +1,11 @@
 """Time stepper: guards, CFL bound, steady detection, monitors."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,6 +33,7 @@ from qmaflow.flow import (
     step,
 )
 from qmaflow.model import (
+    block_eigenvalues,
     build_model,
     min_positivity_eigenvalue,
     positivity_matrix,
@@ -108,10 +115,10 @@ def test_cfl_kappa_matches_bruteforce_eigen_scan():
     assert stage.kappa == pytest.approx(kappa_brute, rel=1e-10)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_engine_guard_matches_bruteforce_eigen_scan(n):
     # kappa and min_eig of the stepper's guard (closed form for n = 2,
-    # paired eigvalsh for n = 3) against a direct scan of the positivity matrix
+    # paired eigvalsh for n >= 3) against a direct scan of the positivity matrix
     grid = TorusGrid(n=n, active_dims=(0, 1, 2 * n + 2), sizes=(8, 8, 8))
     rho = TrigPolySpec.from_terms([TrigTerm((1, 1, 0), 0.05), TrigTerm((0, 1, 1), 0.03)])
     oh = build_omega_h(build_model(n), grid, 1.2, rho)
@@ -199,6 +206,20 @@ def test_packed_flow_map_matches_references(name):
     rhs_ref = np.log(pf / pfaffian(standard_form(n)).real) - f.values
     assert _rel(stage.rhs, rhs_ref) <= 1e-12
     assert _rel(pfaffian(full_from_upper(form_ref, 2 * n)).real, pf) <= 1e-12
+
+
+@pytest.mark.parametrize("name", list(PACKED_CASES))
+def test_slot_invariants_are_block_eigenvalue_symmetric_functions(name):
+    # S_1 and S_2 read off the packed slots against e_1 and e_2 of the
+    # block eigenvalues of the unpacked form
+    grid, kind = PACKED_CASES[name]
+    engine = FlowEngine(_background(grid, kind, seed=31), ScalarField.zeros(grid))
+    form, _ = engine.form_upper(engine.ops.fft(_smooth_field(grid, 33, 0.1)))
+    s1, s2 = engine.ops.slot_invariants(engine.ops.pack_j_real(form))
+    lam = block_eigenvalues(full_from_upper(form, 2 * grid.n), grid.n)
+    e1 = lam.sum(axis=-1)
+    assert _rel(s1, e1) <= 1e-13
+    assert _rel(s2, 0.5 * (e1 * e1 - (lam * lam).sum(axis=-1))) <= 1e-13
 
 
 def test_packed_background_keeps_entries_with_vanishing_multipliers():
@@ -543,3 +564,32 @@ def test_monitor_needs_two_records():
         monitor_maximum_principle(
             [DiagnosticsRecord(0, 0.0, 0.1, 0.3, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)]
         )
+
+
+def test_benchmark_tracing_installs_on_the_flow_module():
+    # perfbench/tracing.py wraps names it looks up on qmaflow.flow (and the
+    # other modules); a name missing there would break every traced benchmark
+    # run.  A fresh process, so the global patching reaches no other test.
+    root = Path(__file__).resolve().parents[1]
+    script = """
+import json
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from qmaflow.fields import ScalarField, TorusGrid, TrigPolySpec
+from qmaflow.flow import run_to_steady
+from qmaflow.verify import build_manufactured
+grid = TorusGrid(n=3, active_dims=(0, 6), sizes=(8, 8))
+prob = build_manufactured(TrigPolySpec.single((1, 0), 0.1), grid)
+run_to_steady(ScalarField.zeros(grid), prob.omega_h, prob.f, tol_steady=1e-6)
+calls = tracing.summarize(tracer.names, tracer.spans)
+print(json.dumps({name: entry["calls"] for name, entry in calls.items()}))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout.splitlines()[-1])
+    assert calls["flow.evaluate"] > 0 and calls["model.block_eigenvalues"] == calls["flow.evaluate"]
+    assert calls["exterior.pfaffian_upper"] == 0  # the flow map computes no Pfaffian

@@ -86,6 +86,25 @@ def test_run_config_from_json_returns_or_rejects(tmp_path, data):
         return
     for value in (config.omega_h_c, config.sigma, config.tol_steady, config.t_max):
         assert math.isfinite(value)
+    # integers are taken as they are, never coerced from floats, strings or booleans
+    grid = data["grid"]
+    ints = [data["n"], config.seed, *grid["active_dims"], *grid["sizes"]]
+    assert (config.n, config.grid.active_dims, config.grid.sizes) == (
+        data["n"],
+        tuple(grid["active_dims"]),
+        tuple(grid["sizes"]),
+    )
+    f = data.get("f", [])
+    terms = [
+        *(data.get("omega_h", {}).get("rho") or []),
+        *(f["manufactured"]["u_star"] if isinstance(f, dict) else f),
+        *(data.get("u0") or []),
+    ]
+    specs = (config.omega_h_rho, config.f_spec, config.u_star_spec, config.u0_spec)
+    parsed = [term for spec in specs if spec is not None for term in spec.terms]
+    assert [list(term.k) for term in parsed] == [term["k"] for term in terms]
+    ints += [c for term in terms for c in term["k"]]
+    assert all(type(value) is int for value in ints)
 
 
 GRID = TorusGrid(n=2, active_dims=(0, 4), sizes=(2, 3))
@@ -126,6 +145,18 @@ def test_read_snapshot_returns_or_rejects(tmp_path, header, payload, with_grid):
     if with_grid:
         values = values.values
     assert np.all(np.isfinite(values))
+
+
+@pytest.mark.parametrize(
+    "key, value", [("n", 2.0), ("n", "2"), ("sizes", [2.0, 3]), ("sizes", "23"), ("active_dims", "04")]
+)
+def test_read_snapshot_rejects_header_values_of_the_wrong_type(tmp_path, key, value):
+    head = {"format": SNAPSHOT_MAGIC, "n": 2, "active_dims": [0, 4], "sizes": [2, 3], key: value}
+    path = tmp_path / "bad.snap"
+    path.write_bytes(json.dumps(head).encode() + b"\n" + np.arange(6.0).tobytes())
+    for grid in (GRID, None):
+        with pytest.raises(SpecValidationError, match="must be"):
+            read_snapshot(path, grid)
 
 
 def test_read_snapshot_accepts_a_valid_file(tmp_path):
