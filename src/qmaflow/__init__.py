@@ -31,7 +31,6 @@ from .flow import (
     step,
 )
 from .model import (
-    JRealTwoForm,
     TorusModel,
     block_eigenvalues,
     build_model,
@@ -96,7 +95,6 @@ __all__ = [
     "normalize",
     "run_to_steady",
     "step",
-    "JRealTwoForm",
     "TorusModel",
     "block_eigenvalues",
     "build_model",

@@ -72,6 +72,7 @@ class RunConfig:
 
         Integer fields take JSON integers only and number fields JSON
         numbers only (no strings, no booleans); every float must be finite.
+        ``output_dir`` takes a JSON string only.
         """
         try:
             n = json_int(data["n"], "n")
@@ -102,6 +103,9 @@ class RunConfig:
             u0_spec = (
                 TrigPolySpec.from_json(data["u0"]) if data.get("u0") else None
             )
+            output_dir = data.get("output_dir", "out")
+            if not isinstance(output_dir, str):
+                raise SpecValidationError(f"output_dir must be a string, got {output_dir!r}")
             config = cls(
                 n=n,
                 grid=grid,
@@ -117,7 +121,7 @@ class RunConfig:
                     data.get("snapshot_interval", 0.0), "snapshot_interval"
                 ),
                 seed=json_int(data.get("seed", 0), "seed"),
-                output_dir=base_dir / str(data.get("output_dir", "out")),
+                output_dir=base_dir / output_dir,
             )
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             if isinstance(exc, SpecValidationError):

@@ -60,13 +60,7 @@ from numpy import fft as np_fft  # numpy loads its fft lazily; do it at import
 
 from .errors import SpecValidationError
 from .exterior import full_from_upper
-from .model import (
-    JRealTwoForm,
-    TorusModel,
-    j_reality_defect,
-    j_tables,
-    require_strictly_positive,
-)
+from .model import TorusModel, j_reality_defect, j_tables, require_strictly_positive
 
 PERIOD = 2.0 * np.pi
 DFT_MATRIX_MAX_AXIS = 32  # grids with no longer axis transform by live-mode DFT matrices
@@ -780,9 +774,6 @@ class TwoFormField:
     def n(self) -> int:
         return self.grid.n
 
-    def at(self, point) -> JRealTwoForm:
-        return JRealTwoForm(self.n, self.entries[(Ellipsis,) + tuple(point)])
-
     def j_reality_defect(self) -> float:
         return j_reality_defect(self.entries, self.n)
 
@@ -812,7 +803,7 @@ def build_omega_h(
     """
     if grid.n != model.n:
         raise SpecValidationError("grid and model dimensions differ")
-    if c <= 0:
+    if not c > 0:
         raise SpecValidationError(f"background scale c must be positive, got {c}")
     entries = constant_two_form_field(grid, model.omega * c).entries
     if rho is not None and rho.terms:

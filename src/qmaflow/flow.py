@@ -34,8 +34,11 @@ block eigenvalues: the quaternionic determinant of the J-real form
 (Aslaksen, Math. Intelligencer 18, 1996).  For n = 2 the guard and the
 right-hand side read S_1 and S_2 = S_n straight off the slots as real
 polynomials, and the pair's eigenvalues come in closed form.  For n >= 3
-the slots are unpacked for the batched eigensolver, whose block
-eigenvalues give the guard, S_n and kappa.  No Pfaffian is computed.
+the slots are unpacked for ``model.block_eigenvalues``, the library's one
+positivity test, whose block eigenvalues give the guard, S_n and kappa.  No
+Pfaffian is computed.  The guard decides by ``model.failing_point``, the
+rule every positivity check shares: a point fails unless its smallest block
+eigenvalue is > margin, so NaN fails.
 
 Steps whose result leaves the positive cone (or goes non-finite) are
 rejected and retried with half the step, up to a bounded number of
@@ -69,7 +72,7 @@ from .exterior import full_from_upper
 # flow.pfaffian; the last two are not called here
 from .exterior import pfaffian, pfaffian_upper  # noqa: F401
 from .fields import ScalarField, TwoFormField, spectral_ops
-from .model import block_eigenvalues, pair_eigenvalues
+from .model import block_eigenvalues, failing_point, pair_eigenvalues
 
 GROW_FACTOR = 1.1
 GROW_AFTER_ACCEPTS = 10
@@ -211,10 +214,9 @@ class FlowEngine:
             lam = block_eigenvalues(full_from_upper(upper, 2 * self.n), self.n)
             lam_min = lam[..., 0]
             s_n = np.prod(lam, axis=-1)
-        min_eig = float(lam_min.min())
-        if not (min_eig > self.margin and np.isfinite(min_eig)):
-            point = np.unravel_index(np.argmin(lam_min), lam_min.shape)
-            return _Stage(ok=False, min_eig=min_eig, point=tuple(int(i) for i in point))
+        min_eig, point = failing_point(lam_min, self.margin)
+        if point is not None:
+            return _Stage(ok=False, min_eig=min_eig, point=point)
         # kappa = sum of reciprocal block eigenvalues; S_1 / S_2 when n = 2
         kappa = float((s1 / s_n if self.n == 2 else (1.0 / lam).sum(axis=-1)).max())
         rhs = np.log(s_n) - self.f

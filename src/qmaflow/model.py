@@ -18,6 +18,15 @@ M[j,k] = alpha(d_j, J dbar_k), the finite-dimensional stand-in for the
 quantifier over (1,0)-vectors in the positivity definition; its determinant
 equals Pf(alpha)^2 exactly, and for J-real alpha its eigenvalues come in
 equal pairs (one pair per quaternionic block).
+
+A J-real form is strictly positive when its n block eigenvalues are
+(Aslaksen, Math. Intelligencer 18, 1996).  :func:`block_eigenvalues` is the
+one positivity test of a form field: in closed form for n = 2, as averaged
+pairs of the batched Hermitian eigensolver for n >= 3, with NaN at any grid
+point holding a non-finite entry.  Every check goes through it, and
+:func:`failing_point` is the one failure rule (a point fails unless its
+value is > margin, so NaN fails).  The full spectrum of the positivity
+matrix, :func:`positivity_eigenvalues`, stays the tests' oracle.
 """
 
 from __future__ import annotations
@@ -77,20 +86,10 @@ def standard_form(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TorusModel:
-    """The flat torus of quaternionic dimension n with its constant J."""
+    """The flat torus of quaternionic dimension n with its standard form."""
 
     n: int
-    tables: JTables = field(repr=False)
     omega: np.ndarray = field(repr=False)
-    period: float = 2.0 * np.pi
-
-    @property
-    def complex_dim(self) -> int:
-        return 2 * self.n
-
-    @property
-    def real_dim(self) -> int:
-        return 4 * self.n
 
 
 def build_model(n: int) -> TorusModel:
@@ -105,35 +104,7 @@ def build_model(n: int) -> TorusModel:
         )
     if n not in _SUPPORTED_N:
         raise SpecValidationError(f"n must be one of {_SUPPORTED_N}, got {n}")
-    return TorusModel(n=n, tables=j_tables(n), omega=standard_form(n))
-
-
-@dataclass
-class JRealTwoForm:
-    """A (2,0)-form at a point: antisymmetric (2n, 2n) complex matrix."""
-
-    n: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        m = 2 * self.n
-        if self.entries.shape[:2] != (m, m):
-            raise ValueError(f"expected a ({m}, {m}) matrix")
-        # antisymmetry is enforced, not assumed
-        self.entries = 0.5 * (self.entries - np.swapaxes(self.entries, 0, 1))
-
-    def pfaffian(self):
-        return pfaffian(self.entries)
-
-    def positivity_matrix(self) -> np.ndarray:
-        return positivity_matrix(self.entries, self.n)
-
-    def j_reality_defect(self) -> float:
-        return j_reality_defect(self.entries, self.n)
-
-    def is_strictly_positive(self, margin: float = 1e-10) -> bool:
-        return is_strictly_positive(self.entries, self.n, margin)
+    return TorusModel(n=n, omega=standard_form(n))
 
 
 # -- J actions on matrix representations --------------------------------
@@ -197,15 +168,6 @@ def positivity_eigenvalues(entries, n: int):
     return np.linalg.eigvalsh(m)
 
 
-def min_positivity_eigenvalue(entries, n: int):
-    return positivity_eigenvalues(entries, n)[..., 0]
-
-
-def is_strictly_positive(entries, n: int, margin: float = 1e-10) -> bool:
-    """True iff every eigenvalue of the positivity matrix exceeds margin."""
-    return bool(np.all(min_positivity_eigenvalue(entries, n) > margin))
-
-
 def pair_eigenvalues(s1, pf):
     """Roots (lo, hi) of lambda^2 - S_1 lambda + Pf: the n = 2 block pair."""
     disc = np.sqrt(np.maximum(s1 * s1 - 4.0 * pf, 0.0))
@@ -215,12 +177,20 @@ def pair_eigenvalues(s1, pf):
 def block_eigenvalues(entries, n: int):
     """The n paired eigenvalues of the positivity matrix, grid axes leading.
 
-    For J-real forms the 2n eigenvalues of M come in equal pairs; this
-    returns one representative per pair, ascending.  For n = 2 the pair
-    values come from :func:`pair_eigenvalues`; for larger n the batched
-    Hermitian eigensolver is used and adjacent eigenvalues are averaged.
+    The positivity test of a J-real form: for J-real forms the 2n
+    eigenvalues of M come in equal pairs, one pair per quaternionic block;
+    this returns one representative per pair, ascending.  For n = 2 the
+    pair values come from :func:`pair_eigenvalues`; for larger n the
+    batched Hermitian eigensolver is used and adjacent eigenvalues are
+    averaged.  A grid point with a non-finite entry gets NaN block
+    eigenvalues and is never handed to either.
     """
     entries = np.asarray(entries)
+    if not np.isfinite(entries).all():
+        finite = np.isfinite(entries).all(axis=(0, 1))
+        lam = block_eigenvalues(np.where(finite, entries, 0.0), n)
+        lam[~finite] = np.nan
+        return lam
     if n == 2:
         s1 = (entries[0, 1] + entries[2, 3]).real
         return np.stack(pair_eigenvalues(s1, pfaffian(entries).real), axis=-1)
@@ -228,21 +198,39 @@ def block_eigenvalues(entries, n: int):
     return 0.5 * (eig[..., 0::2] + eig[..., 1::2])
 
 
+def min_positivity_eigenvalue(entries, n: int):
+    """Smallest block eigenvalue of a J-real form, grid axes leading."""
+    return block_eigenvalues(entries, n)[..., 0]
+
+
+def is_strictly_positive(entries, n: int, margin: float = 1e-10) -> bool:
+    """True iff every block eigenvalue exceeds margin at every grid point."""
+    return failing_point(min_positivity_eigenvalue(entries, n), margin)[1] is None
+
+
+def failing_point(values: np.ndarray, margin: float):
+    """The smallest grid value and the grid point failing the test, if any.
+
+    A point fails unless its value is > margin, so NaN fails.  The point is
+    None when every point passes, else the argmin (the first NaN, if any);
+    it is () for a single form.
+    """
+    worst = float(values.min())
+    if worst > margin:
+        return worst, None
+    point = np.unravel_index(values.argmin(), values.shape)
+    return worst, tuple(int(i) for i in point)
+
+
 def require_strictly_positive(entries, n: int, margin: float, what: str):
     """Raise PositivityError naming the worst grid point if the test fails."""
-    min_eig = min_positivity_eigenvalue(entries, n)
-    worst = float(np.min(min_eig))
-    if worst <= margin:
-        if np.ndim(min_eig) == 0:
-            point = None
-        else:
-            point = tuple(
-                int(i) for i in np.unravel_index(np.argmin(min_eig), min_eig.shape)
-            )
+    worst, point = failing_point(min_positivity_eigenvalue(entries, n), margin)
+    if point is not None:
         raise PositivityError(
-            f"{what} is not strictly positive: min eigenvalue {worst:.6e} "
-            f"<= margin {margin:.1e}" + (f" at grid point {point}" if point else ""),
-            point=point,
+            f"{what} is not strictly positive: min eigenvalue {worst:.6e}, "
+            f"not above margin {margin:.1e}"
+            + (f" at grid point {point}" if point else ""),
+            point=point or None,
             min_eigenvalue=worst,
         )
 

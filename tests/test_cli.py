@@ -347,7 +347,8 @@ def test_run_config_validation(tmp_path):
 
 
 # JSON values of the wrong type, which would otherwise be coerced: integer fields
-# take JSON integers only, number fields JSON numbers only, never strings or booleans
+# take JSON integers only, number fields JSON numbers only, never strings or booleans,
+# and output_dir a JSON string only
 MALFORMED_TYPES = {
     "k-1.5": ("f.k", [1.5, 0]),
     "sizes-string": ("sizes", "88"),
@@ -359,6 +360,10 @@ MALFORMED_TYPES = {
     "amplitude-string": ("f.amplitude", "0.1"),
     "t_max-string": ("t_max", "1e3"),
     "seed-float": ("seed", 3.9),
+    "output_dir-null": ("output_dir", None),
+    "output_dir-number": ("output_dir", 5),
+    "output_dir-list": ("output_dir", ["a"]),
+    "output_dir-true": ("output_dir", True),
 }
 
 

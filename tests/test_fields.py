@@ -516,6 +516,11 @@ def test_build_omega_h_rejects_nonpositive_scale(grid):
         build_omega_h(build_model(2), grid, -1.0, None)
 
 
+def test_build_omega_h_rejects_nan_scale(grid):
+    with pytest.raises(SpecValidationError, match="must be positive"):
+        build_omega_h(build_model(2), grid, float("nan"), None)
+
+
 def test_trig_spec_json_round_trip():
     spec = TrigPolySpec.from_terms([TrigTerm((1, -2), 0.3, 0.1), TrigTerm((0, 1), 0.5)])
     again = TrigPolySpec.from_json(spec.to_json())

@@ -1,11 +1,12 @@
 """Model calibration: J tables, standard form, positivity machinery."""
 
+import math
+
 import numpy as np
 import pytest
 
 from qmaflow.errors import PositivityError
 from qmaflow.model import (
-    JRealTwoForm,
     apply_j_one_form,
     apply_j_vector,
     block_eigenvalues,
@@ -119,7 +120,7 @@ def test_margin_semantics():
     assert not is_strictly_positive(om, 2, margin=1.0)  # min eigenvalue is 1
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_block_eigenvalues_match_eigensolver_pairs(n):
     rng = np.random.default_rng(n)
     for _ in range(20):
@@ -130,6 +131,8 @@ def test_block_eigenvalues_match_eigensolver_pairs(n):
         assert np.allclose(np.sort(lam), np.sort(paired), atol=1e-10)
         # the eigenvalues really do come in pairs
         assert np.max(np.abs(eig[0::2] - eig[1::2])) <= 1e-10
+        # the positivity test agrees with the full eigensolver, its oracle
+        assert min_positivity_eigenvalue(alpha, n) == pytest.approx(eig[0], abs=1e-10)
 
 
 def test_det_of_positivity_matrix_is_pfaffian_squared():
@@ -154,16 +157,26 @@ def test_require_strictly_positive_reports_point():
     assert err.value.min_eigenvalue == pytest.approx(-0.25, abs=1e-12)
 
 
-def test_j_real_two_form_wrapper():
-    rng = np.random.default_rng(21)
-    alpha = random_j_real_positive(rng, 2)
-    form = JRealTwoForm(2, alpha)
-    assert form.j_reality_defect() <= 1e-12
-    assert form.is_strictly_positive()
-    assert form.pfaffian().real > 0
-    # antisymmetry is enforced on construction
-    sym = JRealTwoForm(2, np.eye(4))
-    assert np.allclose(sym.entries, 0.0)
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_entry_fails_at_its_point_without_the_eigensolver(n, bad, monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+
+    def finite_only(m):
+        assert np.all(np.isfinite(m)), "a non-finite form reached the eigensolver"
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", finite_only)
+    entries = np.broadcast_to(
+        standard_form(n).reshape(2 * n, 2 * n, 1, 1), (2 * n, 2 * n, 3, 2)
+    ).copy()
+    # neither the n = 2 closed form nor the Pfaffian reads a diagonal entry
+    entries[1, 1, 2, 0] = bad
+    with pytest.raises(PositivityError) as err:
+        require_strictly_positive(entries, n, 0.0, "test form")
+    assert err.value.point == (2, 0)
+    assert math.isnan(err.value.min_eigenvalue)
+    assert not is_strictly_positive(entries, n, margin=0.0)
 
 
 def test_j_conjugate_one_one_is_involutive_up_to_sign():
