@@ -131,8 +131,14 @@ class RunConfig:
         for name in ("omega_h_c", "sigma", "tol_steady", "t_max", "snapshot_interval"):
             if not math.isfinite(getattr(config, name)):
                 raise SpecValidationError(f"{name} must be finite, got {getattr(config, name)}")
-        if config.sigma <= 0 or config.tol_steady < 0 or config.t_max <= 0:
+        if config.sigma <= 0 or config.tol_steady <= 0 or config.t_max <= 0:
+            # osc_ut >= 0, so a zero tolerance is never met
             raise SpecValidationError("sigma, tol_steady, t_max must be positive")
+        if config.snapshot_interval < 0:
+            raise SpecValidationError(
+                f"snapshot_interval must be non-negative (0 writes no periodic snapshots), "
+                f"got {config.snapshot_interval}"
+            )
         for spec in (config.omega_h_rho, config.f_spec, config.u_star_spec, config.u0_spec):
             if spec is not None:
                 spec.validate_on(config.grid)

@@ -14,8 +14,14 @@ with a Nyquist index on any even axis, differentiated or not
 (``SpectralOps.below_nyquist``, applied once when the multipliers are
 built): the derivatives see only the modes below Nyquist, the "live"
 modes, which keeps real fields real under differentiation.  Inputs are
-required to be band-limited below Nyquist anyway, and the stepper projects
-its updates onto the live modes.
+required to be band-limited below Nyquist anyway, and the stepper keeps its
+updates on the live modes.
+
+One spectrum representation serves every derivative and the stepper: the
+live-mode vector, the spectrum of a real field on the live modes only, as
+a 1-d array in row-major mode order (``SpectralOps.live_fft``; 3^8 of the
+4^8 modes).  Every bundle and the spectral tail read it, and
+``SpectralOps.live_ifft_real`` turns one back into a real field.
 
 The quaternionic Hessian of a real field is a J-real form: the entry
 (sigma j, sigma k) is +-conj of the entry (j, k), and the n diagonal blocks
@@ -30,10 +36,8 @@ that bundle, and never assembles the form entry by entry.  A bundle
 transforms only the slots whose multiplier does not vanish on the grid
 (inactive coordinates zero some).  S_1 and S_2 of a packed form, the
 first two elementary symmetric functions of its block eigenvalues, are
-real polynomials in its slots (``SpectralOps.slot_invariants``).  Both
-bundles expect the FFT of a real field.  Every batched multiplier stack
-holds the live modes only, and a bundle multiplies the live modes of the
-spectrum alone (3^8 of the 4^8 modes).
+real polynomials in its slots (``SpectralOps.slot_invariants``).  Every
+batched multiplier stack holds the live modes only.
 
 Each grid picks its transform once, from its shape.  If no axis is longer
 than DFT_MATRIX_MAX_AXIS points, every derivative and the stepper's
@@ -41,13 +45,18 @@ transform pair use DFT matrices on the live modes: adjacent axes fuse into
 groups of at most DFT_GROUP_MAX_POINTS points, each group's matrix is the
 Kronecker product of its axes' DFT matrices restricted to the live modes,
 and a transform is one matrix product per group, exact because every
-multiplier vanishes off the live modes.  An FFT library pays per call and
-per line of each axis, which on short axes costs far more than the
-arithmetic (4^8: 16,384 lines of 4 points per axis).  Grids with a longer
-axis run on numpy.fft, where a batched inverse scatters its live modes into
-a zero grid first.  The full transforms run on numpy.fft on every grid; the
-FFT of a real field is rfftn's half spectrum filled out by conjugation
-(``_hermitian_gather``), so it is Hermitian exactly, not just to rounding.
+multiplier vanishes off the live modes.  The forward transform takes a
+real field, so its first product is a real one: the first group's matrix
+holds each mode's cos and sin columns interleaved, and the product reads
+as complex without a copy.  An FFT library pays per call and per line of
+each axis, which on short axes costs far more than the arithmetic (4^8:
+16,384 lines of 4 points per axis).  Grids with a longer axis run on
+numpy.fft: the forward gathers the live modes from rfftn, the real inverse
+scatters them into a half spectrum for irfftn, and a batched complex
+inverse scatters them into a zero grid.  The full transforms run on
+numpy.fft on every grid; the FFT of a real field is rfftn's half spectrum
+filled out by conjugation (``_hermitian_gather``), so it is Hermitian
+exactly, not just to rounding.
 """
 
 from __future__ import annotations
@@ -346,6 +355,10 @@ class _KroneckerDft:
     matrices (row-major, so it acts on the group's axes flattened in
     place).  Each product contracts the leading group and moves it behind
     the rest, so after one product per group the axes are back in order.
+
+    The forward transform takes real input: its first matrix is real, each
+    mode's cos and sin columns interleaved, so the first product is real
+    arithmetic and its result is the complex one, viewed without a copy.
     """
 
     def __init__(self, sizes, modes, inverse: bool):
@@ -358,6 +371,9 @@ class _KroneckerDft:
                 forward = np.exp(-2j * np.pi / size * phase)  # mode x position
                 mat = np.kron(mat, forward.conj().T / size if inverse else forward)
             self._operands.append(np.ascontiguousarray(mat.T))  # right operand
+        if not inverse:
+            first = self._operands[0]
+            self._operands[0] = np.stack([first.real, first.imag], axis=-1).reshape(len(first), -1)
 
     def __call__(self, x):
         """Transform ``x``: the grid axes first, any batch axes after them.
@@ -367,6 +383,8 @@ class _KroneckerDft:
         """
         for operand in self._operands:
             x = x.reshape(len(operand), -1).T @ operand
+            if x.dtype != complex:  # the real first product: (re, im) column pairs
+                x = x.view(complex)
         return x
 
 
@@ -381,13 +399,14 @@ class SpectralOps:
     matrices or numpy.fft as the module's rule picks, and so is the step
     pair; :meth:`fft` and :meth:`ifft` are the full transforms, on
     numpy.fft for every grid, and :meth:`fft` of a real field is exactly
-    Hermitian.  "from_hat" methods expect the full FFT of a field and
-    return position-space arrays; the batched bundles expect the FFT of a
-    real field.  The packed :meth:`ddj_upper_s1_from_hat` is the Hessian
-    transform and :meth:`packed_form_from_hat` the flow's; both use the one
-    slot layout of :meth:`pack_j_real`, which :meth:`unpack_form` and
-    :meth:`slot_invariants` read.  :meth:`live_fft` and
-    :meth:`live_ifft_real` are the step pair.
+    Hermitian.  "from_hat" methods and :meth:`spectral_tail` take the
+    live-mode vector of a real field (:meth:`live_fft`) and return
+    position-space arrays.  The packed :meth:`ddj_upper_s1_from_hat` is the
+    Hessian transform and :meth:`packed_form_from_hat` the flow's; both use
+    the one slot layout of :meth:`pack_j_real`, which :meth:`unpack_form`
+    and :meth:`slot_invariants` read.  :meth:`live_fft` and
+    :meth:`live_ifft_real` are the step pair, and ``s1_live`` is the S_1
+    multiplier the step solves with.
     """
 
     def __init__(self, grid: TorusGrid):
@@ -401,6 +420,8 @@ class SpectralOps:
             live = [np.flatnonzero(2 * np.arange(size) != size) for size in grid.sizes]
             self._live_dft = _KroneckerDft(grid.sizes, live, inverse=False)
             self._live_idft = _KroneckerDft(grid.sizes, live, inverse=True)
+        else:
+            self._build_half_spectrum_tables()
         m = 2 * self.n
         self._ik = self._build_ik()
         # d/dz^a -> (ik_a + k_{2n+a})/2,  d/dzbar^a -> (ik_a - k_{2n+a})/2,
@@ -417,7 +438,8 @@ class SpectralOps:
         # (ik + k')(ik - k') / 4: the cross terms are the same two products, so
         # the imaginary part cancels exactly
         self.s1_mult = sum(self.zmult[a] * self.zbmult[a] for a in range(m)).real
-        self._tail_mask = self._build_tail_mask()
+        self.s1_live = self._live_stack([self.s1_mult])[0]
+        self._tail_live = self._build_tail_mask().reshape(-1)[self._live_index]
         self._build_slot_tables(j_tables(self.n))
         self._zbar_rows = _nonzero_rows(self._live_stack(self.zbmult))
 
@@ -528,6 +550,22 @@ class SpectralOps:
                 keep[tuple(index)] = 0.0
         return keep
 
+    def _build_half_spectrum_tables(self):
+        """Where each live mode sits in rfftn's half spectrum, for numpy.fft grids.
+
+        ``_rfft_live`` gathers the live-mode vector from the raveled rfftn
+        as :meth:`fft` gathers the full spectrum.  The live modes whose last
+        index is at most size // 2, rows ``_half_rows`` of the vector, sit at
+        ``_half_index`` of the raveled half spectrum; irfftn reads those only.
+        """
+        sizes = self.grid.sizes
+        self._rfft_live = self._hermitian_index.reshape(-1)[self._live_index]
+        self._half_shape = sizes[:-1] + (sizes[-1] // 2 + 1,)
+        modes = np.unravel_index(self._live_index, sizes)
+        in_half = modes[-1] <= sizes[-1] // 2
+        self._half_rows = np.flatnonzero(in_half)
+        self._half_index = np.ravel_multi_index([k[in_half] for k in modes], self._half_shape)
+
     def _build_tail_mask(self):
         d = len(self.grid.sizes)
         mask = np.zeros(self.grid.shape, dtype=bool)
@@ -544,8 +582,12 @@ class SpectralOps:
         """Full FFT; a real field's is gathered from its rfftn, exactly Hermitian."""
         if np.iscomplexobj(values):
             return np_fft.fftn(values)
+        return self._from_rfftn(values, self._hermitian_index)
+
+    def _from_rfftn(self, values, index):
+        """The modes ``index`` of the FFT of a real field, from its rfftn."""
         h = np_fft.rfftn(values).reshape(-1)
-        return np.concatenate([h, h.conj(), h[self._real_modes].real])[self._hermitian_index]
+        return np.concatenate([h, h.conj(), h[self._real_modes].real])[index]
 
     def ifft(self, hat):
         return np_fft.ifftn(hat)
@@ -568,39 +610,53 @@ class SpectralOps:
 
     def _bundle(self, stack, hat):
         """Inverse transforms of each live multiplier of ``stack`` times ``hat``."""
-        return self._ifft_batch(stack * hat.reshape(-1)[self._live_index])
+        return self._ifft_batch(stack * hat)
 
-    def _single(self, mult, hat):
-        """Inverse transform of one grid-shaped multiplier times ``hat``."""
+    def _derivative(self, mult, values):
+        """One grid-shaped multiplier applied to a real or complex field."""
+        hat = self.fft(values).reshape(-1)[self._live_index]
         return self._bundle(self._live_stack([mult]), hat)[0]
 
     def live_fft(self, values):
-        """``below_nyquist * fft(values)``: the spectrum on the live modes, zero elsewhere."""
+        """The live-mode vector of a real field: its FFT on the live modes.
+
+        A 1-d array in the order of ``_live_index``, row-major over the
+        live modes; the mean mode leads.  The DFT matrices transform the
+        deviation from the first sample, which is exactly zero for a
+        constant field, so a constant's vector is its mean mode alone, as
+        numpy.fft gives it.
+        """
+        if np.iscomplexobj(values):
+            raise TypeError("live_fft transforms real fields only")
         if self._live_dft is None:
-            return self.below_nyquist * self.fft(values)
-        hat = np.zeros(self.grid.num_points, dtype=complex)
-        hat[self._live_index] = self._live_dft(values).ravel()
-        return hat.reshape(self.grid.shape)
+            return self._from_rfftn(values, self._rfft_live)
+        shift = values.flat[0]
+        hat = self._live_dft(values - shift).ravel()
+        hat[0] += shift * self.grid.num_points
+        return hat
 
     def live_ifft_real(self, hat):
-        """``ifft(hat).real`` for a ``hat`` that vanishes off the live modes.
+        """The real field whose live-mode vector is ``hat`` (left intact).
 
-        ``hat`` is left intact.
+        ``ifft(...).real`` of ``hat`` scattered onto its modes.
         """
         if self._live_dft is None:
-            return self.ifft(hat).real
-        return self._live_idft(hat.reshape(-1)[self._live_index]).real.reshape(self.grid.shape)
+            half = np.zeros(math.prod(self._half_shape), dtype=complex)
+            half[self._half_index] = hat[self._half_rows]
+            axes = tuple(range(len(self._half_shape)))
+            return np_fft.irfftn(half.reshape(self._half_shape), s=self.grid.shape, axes=axes)
+        return self._live_idft(hat).real.reshape(self.grid.shape)
 
     # -- first derivatives ---------------------------------------------
 
     def partial_x(self, values, real_dim: int):
-        return self._single(self.below_nyquist * self._ik_for(real_dim), self.fft(values))
+        return self._derivative(self.below_nyquist * self._ik_for(real_dim), values)
 
     def partial_z(self, values, a: int):
-        return self._single(self.zmult[a], self.fft(values))
+        return self._derivative(self.zmult[a], values)
 
     def partial_zbar(self, values, a: int):
-        return self._single(self.zbmult[a], self.fft(values))
+        return self._derivative(self.zbmult[a], values)
 
     def z_gradient_from_hat(self, hat):
         return self._bundle(self._live_stack(self.zmult), hat)
@@ -627,7 +683,7 @@ class SpectralOps:
 
     def s1_from_hat(self, hat):
         """Trace of the mixed Hessian (half the model Laplacian), real part."""
-        return self._single(self.s1_mult, hat).real
+        return self.live_ifft_real(self.s1_live * hat)
 
     def _live_rows(self, nonzero_rows, hat):
         """The bundle of a stack of ``size`` multipliers, from ``_nonzero_rows(stack)``.
@@ -646,11 +702,12 @@ class SpectralOps:
     def ddj_upper_s1_from_hat(self, hat):
         """Upper-triangle quaternionic Hessian entries plus its S_1 trace.
 
-        ``hat`` must be the FFT of a real field.  Returns (upper, s1) where
-        ``upper`` stacks the (j, k) entries in ``self.pairs`` order.  One
-        batched transform of the packed slots serves the whole bundle; the
-        partners are rebuilt by conjugation and S_1 is the sum of the
-        blocks.  Entries whose multiplier vanishes on the grid are zero.
+        ``hat`` must be the live-mode vector of a real field.  Returns
+        (upper, s1) where ``upper`` stacks the (j, k) entries in
+        ``self.pairs`` order.  One batched transform of the packed slots
+        serves the whole bundle; the partners are rebuilt by conjugation and
+        S_1 is the sum of the blocks.  Entries whose multiplier vanishes on
+        the grid are zero.
         """
         slots = self._live_rows(self._ddj_rows, hat)
         slots.real[self._ddj_dead_parts[0]] = 0.0
@@ -679,8 +736,8 @@ class SpectralOps:
         """``packed_base`` plus the packed (S_1(ddj u) Omega - ddj u) / (n - 1).
 
         ``packed_base`` comes from :meth:`pack_j_real`; ``hat`` must be the
-        FFT of a real field.  Only the slots with a non-zero multiplier are
-        transformed.
+        live-mode vector of a real field.  Only the slots with a non-zero
+        multiplier are transformed.
         """
         return packed_base + self._live_rows(self._form_rows, hat)
 
@@ -719,25 +776,26 @@ class SpectralOps:
     def zbar_gradient_batched_from_hat(self, hat):
         """u_{abar} for a = 0..2n-1, stacked on a leading axis.
 
-        ``hat`` must be the FFT of a real field; entries whose multiplier
-        vanishes on the grid are zero and not transformed.
+        ``hat`` must be the live-mode vector of a real field; entries whose
+        multiplier vanishes on the grid are zero and not transformed.
         """
         return self._live_rows(self._zbar_rows, hat)
 
     # -- diagnostics ----------------------------------------------------
 
     def spectral_tail(self, hat) -> float:
-        """Energy fraction carried by the top third of the spectrum.
+        """Energy fraction carried by the top third of the live modes.
 
-        The mean mode is excluded from the reference energy so a large
-        additive constant cannot mask tail growth.  Returns 0 for fields
-        with no non-mean content.
+        ``hat`` is a live-mode vector.  The mean mode, which leads it, is
+        excluded from the reference energy so a large additive constant
+        cannot mask tail growth.  Returns 0 for fields with no non-mean
+        content, and on grids where the top third holds no live mode.
         """
         power = np.abs(hat) ** 2
-        total = float(power.sum() - power[(0,) * power.ndim])
+        total = float(power.sum() - power[0])
         if total <= 0.0:
             return 0.0
-        return float(power[self._tail_mask].sum() / total)
+        return float(power[self._tail_live].sum() / total)
 
 
 _SPECTRAL_CACHE: dict = {}
@@ -808,7 +866,7 @@ def build_omega_h(
     entries = constant_two_form_field(grid, model.omega * c).entries
     if rho is not None and rho.terms:
         ops = spectral_ops(grid)
-        upper, _ = ops.ddj_upper_s1_from_hat(ops.fft(sample(rho, grid).values))
+        upper, _ = ops.ddj_upper_s1_from_hat(ops.live_fft(sample(rho, grid).values))
         entries += full_from_upper(upper, 2 * model.n)
     require_strictly_positive(entries, model.n, margin, "the background form")
     return TwoFormField(grid, entries)

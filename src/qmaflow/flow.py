@@ -7,12 +7,13 @@ taken implicitly, so one step solves
 
     (1 - dt * a * S_1) du = dt * N(u),    u <- u + du
 
-by one transform pair of the grid's SpectralOps: the right-hand side goes
-forward onto the modes below Nyquist (``live_fft``) and the update comes
-back as a real field (``live_ifft_real``); on the grids that transform with
-DFT matrices both read or write the live modes only.  The spectrum of the
-new state is carried, not recomputed: it is the old spectrum plus the
-update's, which the step already holds.  The linearization of N at u is
+by one transform pair of the grid's SpectralOps: the real right-hand side
+goes forward to its live-mode vector (``live_fft``, the spectrum on the
+modes below Nyquist only), the solve divides by a live-mode copy of S_1's
+multiplier, and the update comes back as a real field
+(``live_ifft_real``).  The state's spectrum is carried as a live-mode
+vector, not recomputed: the new one is the old one plus the update's,
+which the step already holds.  The linearization of N at u is
 v -> 1/2 tr(omega_tilde^-1 beta(v)), beta(v) the change of the evolving
 form; its coefficients are averages of reciprocal block eigenvalues, so
 a = 1 / min_eig (min_eig the smallest block eigenvalue over the grid; a = 1
@@ -21,9 +22,9 @@ dt.  The fixed point is N(u) = const, so the limit and its constant are
 those of the flow.  The step is capped at dt = sigma * min_eig / (1/4),
 1/4 being the symbol of -S_1 at unit wavenumber: sigma is the one
 step-size factor, and the cap does not depend on the grid spacing.  The
-update is projected onto the modes below Nyquist
-(the derivative multipliers cannot see a mode with a Nyquist index, so
-without the projection the limit would not be unique on an even grid).
+update lives on the modes below Nyquist (the derivative multipliers cannot
+see a mode with a Nyquist index, so an update there would make the limit
+non-unique on an even grid).
 
 The flow map itself runs on the packed J-real slots of the evolving form
 (see ``fields``): the background form is packed once per run, and each
@@ -192,7 +193,8 @@ class FlowEngine:
     def evaluate(self, u_values, hat=None) -> _Stage:
         """Evolving form, positivity guard, right-hand side at one state.
 
-        ``hat`` is the FFT of ``u_values`` when the caller already holds it.
+        ``hat`` is the live-mode vector of ``u_values`` (``ops.live_fft``)
+        when the caller already holds it.
         Runs on the packed J-real slots of the form.  The right-hand side is
         log S_n - f, S_n = Pf(omega_tilde) / Pf(Omega) the product of the
         block eigenvalues (Pf(Omega) = 1).  For n = 2, S_1 and S_2 = S_n come
@@ -204,7 +206,7 @@ class FlowEngine:
         if not np.all(np.isfinite(u_values)):
             return _Stage(ok=False)
         if hat is None:
-            hat = self.ops.fft(u_values)
+            hat = self.ops.live_fft(u_values)
         packed = self.ops.packed_form_from_hat(self._packed_omega_h, hat)
         if self.n == 2:
             s1, s_n = self.ops.slot_invariants(packed)
@@ -238,7 +240,7 @@ class FlowEngine:
         return stage
 
     def form_upper(self, hat):
-        """Evolving form in ``ops.pairs`` order, and S_1(ddj u), from u's FFT."""
+        """Evolving form in ``ops.pairs`` order, and S_1(ddj u), from u's live-mode vector."""
         packed = self.ops.packed_form_from_hat(self._packed_omega_h, hat)
         upper, s1 = self.ops.unpack_form(packed)
         return upper, s1 - self._s1_omega_h
@@ -278,12 +280,12 @@ class FlowEngine:
             stage = self.evaluate_or_raise(state.u.values, "flow state violates strict positivity")
         u = state.u.values
         rhs_hat = self.ops.live_fft(stage.rhs)
-        a_s1 = self.ops.s1_mult / stage.min_eig  # a * S_1 <= 0, real
+        a_s1 = self.ops.s1_live / stage.min_eig  # a * S_1 <= 0, real, on the live modes
         dt = min(state.dt, self.step_cap(stage))
         for _ in range(MAX_HALVINGS + 1):
             du_hat = dt / (1.0 - dt * a_s1) * rhs_hat
             new_u = u + self.ops.live_ifft_real(du_hat)
-            # du_hat is Hermitian and below Nyquist: this is fft(new_u) up to rounding
+            # the live-mode vector of new_u, up to rounding
             new_stage = self.evaluate(new_u, stage.hat + du_hat)
             if new_stage.ok:
                 return self._advance(state, new_u, dt), new_stage

@@ -179,7 +179,10 @@ def block_eigenvalues(entries, n: int):
 
     The positivity test of a J-real form: for J-real forms the 2n
     eigenvalues of M come in equal pairs, one pair per quaternionic block;
-    this returns one representative per pair, ascending.  For n = 2 the
+    this returns one representative per pair, ascending.  Precondition:
+    ``entries`` is J-real.  It is not checked here, and a form that is not
+    gets meaningless values (for n = 2 the closed form reads only the real
+    parts of the blocks and the Pfaffian).  For n = 2 the
     pair values come from :func:`pair_eigenvalues`; for larger n the
     batched Hermitian eigensolver is used and adjacent eigenvalues are
     averaged.  A grid point with a non-finite entry gets NaN block
@@ -199,12 +202,25 @@ def block_eigenvalues(entries, n: int):
 
 
 def min_positivity_eigenvalue(entries, n: int):
-    """Smallest block eigenvalue of a J-real form, grid axes leading."""
+    """Smallest block eigenvalue of a form, grid axes leading.
+
+    Precondition: ``entries`` is J-real, as for :func:`block_eigenvalues`.
+    """
     return block_eigenvalues(entries, n)[..., 0]
 
 
 def is_strictly_positive(entries, n: int, margin: float = 1e-10) -> bool:
-    """True iff every block eigenvalue exceeds margin at every grid point."""
+    """True iff every block eigenvalue exceeds margin at every grid point.
+
+    Raises SpecValidationError unless ``entries`` is J-real to 1e-12 of its
+    largest entry at its finite grid points: block eigenvalues do not decide
+    positivity otherwise.  A point with a non-finite entry fails the test.
+    """
+    entries = np.asarray(entries)
+    finite = np.where(np.isfinite(entries).all(axis=(0, 1)), entries, 0.0)
+    defect = j_reality_defect(finite, n)
+    if not defect <= 1e-12 * float(np.max(np.abs(finite))):
+        raise SpecValidationError(f"the form is not J-real (defect {defect:.3e})")
     return failing_point(min_positivity_eigenvalue(entries, n), margin)[1] is None
 
 
@@ -223,7 +239,12 @@ def failing_point(values: np.ndarray, margin: float):
 
 
 def require_strictly_positive(entries, n: int, margin: float, what: str):
-    """Raise PositivityError naming the worst grid point if the test fails."""
+    """Raise PositivityError naming the worst grid point if the test fails.
+
+    Precondition: ``entries`` is J-real, as for :func:`block_eigenvalues`;
+    it is not checked here (the flow's background is checked when it is
+    packed, ``SpectralOps.pack_j_real``).
+    """
     worst, point = failing_point(min_positivity_eigenvalue(entries, n), margin)
     if point is not None:
         raise PositivityError(

@@ -45,7 +45,7 @@ def d_j(u: ScalarField):
     """
     ops = spectral_ops(u.grid)
     t = j_tables(u.grid.n)
-    g = ops.zbar_gradient_batched_from_hat(ops.fft(u.values))
+    g = ops.zbar_gradient_batched_from_hat(ops.live_fft(u.values))
     sh = (2 * u.grid.n,) + (1,) * len(u.grid.shape)
     return t.dj_sign.reshape(sh) * g[t.sigma]
 
@@ -53,7 +53,7 @@ def d_j(u: ScalarField):
 def del_del_j(u: ScalarField) -> TwoFormField:
     """Quaternionic Hessian of u as a J-real antisymmetric matrix field."""
     ops = spectral_ops(u.grid)
-    upper, _ = ops.ddj_upper_s1_from_hat(ops.fft(u.values))
+    upper, _ = ops.ddj_upper_s1_from_hat(ops.live_fft(u.values))
     return TwoFormField(u.grid, full_from_upper(upper, 2 * u.grid.n))
 
 
@@ -64,7 +64,7 @@ def half_laplacian(u: ScalarField) -> ScalarField:
     whose uniform bound controls the second-order estimate.
     """
     ops = spectral_ops(u.grid)
-    return ScalarField(u.grid, ops.s1_from_hat(ops.fft(u.values)))
+    return ScalarField(u.grid, ops.s1_from_hat(ops.live_fft(u.values)))
 
 
 def s1_field(chi: TwoFormField) -> ScalarField:
@@ -79,7 +79,7 @@ def s1_field(chi: TwoFormField) -> ScalarField:
 def flow_form(u: ScalarField, omega_h: TwoFormField) -> TwoFormField:
     """The stepper's evolving form Omega_h + (S_1(ddj u) Omega - ddj u) / (n - 1)."""
     engine = FlowEngine(omega_h, ScalarField.zeros(u.grid))
-    upper, _ = engine.form_upper(engine.ops.fft(u.values))
+    upper, _ = engine.form_upper(engine.ops.live_fft(u.values))
     return TwoFormField(u.grid, full_from_upper(upper, 2 * u.grid.n))
 
 
@@ -106,7 +106,7 @@ def gradient_energy(u: ScalarField) -> ScalarField:
     Equals sum_a |u_{z^a}|^2; nonnegative, zero exactly where du vanishes.
     """
     ops = spectral_ops(u.grid)
-    g = ops.zbar_gradient_batched_from_hat(ops.fft(u.values))
+    g = ops.zbar_gradient_batched_from_hat(ops.live_fft(u.values))
     return ScalarField(u.grid, np.sum(np.abs(g) ** 2, axis=0))
 
 
@@ -118,7 +118,7 @@ def gradient_energy_wedge(u: ScalarField) -> ScalarField:
     """
     grid = u.grid
     ops = spectral_ops(grid)
-    hat = ops.fft(u.values)
+    hat = ops.live_fft(u.values)
     du = ops.z_gradient_from_hat(hat)
     dju = d_j(u)
     chi = du[:, None] * dju[None, :] - du[None, :] * dju[:, None]
@@ -219,7 +219,7 @@ def induced_metric_form_real_path(
     grid = u.grid
     n = grid.n
     ops = spectral_ops(grid)
-    hat = ops.fft(u.values)
+    hat = ops.live_fft(u.values)
     hess = ops.mixed_hessian_from_hat(hat)
     eta = ops.s1_from_hat(hat)
     eye = np.eye(2 * n).reshape((2 * n, 2 * n) + (1,) * len(grid.shape))

@@ -299,7 +299,7 @@ def _field_identities_once(rng: np.random.Generator, grid: TorusGrid):
     u, _, _ = admissible_potential(rng, grid, omega_h)
 
     ops = spectral_ops(grid)
-    hat = ops.fft(u.values)
+    hat = ops.live_fft(u.values)
     ddju = del_del_j(u)
     omt = flow_form(u, omega_h)
     eta = ops.s1_from_hat(hat)

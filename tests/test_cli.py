@@ -400,6 +400,10 @@ def _nan_config(tmp_path, case):
     config = base_config(tmp_path / "o")
     if case in ("sigma", "t_max", "tol_steady", "snapshot_interval"):
         config[case] = math.nan if case != "t_max" else math.inf
+    elif case == "tol_steady.zero":  # osc_ut >= 0 never falls below it
+        config["tol_steady"] = 0.0
+    elif case == "snapshot_interval.negative":
+        config["snapshot_interval"] = -5.0
     elif case == "omega_h.c":
         config["omega_h"]["c"] = math.nan
     elif case == "f.amplitude":
@@ -435,6 +439,8 @@ def _bad_snapshot(tmp_path, case):
         "t_max",
         "tol_steady",
         "snapshot_interval",
+        "tol_steady.zero",
+        "snapshot_interval.negative",
         "omega_h.c",
         "f.amplitude",
         "u0.phase",

@@ -162,8 +162,8 @@ def test_mean_of_pure_modes_vanishes(grid):
 def test_hessian_hermitian_symmetry(grid):
     u = field_from(grid, lambda x0, x4: np.cos(x0 + 2 * x4))
     ops = spectral_ops(grid)
-    H = ops.mixed_hessian_from_hat(ops.fft(u.values))
-    full = ops.mixed_hessian_from_hat(ops.fft(u.values), real_input=False)
+    H = ops.mixed_hessian_from_hat(ops.live_fft(u.values))
+    full = ops.mixed_hessian_from_hat(ops.live_fft(u.values), real_input=False)
     assert np.max(np.abs(H - full)) < 1e-13
     swapped = np.conj(np.swapaxes(full, 0, 1))
     assert np.max(np.abs(full - swapped)) < 1e-13
@@ -212,7 +212,7 @@ def test_packed_bundle_matches_per_entry_oracle(name):
     ops = spectral_ops(grid)
     t = j_tables(grid.n)
     u = 5.0 * np.random.default_rng(11).standard_normal(grid.shape)
-    hat = ops.fft(u)
+    hat = ops.live_fft(u)
     H = ops.mixed_hessian_from_hat(hat, real_input=False)
     oracle = np.stack(
         [t.dj_sign[k] * H[j, t.sigma[k]] - t.dj_sign[j] * H[k, t.sigma[j]] for j, k in ops.pairs]
@@ -260,7 +260,7 @@ def test_zbar_gradient_batched_matches_partial_zbar(name):
     grid = BUNDLE_GRIDS[name]
     ops = spectral_ops(grid)
     u = np.random.default_rng(12).standard_normal(grid.shape)
-    batched = ops.zbar_gradient_batched_from_hat(ops.fft(u))
+    batched = ops.zbar_gradient_batched_from_hat(ops.live_fft(u))
     assert batched.shape == (2 * grid.n,) + grid.shape
     for a in range(2 * grid.n):
         single = ops.partial_zbar(u, a)
@@ -279,6 +279,25 @@ def _assert_hermitian(hat):
     assert np.array_equal(hat, np.conj(hat[negated]))
 
 
+def _on_grid(ops, live):
+    """A live-mode vector scattered onto the full grid, zero off the live modes."""
+    full = np.zeros(ops.grid.num_points, dtype=complex)
+    full[ops._live_index] = live
+    return full.reshape(ops.grid.shape)
+
+
+def _live_pair_matches_scipy_fft(ops, u):
+    """The step pair on live-mode vectors against scipy.fft on the full grid."""
+    live = sp_fft.fftn(u).reshape(-1)[ops._live_index]
+    _close(ops.live_fft(u), live)
+    _close(ops.live_ifft_real(live), sp_fft.ifftn(_on_grid(ops, live)).real)
+    du_hat = live / (1.0 - ops.s1_live)
+    kept = du_hat.copy()
+    _close(ops.live_ifft_real(du_hat), sp_fft.ifftn(_on_grid(ops, du_hat)).real)
+    assert np.array_equal(du_hat, kept)  # the step carries du_hat on
+    return live
+
+
 def _matches_scipy_fft(ops, u):
     """The full transforms, the step pair and single derivatives against scipy.fft."""
     z = u + 1j * np.random.default_rng(17).standard_normal(u.shape)
@@ -287,11 +306,10 @@ def _matches_scipy_fft(ops, u):
     _close(hat, sp_fft.fftn(u))
     _close(ops.fft(z), sp_fft.fftn(z))
     _close(ops.ifft(hat), sp_fft.ifftn(hat))
-    live = ops.below_nyquist * sp_fft.fftn(u)
-    _close(ops.live_fft(u), live)
-    _close(ops.live_ifft_real(live), sp_fft.ifftn(live).real)
-    _close(ops.s1_from_hat(hat), sp_fft.ifftn(ops.s1_mult * live).real)
-    _close(ops.partial_z(u, 0), sp_fft.ifftn(ops.zmult[0] * live))
+    live = _live_pair_matches_scipy_fft(ops, u)
+    projected = ops.below_nyquist * sp_fft.fftn(u)
+    _close(ops.s1_from_hat(live), sp_fft.ifftn(ops.s1_mult * projected).real)
+    _close(ops.partial_z(u, 0), sp_fft.ifftn(ops.zmult[0] * projected))
 
 
 # grids with an axis longer than DFT_MATRIX_MAX_AXIS keep numpy.fft; the
@@ -311,6 +329,30 @@ def test_numpy_backend_matches_scipy_fft(name, monkeypatch):
     ops = SpectralOps(grid)
     assert ops._live_dft is None
     _matches_scipy_fft(ops, np.random.default_rng(13).standard_normal(grid.shape))
+
+
+LIVE_PAIR_GRIDS = {
+    "5x4": TorusGrid(n=2, active_dims=(0, 4), sizes=(5, 4)),
+    "8x8": TorusGrid(n=2, active_dims=(0, 4), sizes=(8, 8)),
+    "4^8": TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(4,) * 8),
+}
+
+
+@pytest.mark.parametrize("backend", ["dft", "numpy"])
+@pytest.mark.parametrize("name", list(LIVE_PAIR_GRIDS))
+def test_live_mode_vectors_match_scipy_fft(name, backend, monkeypatch):
+    # live_fft is scipy's fftn on the live modes, in _live_index order, and
+    # live_ifft_real is ifftn(...).real of a live vector put back on the grid
+    grid = LIVE_PAIR_GRIDS[name]
+    if backend == "numpy":
+        monkeypatch.setattr(fields, "DFT_MATRIX_MAX_AXIS", 0)
+    ops = SpectralOps(grid)
+    assert (ops._live_dft is not None) == (backend == "dft")
+    u = np.random.default_rng(18).standard_normal(grid.shape)
+    assert ops.live_fft(u).shape == (len(ops._live_index),)
+    _matches_scipy_fft(ops, u)
+    with pytest.raises(TypeError):
+        ops.live_fft(u + 0j)
 
 
 def test_threshold_grid_transforms_exactly_as_scipy_fft():
@@ -379,12 +421,16 @@ def test_dft_matrix_backend_matches_scipy_fft(name, monkeypatch):
     rng = np.random.default_rng(16)
     u = rng.standard_normal(grid.shape)
     z = u + 1j * rng.standard_normal(grid.shape)
-    hat = ops.fft(u)
+    full = ops.fft(u)
 
-    _assert_hermitian(hat)
-    _close(hat, sp_fft.fftn(u))
+    _assert_hermitian(full)
+    _close(full, sp_fft.fftn(u))
     _close(ops.fft(z), sp_fft.fftn(z))
     _close(ops.ifft(z), sp_fft.ifftn(z))
+    # the step's pair on both backends: forward onto the live modes, real
+    # inverse of an update
+    hat = _live_pair_matches_scipy_fft(ops, u)
+    _live_pair_matches_scipy_fft(ref, u)
     for a, b in zip(ops.ddj_upper_s1_from_hat(hat), ref.ddj_upper_s1_from_hat(hat)):
         _close(a, b)
     _close(ops.zbar_gradient_batched_from_hat(hat), ref.zbar_gradient_batched_from_hat(hat))
@@ -395,13 +441,6 @@ def test_dft_matrix_backend_matches_scipy_fft(name, monkeypatch):
     for a in range(2 * grid.n):
         _close(ops.partial_z(u, a), ref.partial_z(u, a))
         _close(ops.partial_zbar(z, a), ref.partial_zbar(z, a))
-    # the step's pair: forward onto the live modes, real inverse of an update
-    rhs_hat = ops.live_fft(u)
-    _close(rhs_hat, ref.live_fft(u))
-    du_hat = rhs_hat / (1.0 - ops.s1_mult)
-    kept = du_hat.copy()
-    _close(ops.live_ifft_real(du_hat), ref.live_ifft_real(du_hat))
-    assert np.array_equal(du_hat, kept)  # the step carries du_hat on
 
 
 @pytest.mark.parametrize("sizes", [(4, 4), (5, 4)], ids=["4x4", "5x4"])
@@ -428,9 +467,12 @@ def test_every_multiplier_vanishes_on_nyquist_modes(sizes):
     hidden = np.cos(x0) * np.cos(2 * x1)  # Nyquist index on axis 1
     for dim in (0, 1):
         assert np.all(ops.partial_x(hidden, dim) == 0)
-    upper, s1 = ops.ddj_upper_s1_from_hat(ops.fft(hidden))
+    # a live-mode vector has no entry for a Nyquist mode: hidden's is zero
+    live = ops.fft(hidden).reshape(-1)[ops._live_index]
+    assert np.all(live == 0) and np.max(np.abs(ops.live_fft(hidden))) < 1e-14
+    upper, s1 = ops.ddj_upper_s1_from_hat(live)
     assert np.all(upper == 0) and np.all(s1 == 0)
-    assert np.all(ops.zbar_gradient_batched_from_hat(ops.fft(hidden)) == 0)
+    assert np.all(ops.zbar_gradient_batched_from_hat(live) == 0)
     k = (sizes[0] - 1) // 2  # the highest live wavenumber on axis 0
     seen = np.cos(k * x0) * np.cos(x1)
     assert np.max(np.abs(ops.partial_x(seen, 0) + k * np.sin(k * x0) * np.cos(x1))) < 1e-13
@@ -465,10 +507,23 @@ def test_spectral_tail_detects_high_modes():
     ops = spectral_ops(g)
     low = sample(TrigPolySpec.from_terms([TrigTerm((1, 0), 1.0)]), g)
     high = sample(TrigPolySpec.from_terms([TrigTerm((14, 0), 1.0)]), g)
-    assert ops.spectral_tail(ops.fft(low.values)) < 1e-20
-    assert ops.spectral_tail(ops.fft(high.values)) > 0.9
+    assert ops.spectral_tail(ops.live_fft(low.values)) < 1e-20
+    assert ops.spectral_tail(ops.live_fft(high.values)) > 0.9
     flat = ScalarField.constant(g, 3.0)
-    assert ops.spectral_tail(ops.fft(flat.values)) == 0.0
+    assert ops.spectral_tail(ops.live_fft(flat.values)) == 0.0
+    # the live-mode tail is the full-grid one of the field's live modes:
+    # |k| >= size / 3 on some axis, the mean mode left out of the total
+    u = np.random.default_rng(19).standard_normal(g.shape)
+    power = np.abs(ops.below_nyquist * sp_fft.fftn(u)) ** 2
+    k = np.abs(np.fft.fftfreq(32) * 32)
+    tail = (k[:, None] >= 32 / 3) | (k[None, :] >= 32 / 3)
+    expected = power[tail].sum() / (power.sum() - power[0, 0])
+    assert ops.spectral_tail(ops.live_fft(u)) == pytest.approx(expected, rel=1e-12)
+    # on axes of 2 or 4 points the top third holds only Nyquist modes, which
+    # are not live: the tail reads 0 on 4^8 whatever the field
+    g4 = TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(4,) * 8)
+    u4 = np.random.default_rng(20).standard_normal(g4.shape)
+    assert spectral_ops(g4).spectral_tail(spectral_ops(g4).live_fft(u4)) == 0.0
 
 
 def test_scalar_field_arithmetic(grid):

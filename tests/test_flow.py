@@ -13,6 +13,7 @@ from qmaflow import fields
 from qmaflow.errors import PositivityError, SpecValidationError, StiffnessError
 from qmaflow.exterior import full_from_upper, pfaffian
 from qmaflow.fields import (
+    DFT_MATRIX_MAX_AXIS,
     ScalarField,
     TorusGrid,
     TrigPolySpec,
@@ -143,7 +144,7 @@ def _smooth_field(grid, seed, ddj_size):
     low = np.all([np.abs(k) <= 1 for k in freqs], axis=0)
     noise = np.random.default_rng(seed).standard_normal(grid.shape)
     u = np.fft.ifftn(low * np.fft.fftn(noise)).real
-    upper, _ = ops.ddj_upper_s1_from_hat(ops.fft(u))
+    upper, _ = ops.ddj_upper_s1_from_hat(ops.live_fft(u))
     return ddj_size * u / np.max(np.abs(upper))
 
 
@@ -185,7 +186,7 @@ def test_packed_flow_map_matches_references(name):
     u = ScalarField(grid, _smooth_field(grid, 33, 0.1))
     engine = FlowEngine(oh, f)
     ops = engine.ops
-    hat = ops.fft(u.values)
+    hat = ops.live_fft(u.values)
     stage = engine.evaluate(u.values, hat)
     assert stage.ok
     # S_1's multiplier is real: the complex product's imaginary part cancels exactly
@@ -214,7 +215,7 @@ def test_slot_invariants_are_block_eigenvalue_symmetric_functions(name):
     # block eigenvalues of the unpacked form
     grid, kind = PACKED_CASES[name]
     engine = FlowEngine(_background(grid, kind, seed=31), ScalarField.zeros(grid))
-    form, _ = engine.form_upper(engine.ops.fft(_smooth_field(grid, 33, 0.1)))
+    form, _ = engine.form_upper(engine.ops.live_fft(_smooth_field(grid, 33, 0.1)))
     s1, s2 = engine.ops.slot_invariants(engine.ops.pack_j_real(form))
     lam = block_eigenvalues(full_from_upper(form, 2 * grid.n), grid.n)
     e1 = lam.sum(axis=-1)
@@ -327,18 +328,23 @@ def test_step_constant_source_exact_far_above_cfl():
 
 def test_step_carries_the_spectrum_of_u():
     # each step hands the next evaluation old spectrum + update spectrum
-    # instead of transforming the new state; it must stay fft(u)
+    # instead of transforming the new state; it must stay live_fft(u), on a
+    # DFT-matrix grid and on a numpy.fft grid
     uspec = TrigPolySpec.from_terms([TrigTerm((1, 0), 0.1), TrigTerm((1, 1), 0.05)])
     rspec = TrigPolySpec.from_terms([TrigTerm((0, 1), 0.05)])
-    prob = build_manufactured(uspec, GRID, c=1.0, rho=rspec)
-    engine = FlowEngine(prob.omega_h, prob.f)
-    stage = engine.evaluate_or_raise(np.zeros(GRID.shape), "initial data")
-    state = FlowState(u=ScalarField.zeros(GRID), t=0.0, dt=engine.step_cap(stage), step_count=0)
-    for _ in range(40):
-        state, stage = engine.step(state, stage)
-    hat = engine.ops.fft(state.u.values)
-    assert np.max(np.abs(stage.hat - hat)) <= 1e-12 * np.max(np.abs(hat))
-    assert engine.evaluations == 41
+    numpy_grid = TorusGrid(n=2, active_dims=(0, 4), sizes=(DFT_MATRIX_MAX_AXIS + 8, 16))
+    for grid, on_dft in ((GRID, True), (numpy_grid, False)):
+        prob = build_manufactured(uspec, grid, c=1.0, rho=rspec)
+        engine = FlowEngine(prob.omega_h, prob.f)
+        assert (engine.ops._live_dft is not None) == on_dft
+        stage = engine.evaluate_or_raise(np.zeros(grid.shape), "initial data")
+        state = FlowState(u=ScalarField.zeros(grid), t=0.0, dt=engine.step_cap(stage), step_count=0)
+        for _ in range(40):
+            state, stage = engine.step(state, stage)
+        hat = engine.ops.live_fft(state.u.values)
+        assert stage.hat.shape == (len(engine.ops._live_index),)
+        assert np.max(np.abs(stage.hat - hat)) <= 1e-12 * np.max(np.abs(hat))
+        assert engine.evaluations == 41
 
 
 def _heun_to_steady(prob, grid, tol_steady=1e-8):

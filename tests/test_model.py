@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qmaflow.errors import PositivityError
+from qmaflow.errors import PositivityError, SpecValidationError
 from qmaflow.model import (
     apply_j_one_form,
     apply_j_vector,
@@ -111,6 +111,21 @@ def test_perturbed_block_eigenvalues():
     eig = np.linalg.eigvalsh(positivity_matrix(alpha, 2))
     assert np.allclose(sorted(eig), [-0.5, -0.5, 1.0, 1.0])
     assert not is_strictly_positive(alpha, 2, margin=0.0)
+
+
+def test_is_strictly_positive_rejects_a_form_that_is_not_j_real():
+    # the n = 2 closed form reads only the real parts of the blocks and the
+    # Pfaffian: this form's block eigenvalues are (1, 1), but it is not
+    # J-real and its positivity matrix has the eigenvalue 1 + 1j (twice)
+    alpha = standard_form(2).astype(complex)
+    alpha[0, 1], alpha[1, 0] = 1 + 1j, -1 - 1j
+    assert j_reality_defect(alpha, 2) == pytest.approx(2.0)
+    assert np.allclose(block_eigenvalues(alpha, 2), [1.0, 1.0])
+    with pytest.raises(SpecValidationError, match="not J-real"):
+        is_strictly_positive(alpha, 2, margin=0.0)
+    # a defect at rounding level is accepted
+    alpha[0, 1], alpha[1, 0] = 1 + 1e-14j, -1 - 1e-14j
+    assert is_strictly_positive(alpha, 2, margin=0.0)
 
 
 def test_margin_semantics():

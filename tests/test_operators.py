@@ -76,7 +76,7 @@ def test_d_j_z0_plane_structure():
 def test_d_j_matches_j_table_oracle():
     u = random_field(RICH_GRID, seed=3)
     ops = spectral_ops(RICH_GRID)
-    hat = ops.fft(u.values)
+    hat = ops.live_fft(u.values)
     dbar = ops.zbar_gradient_batched_from_hat(hat)
     zero = np.zeros_like(dbar)
     jh, _ = apply_j_one_form(zero, dbar, RICH_GRID.n)
