@@ -51,8 +51,7 @@ holds each mode's cos and sin columns interleaved, and the product reads
 as complex without a copy.  An FFT library pays per call and per line of
 each axis, which on short axes costs far more than the arithmetic (4^8:
 16,384 lines of 4 points per axis).  Grids with a longer axis run on
-numpy.fft: the forward gathers the live modes from rfftn, the real inverse
-scatters them into a half spectrum for irfftn, and a batched complex
+numpy.fft: the forward gathers the live modes from the full FFT, and the
 inverse scatters them into a zero grid.  The full transforms run on
 numpy.fft on every grid; the FFT of a real field is rfftn's half spectrum
 filled out by conjugation (``_hermitian_gather``), so it is Hermitian
@@ -420,8 +419,6 @@ class SpectralOps:
             live = [np.flatnonzero(2 * np.arange(size) != size) for size in grid.sizes]
             self._live_dft = _KroneckerDft(grid.sizes, live, inverse=False)
             self._live_idft = _KroneckerDft(grid.sizes, live, inverse=True)
-        else:
-            self._build_half_spectrum_tables()
         m = 2 * self.n
         self._ik = self._build_ik()
         # d/dz^a -> (ik_a + k_{2n+a})/2,  d/dzbar^a -> (ik_a - k_{2n+a})/2,
@@ -550,22 +547,6 @@ class SpectralOps:
                 keep[tuple(index)] = 0.0
         return keep
 
-    def _build_half_spectrum_tables(self):
-        """Where each live mode sits in rfftn's half spectrum, for numpy.fft grids.
-
-        ``_rfft_live`` gathers the live-mode vector from the raveled rfftn
-        as :meth:`fft` gathers the full spectrum.  The live modes whose last
-        index is at most size // 2, rows ``_half_rows`` of the vector, sit at
-        ``_half_index`` of the raveled half spectrum; irfftn reads those only.
-        """
-        sizes = self.grid.sizes
-        self._rfft_live = self._hermitian_index.reshape(-1)[self._live_index]
-        self._half_shape = sizes[:-1] + (sizes[-1] // 2 + 1,)
-        modes = np.unravel_index(self._live_index, sizes)
-        in_half = modes[-1] <= sizes[-1] // 2
-        self._half_rows = np.flatnonzero(in_half)
-        self._half_index = np.ravel_multi_index([k[in_half] for k in modes], self._half_shape)
-
     def _build_tail_mask(self):
         d = len(self.grid.sizes)
         mask = np.zeros(self.grid.shape, dtype=bool)
@@ -582,12 +563,8 @@ class SpectralOps:
         """Full FFT; a real field's is gathered from its rfftn, exactly Hermitian."""
         if np.iscomplexobj(values):
             return np_fft.fftn(values)
-        return self._from_rfftn(values, self._hermitian_index)
-
-    def _from_rfftn(self, values, index):
-        """The modes ``index`` of the FFT of a real field, from its rfftn."""
         h = np_fft.rfftn(values).reshape(-1)
-        return np.concatenate([h, h.conj(), h[self._real_modes].real])[index]
+        return np.concatenate([h, h.conj(), h[self._real_modes].real])[self._hermitian_index]
 
     def ifft(self, hat):
         return np_fft.ifftn(hat)
@@ -629,7 +606,7 @@ class SpectralOps:
         if np.iscomplexobj(values):
             raise TypeError("live_fft transforms real fields only")
         if self._live_dft is None:
-            return self._from_rfftn(values, self._rfft_live)
+            return self.fft(values).reshape(-1)[self._live_index]
         shift = values.flat[0]
         hat = self._live_dft(values - shift).ravel()
         hat[0] += shift * self.grid.num_points
@@ -638,14 +615,11 @@ class SpectralOps:
     def live_ifft_real(self, hat):
         """The real field whose live-mode vector is ``hat`` (left intact).
 
-        ``ifft(...).real`` of ``hat`` scattered onto its modes.
+        ``ifft(...).real`` of ``hat`` scattered onto its modes, on either
+        backend; for the live-mode vector of a real field the discarded
+        imaginary part is rounding.
         """
-        if self._live_dft is None:
-            half = np.zeros(math.prod(self._half_shape), dtype=complex)
-            half[self._half_index] = hat[self._half_rows]
-            axes = tuple(range(len(self._half_shape)))
-            return np_fft.irfftn(half.reshape(self._half_shape), s=self.grid.shape, axes=axes)
-        return self._live_idft(hat).real.reshape(self.grid.shape)
+        return self._ifft_batch(hat[None])[0].real
 
     # -- first derivatives ---------------------------------------------
 
