@@ -328,6 +328,9 @@ def cmd_flow(args) -> int:
         except PositivityError as exc:
             print(f"error: initial data rejected: {exc}", file=sys.stderr)
             return EXIT_POSITIVITY
+        except SpecValidationError as exc:  # a right-hand side that is not finite
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID
         except StiffnessError as exc:
             print(f"error: {exc}", file=sys.stderr)
             if exc.diagnostics is not None:
@@ -382,6 +385,9 @@ def cmd_check(args) -> int:
     except PositivityError as exc:
         print(f"error: snapshot violates positivity: {exc}", file=sys.stderr)
         return EXIT_POSITIVITY
+    except SpecValidationError as exc:  # a right-hand side that is not finite
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     residual = rhs.osc()
     b_tilde = rhs.mean()
     print(f"residual = {residual:.6e}")

@@ -36,8 +36,12 @@ that bundle, and never assembles the form entry by entry.  A bundle
 transforms only the slots whose multiplier does not vanish on the grid
 (inactive coordinates zero some).  S_1 and S_2 of a packed form, the
 first two elementary symmetric functions of its block eigenvalues, are
-real polynomials in its slots (``SpectralOps.slot_invariants``).  Every
-batched multiplier stack holds the live modes only.
+real polynomials in its slots (``SpectralOps.slot_invariants``).  The
+slots also hold the form as a quaternionic Hermitian matrix: every pair
+slot is one off-diagonal entry of it, so the blocks and the off-diagonal
+quaternions are read off without unpacking (``SpectralOps.quaternion_slots``,
+which the n = 3 flow map takes its closed forms from).  Every batched
+multiplier stack holds the live modes only.
 
 Each grid picks its transform once, from its shape.  If no axis is longer
 than DFT_MATRIX_MAX_AXIS points, every derivative and the stepper's
@@ -402,8 +406,8 @@ class SpectralOps:
     live-mode vector of a real field (:meth:`live_fft`) and return
     position-space arrays.  The packed :meth:`ddj_upper_s1_from_hat` is the
     Hessian transform and :meth:`packed_form_from_hat` the flow's; both use
-    the one slot layout of :meth:`pack_j_real`, which :meth:`unpack_form`
-    and :meth:`slot_invariants` read.  :meth:`live_fft` and
+    the one slot layout of :meth:`pack_j_real`, which :meth:`unpack_form`,
+    :meth:`slot_invariants` and :meth:`quaternion_slots` read.  :meth:`live_fft` and
     :meth:`live_ifft_real` are the step pair, and ``s1_live`` is the S_1
     multiplier the step solves with.
     """
@@ -504,6 +508,15 @@ class SpectralOps:
         # a dead Hessian block that shares a live slot would read rounding there
         dead = [b for b, e in enumerate(blocks) if not np.any(ddj[e])]
         self._ddj_dead_parts = [[len(pairs) + b // 2 for b in dead if b % 2 == p] for p in (0, 1)]
+        # quaternion_slots: block i is (2i, 2i+1); for i < j, z is (2i, 2j+1), s is (2i, 2j)
+        slot_of = {e: c for c, e in enumerate(entries)}
+        block_pairs = [(a, b) for a in range(self.n) for b in range(a + 1, self.n)]
+        self._quaternion_slots = np.array(
+            [slot_of[index[(2 * a, 2 * b + 1)]] for a, b in block_pairs]
+            + [slot_of[index[(2 * a, 2 * b)]] for a, b in block_pairs]
+        )
+        by_part = list(real_blocks) + list(imag_blocks)  # the order quaternion_slots reads them in
+        self._block_order = np.array([by_part.index(index[(b, b + 1)]) for b in range(0, 2 * self.n, 2)])
 
     def _pack(self, upper):
         """The slots of the layout, from per-entry values ``upper`` (indexable by entry)."""
@@ -747,6 +760,18 @@ class SpectralOps:
             s2 -= p.real * p.real + p.imag * p.imag
         return s1, s2
 
+    def quaternion_slots(self, packed):
+        """(a, z, s) of :func:`model.quaternion_entries`, read off packed slots.
+
+        The blocks ``a`` come out real; every pair slot holds one of the
+        off-diagonal entries ``z`` and ``s``, and each of those has a slot.
+        """
+        c = len(self._form_layout[0])
+        blocks = np.concatenate((packed[c:].real, packed[c : c + len(self._form_layout[4])].imag))
+        q = packed[self._quaternion_slots]
+        half = len(q) // 2
+        return blocks[self._block_order], q[:half], q[half:]
+
     def zbar_gradient_batched_from_hat(self, hat):
         """u_{abar} for a = 0..2n-1, stacked on a leading axis.
 
@@ -831,7 +856,9 @@ def build_omega_h(
     J-reality is automatic: the standard form is J-real and so is the
     quaternionic Hessian of any real function.  Positivity is checked at
     every grid point before returning; a violation reports the offending
-    point and the minimum eigenvalue there.
+    point and the minimum eigenvalue there.  A form with an entry of
+    float_max^(1/n) / (2n) or more in size is rejected first: its S_n may
+    overflow.
     """
     if grid.n != model.n:
         raise SpecValidationError("grid and model dimensions differ")
@@ -842,5 +869,15 @@ def build_omega_h(
         ops = spectral_ops(grid)
         upper, _ = ops.ddj_upper_s1_from_hat(ops.live_fft(sample(rho, grid).values))
         entries += full_from_upper(upper, 2 * model.n)
+    # S_n and the closed forms of the positivity test sum products of n
+    # entries; each stays below (2n max|entry|)^n
+    largest = float(np.max(np.abs(entries)))
+    limit = np.finfo(float).max ** (1.0 / model.n) / (2 * model.n)
+    if not largest < limit:
+        raise SpecValidationError(
+            f"the background form overflows: its largest entry is {largest:.3e}, above "
+            f"{limit:.3e}, the bound that keeps S_n, a product of n = {model.n} block "
+            "eigenvalues, finite"
+        )
     require_strictly_positive(entries, model.n, margin, "the background form")
     return TwoFormField(grid, entries)

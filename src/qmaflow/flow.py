@@ -34,12 +34,19 @@ S_n = Pf(omega_tilde) / Pf(Omega) (Pf(Omega) = 1), the product of the
 block eigenvalues: the quaternionic determinant of the J-real form
 (Aslaksen, Math. Intelligencer 18, 1996).  For n = 2 the guard and the
 right-hand side read S_1 and S_2 = S_n straight off the slots as real
-polynomials, and the pair's eigenvalues come in closed form.  For n >= 3
-the slots are unpacked for ``model.block_eigenvalues``, the library's one
-positivity test, whose block eigenvalues give the guard, S_n and kappa.  No
-Pfaffian is computed.  The guard decides by ``model.failing_point``, the
-rule every positivity check shares: a point fails unless its smallest block
-eigenvalue is > margin, so NaN fails.
+polynomials, and the pair's eigenvalues come in closed form.  For n = 3
+they read the blocks and the off-diagonal quaternions off the slots
+(``SpectralOps.quaternion_slots``): S_n is their Moore determinant, and the
+smallest block eigenvalue comes in closed form too, from the trigonometric
+solution of the cubic about its mean root (``model.triple_eigenvalues``).
+For n = 4 the slots are unpacked for ``model.block_eigenvalues``, the
+library's one positivity test, whose block eigenvalues give the guard, S_n
+and kappa.  No Pfaffian is computed.  The guard decides by
+``model.failing_point``, the rule every positivity check shares: a point
+fails unless its smallest block eigenvalue is > margin, so NaN fails.  A
+state that passes the guard but whose right-hand side is not finite (S_n
+overflows, or f is not finite) fails too: a step retries it with half the
+step, and the initial state raises SpecValidationError.
 
 Steps whose result leaves the positive cone (or goes non-finite) are
 rejected and retried with half the step, up to a bounded number of
@@ -67,13 +74,20 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import PositivityError, StiffnessError
+from .errors import PositivityError, SpecValidationError, StiffnessError
 from .exterior import full_from_upper
 # perfbench/tracing.py patches flow.block_eigenvalues, flow.pfaffian_upper and
 # flow.pfaffian; the last two are not called here
 from .exterior import pfaffian, pfaffian_upper  # noqa: F401
 from .fields import ScalarField, TwoFormField, spectral_ops
-from .model import block_eigenvalues, failing_point, pair_eigenvalues
+from .model import (
+    block_eigenvalues,
+    failing_point,
+    moore_determinant,
+    pair_eigenvalues,
+    triple_eigenvalues,
+    triple_terms,
+)
 
 GROW_FACTOR = 1.1
 GROW_AFTER_ACCEPTS = 10
@@ -146,7 +160,11 @@ def normalize(u: ScalarField) -> ScalarField:
 
 
 class _Stage:
-    """One evaluation of the flow map: right-hand side, guards, worst point."""
+    """One evaluation of the flow map: right-hand side, guards, worst point.
+
+    ``rhs`` is set whenever the guard passed; ``ok`` is False if it is not
+    finite there.
+    """
 
     __slots__ = ("ok", "rhs", "min_eig", "kappa", "eta", "hat", "point")
 
@@ -199,8 +217,10 @@ class FlowEngine:
         log S_n - f, S_n = Pf(omega_tilde) / Pf(Omega) the product of the
         block eigenvalues (Pf(Omega) = 1).  For n = 2, S_1 and S_2 = S_n come
         straight off the slots and the pair's eigenvalues in closed form; for
-        n >= 3 the slots are unpacked for the block eigenvalues, whose
-        product is S_n and whose smallest one is the guard.
+        n = 3, S_1, S_2, the Moore determinant S_3 and the smallest block
+        eigenvalue are closed forms in the slots; for n = 4 the slots are
+        unpacked for the block eigenvalues, whose product is S_n and whose
+        smallest one is the guard.
         """
         self.evaluations += 1
         if not np.all(np.isfinite(u_values)):
@@ -211,6 +231,14 @@ class FlowEngine:
         if self.n == 2:
             s1, s_n = self.ops.slot_invariants(packed)
             lam_min, _ = pair_eigenvalues(s1, s_n)
+            s_prev = s1  # S_{n-1}
+        elif self.n == 3:
+            a, z, s = self.ops.quaternion_slots(packed)
+            w, t = triple_terms(z, s)
+            s1 = a[0] + a[1] + a[2]
+            s_prev = a[0] * a[1] + (a[0] + a[1]) * a[2] - (w[0] + w[1] + w[2])
+            s_n = moore_determinant(a, w, t)
+            (lam_min,) = triple_eigenvalues(a, w, t, count=1)
         else:
             upper, s1 = self.ops.unpack_form(packed)
             lam = block_eigenvalues(full_from_upper(upper, 2 * self.n), self.n)
@@ -219,17 +247,23 @@ class FlowEngine:
         min_eig, point = failing_point(lam_min, self.margin)
         if point is not None:
             return _Stage(ok=False, min_eig=min_eig, point=point)
-        # kappa = sum of reciprocal block eigenvalues; S_1 / S_2 when n = 2
-        kappa = float((s1 / s_n if self.n == 2 else (1.0 / lam).sum(axis=-1)).max())
         rhs = np.log(s_n) - self.f
         if not np.all(np.isfinite(rhs)):
-            return _Stage(ok=False, min_eig=min_eig)
+            return _Stage(ok=False, rhs=rhs, min_eig=min_eig)
+        # kappa = sum of reciprocal block eigenvalues = S_{n-1} / S_n
+        kappa = float((s_prev / s_n if self.n <= 3 else (1.0 / lam).sum(axis=-1)).max())
         # S_1(Omega) = n, so S_1 of the form grows by exactly S_1(ddj u)
         return _Stage(True, rhs, min_eig, kappa, s1 - self._s1_omega_h, hat)
 
     def evaluate_or_raise(self, u_values, what: str) -> _Stage:
-        """:meth:`evaluate`, raising PositivityError naming the worst point."""
+        """:meth:`evaluate`, raising PositivityError naming the worst point.
+
+        A state that passes the guard but whose right-hand side is not
+        finite raises :func:`non_finite_rhs_error` instead.
+        """
         stage = self.evaluate(u_values)
+        if stage.rhs is not None and not stage.ok:
+            raise non_finite_rhs_error(stage.rhs)
         if not stage.ok:
             where = f" at grid point {stage.point}" if stage.point is not None else ""
             raise PositivityError(
@@ -255,17 +289,19 @@ class FlowEngine:
 
     def diagnostics(self, state: FlowState, stage: _Stage) -> DiagnosticsRecord:
         g = self.ops.zbar_gradient_batched_from_hat(stage.hat)
-        max_beta = float(np.sum(np.abs(g) ** 2, axis=0).max())
+        v = g.reshape(len(g), -1).view(float)  # (re, im) of every point, in pairs
+        square_sums = np.einsum("ij,ij->j", v, v)
+        rhs_max, rhs_min = float(stage.rhs.max()), float(stage.rhs.min())
         return DiagnosticsRecord(
             step=state.step_count,
             t=state.t,
             dt=state.dt,
-            sup_abs_ut=float(np.max(np.abs(stage.rhs))),
+            sup_abs_ut=max(rhs_max, -rhs_min),
             osc_u=float(state.u.values.max() - state.u.values.min()),
-            max_beta=max_beta,
-            max_eta=float(np.max(np.abs(stage.eta))),
+            max_beta=float((square_sums[0::2] + square_sums[1::2]).max()),
+            max_eta=max(float(stage.eta.max()), -float(stage.eta.min())),
             min_eig_omega_tilde=stage.min_eig,
-            osc_ut=float(stage.rhs.max() - stage.rhs.min()),
+            osc_ut=rhs_max - rhs_min,
             spectral_tail=self.ops.spectral_tail(stage.hat),
         )
 
@@ -318,6 +354,15 @@ class FlowEngine:
             f"step rejected after {MAX_HALVINGS} halvings "
             f"(t = {state.t:.6g}, dt reached {dt:.3e})"
         )
+
+
+def non_finite_rhs_error(rhs) -> SpecValidationError:
+    """The error for a state that passes the guard where log S_n - f is not finite."""
+    point = tuple(int(i) for i in np.unravel_index(np.argmin(np.isfinite(rhs)), rhs.shape))
+    return SpecValidationError(
+        f"the right-hand side log S_n - f is {rhs[point]} at grid point {point}: S_n, the "
+        "product of the block eigenvalues of the evolving form, overflows, or f is not finite"
+    )
 
 
 def cfl_dt(u: ScalarField, omega_h: TwoFormField, sigma: float = DEFAULT_SIGMA) -> float:

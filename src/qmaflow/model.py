@@ -21,9 +21,11 @@ equal pairs (one pair per quaternionic block).
 
 A J-real form is strictly positive when its n block eigenvalues are
 (Aslaksen, Math. Intelligencer 18, 1996).  :func:`block_eigenvalues` is the
-one positivity test of a form field: in closed form for n = 2, as averaged
-pairs of the batched Hermitian eigensolver for n >= 3, with NaN at any grid
-point holding a non-finite entry.  Every check goes through it, and
+one positivity test of a form field: in closed form for n = 2 (the roots
+of a quadratic) and n = 3 (the trigonometric roots of a cubic about its
+mean, :func:`triple_eigenvalues`), as averaged pairs of the batched
+Hermitian eigensolver for n = 4, with NaN at any grid point holding a
+non-finite entry.  Every check goes through it, and
 :func:`failing_point` is the one failure rule (a point fails unless its
 value is > margin, so NaN fails).  The full spectrum of the positivity
 matrix, :func:`positivity_eigenvalues`, stays the tests' oracle.
@@ -174,6 +176,70 @@ def pair_eigenvalues(s1, pf):
     return 0.5 * (s1 - disc), 0.5 * (s1 + disc)
 
 
+def quaternion_entries(entries, n: int):
+    """The blocks and off-diagonal entries of a J-real form, grid axes trailing.
+
+    Returns (a, z, s): ``a[i]`` is the real block entry (2i, 2i+1), and for
+    the block pairs i < j in lexicographic order ``z`` holds the entries
+    (2i, 2j+1) and ``s`` the entries (2i, 2j).  A J-real form is the
+    quaternionic Hermitian n x n matrix with diagonal ``a`` and
+    off-diagonal quaternions z + s j; the rest of its entries are +-conj
+    of these.
+    """
+    i, j = np.array([(i, j) for i in range(n) for j in range(i + 1, n)]).T
+    blocks = np.arange(0, 2 * n, 2)
+    return entries[blocks, blocks + 1].real, entries[2 * i, 2 * j + 1], entries[2 * i, 2 * j]
+
+
+def triple_terms(z, s):
+    """The off-diagonal terms of the n = 3 Moore determinant.
+
+    ``z`` and ``s`` stack the pairs (0, 1), (0, 2), (1, 2) as
+    :func:`quaternion_entries` gives them.  Returns (w, t): ``w`` the
+    squared norms |z|^2 + |s|^2 of the three quaternions, ``t`` twice the
+    real part of their cyclic product q01 q12 conj(q02), in complex pairs.
+    """
+    w = z.real**2 + z.imag**2 + s.real**2 + s.imag**2
+    (z01, z02, z12), (s01, s02, s12) = z, s
+    zq = z01 * z12 - s01 * s12.conj()
+    sq = z01 * s12 + s01 * z12.conj()
+    t = 2.0 * (zq.real * z02.real + zq.imag * z02.imag + sq.real * s02.real + sq.imag * s02.imag)
+    return w, t
+
+
+def moore_determinant(a, w, t):
+    """Moore determinant of the quaternionic Hermitian 3 x 3 matrix: S_3 = Pf.
+
+    ``a`` stacks the three real diagonal entries and (w, t) come from
+    :func:`triple_terms` (Aslaksen, Math. Intelligencer 18, 1996).
+    """
+    return a[0] * a[1] * a[2] - a[0] * w[2] - a[1] * w[1] - a[2] * w[0] + t
+
+
+_TRIPLE_SHIFTS = (2.0 * np.pi / 3.0, -2.0 * np.pi / 3.0, 0.0)  # ascending roots
+
+
+def triple_eigenvalues(a, w, t, count: int = 3):
+    """The lowest ``count`` of the n = 3 block eigenvalues, ascending, in closed form.
+
+    Inputs as for :func:`moore_determinant`.  The roots are taken about
+    the mean eigenvalue sh = S_1 / 3 (Smith, CACM 4, 1961): the shifted
+    form has diagonal d = a - sh and the same off-diagonals, so its
+    eigenvalues sum to zero, their squares to 6 p^2 and their product to
+    Moore(d) = 2 p^3 cos(3 phi), and they are 2 p cos(phi + 2 pi k / 3).
+    Taking them from S_1, S_2, S_3 instead loses the repeated blocks of the
+    forms on a plane to cancellation.  Where p = 0 the form is sh times the
+    standard one and every root is sh.
+    """
+    sh = (a[0] + a[1] + a[2]) / 3.0
+    d = a - sh
+    p = np.sqrt((d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + 2.0 * (w[0] + w[1] + w[2])) / 6.0)
+    arg = moore_determinant(d, w, t) / np.maximum(2.0 * p * p * p, np.finfo(float).tiny)
+    phi = np.arccos(arg.clip(-1.0, 1.0)) / 3.0
+    return [sh + 2.0 * p * np.cos(phi + shift) for shift in _TRIPLE_SHIFTS[:count]]
+
+
+
 def block_eigenvalues(entries, n: int):
     """The n paired eigenvalues of the positivity matrix, grid axes leading.
 
@@ -183,10 +249,11 @@ def block_eigenvalues(entries, n: int):
     ``entries`` is J-real.  It is not checked here, and a form that is not
     gets meaningless values (for n = 2 the closed form reads only the real
     parts of the blocks and the Pfaffian).  For n = 2 the
-    pair values come from :func:`pair_eigenvalues`; for larger n the
-    batched Hermitian eigensolver is used and adjacent eigenvalues are
-    averaged.  A grid point with a non-finite entry gets NaN block
-    eigenvalues and is never handed to either.
+    pair values come from :func:`pair_eigenvalues` and for n = 3 from
+    :func:`triple_eigenvalues`; for n = 4 the batched Hermitian eigensolver
+    is used and adjacent eigenvalues are averaged.  A grid point with a
+    non-finite entry gets NaN block eigenvalues and is never handed to any
+    of them.
     """
     entries = np.asarray(entries)
     if not np.isfinite(entries).all():
@@ -197,6 +264,9 @@ def block_eigenvalues(entries, n: int):
     if n == 2:
         s1 = (entries[0, 1] + entries[2, 3]).real
         return np.stack(pair_eigenvalues(s1, pfaffian(entries).real), axis=-1)
+    if n == 3:
+        a, z, s = quaternion_entries(entries, 3)
+        return np.stack(triple_eigenvalues(a, *triple_terms(z, s)), axis=-1)
     eig = positivity_eigenvalues(entries, n)
     return 0.5 * (eig[..., 0::2] + eig[..., 1::2])
 

@@ -93,7 +93,9 @@ def flow_rhs(
 
     Evaluated by the stepper.  Raises PositivityError (with the offending
     point and its minimum eigenvalue) when the evolving form leaves the
-    positive cone, where the logarithm is undefined, or on non-finite values.
+    positive cone, where the logarithm is undefined, or on non-finite
+    values of u; SpecValidationError where the form is positive but the
+    right-hand side is not finite (``flow.non_finite_rhs_error``).
     """
     engine = FlowEngine(omega_h, f, margin=margin)
     stage = engine.evaluate_or_raise(u.values, "the flow right-hand side is undefined")

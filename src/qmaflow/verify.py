@@ -33,7 +33,7 @@ from .fields import (
     sample,
     spectral_ops,
 )
-from .flow import FlowEngine
+from .flow import FlowEngine, non_finite_rhs_error
 from .model import (
     build_model,
     j_conjugate_two_form,
@@ -371,6 +371,8 @@ def build_manufactured(
     u_star = sample(u_star_spec, grid)
     engine = FlowEngine(omega_h, ScalarField.zeros(grid), margin=margin)
     stage = engine.evaluate(u_star.values)
+    if stage.rhs is not None and not stage.ok:
+        raise non_finite_rhs_error(stage.rhs)
     if not stage.ok:
         scale = _max_admissible_scale(u_star_spec, grid, engine)
         raise PositivityError(

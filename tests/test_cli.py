@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qmaflow
+from qmaflow import cli
 from qmaflow.cli import (
     EXIT_INVALID,
     EXIT_NOT_CONVERGED,
@@ -253,6 +254,43 @@ def test_flow_initial_positivity_exit_three(tmp_path):
     config = base_config(tmp_path / "o3", u0=[{"k": [1, 0], "amplitude": 10.0}])
     path = write_config(tmp_path, config, "bad-u0.json")
     assert main(["flow", "--config", str(path)]) == EXIT_POSITIVITY
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_flow_overflowing_background_exits_two(tmp_path, n):
+    # c = 1e155 is finite, but S_n = c^n is not: a config error, named once,
+    # with no numpy warning and no traceback (it was exit 3 for n = 3)
+    config = base_config(
+        tmp_path / "o", n=n, grid={"active_dims": [0, 2 * n], "sizes": [8, 8]}, omega_h={"c": 1e155}
+    )
+    proc = run_cli(["flow", "--config", str(write_config(tmp_path, config))])
+    assert proc.returncode == EXIT_INVALID, proc.stderr
+    assert proc.stderr.startswith("error: the background form overflows")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["flow", "check"])
+def test_non_finite_right_hand_side_exits_two(flow_run, tmp_path, capsys, monkeypatch, command):
+    # a state that passes the guard where log S_n - f is not finite: the
+    # input's fault, not the initial data's positivity
+    def infinite_source_at(call):
+        def wrapped(u, omega_h, f, **kwargs):
+            values = f.values.copy()
+            values[2, 3] = -math.inf
+            return call(u, omega_h, ScalarField(f.grid, values), **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(cli, "run_to_steady", infinite_source_at(cli.run_to_steady))
+    monkeypatch.setattr(cli, "flow_rhs", infinite_source_at(cli.flow_rhs))
+    _, config_path, out_dir = flow_run
+    if command == "check":
+        argv = ["check", "--config", str(config_path), "--snapshot", str(out_dir / "u_final.snap")]
+    else:
+        argv = ["flow", "--config", str(write_config(tmp_path, base_config(tmp_path / "o")))]
+    assert main(argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: the right-hand side log S_n - f is inf at grid point (2, 3)")
 
 
 def test_flow_stall_at_positivity_margin_exits_four(tmp_path):

@@ -24,6 +24,7 @@ from qmaflow.fields import (
     spectral_ops,
 )
 from qmaflow.flow import (
+    MAX_HALVINGS,
     DiagnosticsRecord,
     FlowEngine,
     FlowState,
@@ -118,8 +119,8 @@ def test_cfl_kappa_matches_bruteforce_eigen_scan():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_engine_guard_matches_bruteforce_eigen_scan(n):
-    # kappa and min_eig of the stepper's guard (closed form for n = 2,
-    # paired eigvalsh for n >= 3) against a direct scan of the positivity matrix
+    # kappa and min_eig of the stepper's guard (closed form for n = 2, 3,
+    # paired eigvalsh for n = 4) against a direct scan of the positivity matrix
     grid = TorusGrid(n=n, active_dims=(0, 1, 2 * n + 2), sizes=(8, 8, 8))
     rho = TrigPolySpec.from_terms([TrigTerm((1, 1, 0), 0.05), TrigTerm((0, 1, 1), 0.03)])
     oh = build_omega_h(build_model(n), grid, 1.2, rho)
@@ -132,6 +133,23 @@ def test_engine_guard_matches_bruteforce_eigen_scan(n):
     assert stage.ok
     assert stage.kappa == pytest.approx(float((1.0 / paired).sum(axis=-1).max()), rel=1e-10)
     assert stage.min_eig == pytest.approx(float(eig.min()), rel=1e-10)
+
+
+def test_n3_positivity_tests_take_no_eigensolver(monkeypatch):
+    # n = 3 takes its block eigenvalues in closed form everywhere: the
+    # background check, the flow's guard and the library's positivity test
+    def no_eigensolver(m):
+        raise AssertionError("an n = 3 positivity test called eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+    grid = TorusGrid(n=3, active_dims=(0, 1, 8), sizes=(8, 8, 8))
+    uspec = TrigPolySpec.from_terms([TrigTerm((1, 0, 0), 0.1), TrigTerm((1, 1, 1), 0.05)])
+    rspec = TrigPolySpec.from_terms([TrigTerm((0, 1, 1), 0.05)])
+    prob = build_manufactured(uspec, grid, rho=rspec)
+    engine = FlowEngine(prob.omega_h, prob.f)
+    assert engine.evaluate(prob.u_star.values).ok
+    assert not engine.evaluate(40.0 * prob.u_star.values).ok
+    assert float(np.min(min_positivity_eigenvalue(prob.omega_h.entries, 3))) > 0
 
 
 # -- the packed flow map -------------------------------------------------------------
@@ -306,6 +324,24 @@ def test_step_stiffness_error_after_max_halvings():
     state = FlowState(u=ScalarField.zeros(GRID), t=0.0, dt=0.01, step_count=0)
     with pytest.raises(StiffnessError):
         engine.step(state, stage)
+
+
+def test_non_finite_right_hand_side_fails_a_start_and_rejects_a_trial_step():
+    # the flat start passes the guard, but log S_n - f is not finite at one
+    # point: the initial state raises a SpecValidationError naming it, while
+    # a trial step there is a rejection, halved like any other
+    f = np.zeros(GRID.shape)
+    f[2, 3] = np.inf
+    engine = FlowEngine(omega_field(), ScalarField(GRID, f))
+    stage = engine.evaluate(np.zeros(GRID.shape))
+    assert not stage.ok and stage.min_eig == pytest.approx(1.0)
+    with pytest.raises(SpecValidationError, match=r"is -inf at grid point \(2, 3\)"):
+        run_to_steady(ScalarField.zeros(GRID), omega_field(), ScalarField(GRID, f))
+    start = FlowEngine(omega_field(), ScalarField.zeros(GRID)).evaluate(np.zeros(GRID.shape))
+    state = FlowState(u=ScalarField.zeros(GRID), t=0.0, dt=0.01, step_count=0)
+    with pytest.raises(StiffnessError):
+        engine.step(state, start)
+    assert engine.halvings == MAX_HALVINGS + 1
 
 
 def test_step_constant_source_exact_far_above_cfl():
@@ -576,6 +612,8 @@ def test_benchmark_tracing_installs_on_the_flow_module():
     # perfbench/tracing.py wraps names it looks up on qmaflow.flow (and the
     # other modules); a name missing there would break every traced benchmark
     # run.  A fresh process, so the global patching reaches no other test.
+    # n = 4, the dimension whose flow map still calls block_eigenvalues (n = 2
+    # and n = 3 take their block eigenvalues in closed form off the slots).
     root = Path(__file__).resolve().parents[1]
     script = """
 import json
@@ -585,7 +623,7 @@ tracing.install(tracer)
 from qmaflow.fields import ScalarField, TorusGrid, TrigPolySpec
 from qmaflow.flow import run_to_steady
 from qmaflow.verify import build_manufactured
-grid = TorusGrid(n=3, active_dims=(0, 6), sizes=(8, 8))
+grid = TorusGrid(n=4, active_dims=(0, 8), sizes=(8, 8))
 prob = build_manufactured(TrigPolySpec.single((1, 0), 0.1), grid)
 run_to_steady(ScalarField.zeros(grid), prob.omega_h, prob.f, tol_steady=1e-6)
 calls = tracing.summarize(tracer.names, tracer.spans)
