@@ -40,8 +40,12 @@ real polynomials in its slots (``SpectralOps.slot_invariants``).  The
 slots also hold the form as a quaternionic Hermitian matrix: every pair
 slot is one off-diagonal entry of it, so the blocks and the off-diagonal
 quaternions are read off without unpacking (``SpectralOps.quaternion_slots``,
-which the n = 3 flow map takes its closed forms from).  Every batched
-multiplier stack holds the live modes only.
+which the n = 3 flow map takes its closed forms from).  Every multiplier
+is held on the live modes only: the first derivatives as (2n, live)
+stacks, S_1's as a live-mode vector and the slot multipliers as packed
+stacks, each built on the live indices of each axis, never on the full
+grid.  Only ``SpectralOps.below_nyquist`` and the index tables of the full
+transforms are grid-sized.
 
 Each grid picks its transform once, from its shape.  If no axis is longer
 than DFT_MATRIX_MAX_AXIS points, every derivative and the stepper's
@@ -318,9 +322,18 @@ def _axis_groups(sizes):
 
 
 def _nonzero_rows(stack):
-    """(rows, stack[rows], len(stack)): the rows of a multiplier stack that are not zero."""
+    """(rows, their multipliers, len(stack)): the rows of a multiplier stack that are not zero.
+
+    The multipliers are ``stack`` itself when every row is live, else a copy
+    of the live rows.
+    """
     rows = np.flatnonzero(np.any(stack, axis=1))
-    return rows, stack[rows], len(stack)
+    return rows, stack if len(rows) == len(stack) else stack[rows], len(stack)
+
+
+def _max_abs(arrays):
+    """The largest magnitude over a sequence of arrays, taken one array at a time; NaN if any is."""
+    return float(np.max([np.max(np.abs(a)) for a in arrays]))
 
 
 def _hermitian_gather(sizes):
@@ -397,7 +410,7 @@ class SpectralOps:
     Precomputes the holomorphic/antiholomorphic first-derivative multipliers
     and the packed slot multipliers of the quaternionic Hessian and of the
     flow's evolving form, every one of them zero off the modes below
-    Nyquist; the batched stacks hold the live modes only.  Every
+    Nyquist and held on the live modes only.  Every
     derivative is a live-mode bundle (one-row for a single one), on DFT
     matrices or numpy.fft as the module's rule picks, and so is the step
     pair; :meth:`fft` and :meth:`ifft` are the full transforms, on
@@ -417,36 +430,36 @@ class SpectralOps:
         self.n = grid.n
         self.below_nyquist = self._build_below_nyquist()
         self._live_index = np.flatnonzero(self.below_nyquist)
+        # per axis, the indices below Nyquist: the live modes are their product
+        self._live_axes = [np.flatnonzero(2 * np.arange(size) != size) for size in grid.sizes]
         self._hermitian_index, self._real_modes = _hermitian_gather(grid.sizes)
         self._live_dft = None  # DFT matrices on the live modes, in the order of _live_index
         if max(grid.sizes) <= DFT_MATRIX_MAX_AXIS:
-            live = [np.flatnonzero(2 * np.arange(size) != size) for size in grid.sizes]
-            self._live_dft = _KroneckerDft(grid.sizes, live, inverse=False)
-            self._live_idft = _KroneckerDft(grid.sizes, live, inverse=True)
+            self._live_dft = _KroneckerDft(grid.sizes, self._live_axes, inverse=False)
+            self._live_idft = _KroneckerDft(grid.sizes, self._live_axes, inverse=True)
         m = 2 * self.n
-        self._ik = self._build_ik()
-        # d/dz^a -> (ik_a + k_{2n+a})/2,  d/dzbar^a -> (ik_a - k_{2n+a})/2,
-        # both restricted to the live modes
-        self.zmult = [
-            self.below_nyquist * 0.5 * (self._ik_for(a) + (-1j) * self._ik_for(2 * self.n + a))
-            for a in range(m)
-        ]
-        self.zbmult = [
-            self.below_nyquist * 0.5 * (self._ik_for(a) - (-1j) * self._ik_for(2 * self.n + a))
-            for a in range(m)
-        ]
+        # d/dz^a -> (ik_a + k_{2n+a})/2,  d/dzbar^a -> (ik_a - k_{2n+a})/2
+        self._z = self._live_stack([0.5 * (self._ik(a) + (-1j) * self._ik(m + a)) for a in range(m)])
+        self._zbar = self._live_stack([0.5 * (self._ik(a) - (-1j) * self._ik(m + a)) for a in range(m)])
         self.pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
         # (ik + k')(ik - k') / 4: the cross terms are the same two products, so
         # the imaginary part cancels exactly
-        self.s1_mult = sum(self.zmult[a] * self.zbmult[a] for a in range(m)).real
-        self.s1_live = self._live_stack([self.s1_mult])[0]
-        self._tail_live = self._build_tail_mask().reshape(-1)[self._live_index]
+        self.s1_live = sum(self._z[a] * self._zbar[a] for a in range(m)).real.copy()
+        self._tail_live = self._build_tail_live()
         self._build_slot_tables(j_tables(self.n))
-        self._zbar_rows = _nonzero_rows(self._live_stack(self.zbmult))
+        self._zbar_rows = _nonzero_rows(self._zbar)
 
     def _live_stack(self, mults):
-        """Grid-shaped multipliers stacked on their live modes."""
-        return np.stack([mult.reshape(-1)[self._live_index] for mult in mults])
+        """Multipliers on the live modes, stacked flat in the order of ``_live_index``.
+
+        Each multiplier is given on the live indices of each axis, broadcast
+        over the axes it does not vary on.
+        """
+        shape = tuple(len(live) for live in self._live_axes)
+        stack = np.empty((len(mults),) + shape, dtype=complex)
+        for row, mult in zip(stack, mults):
+            row[...] = mult
+        return stack.reshape(len(mults), -1)
 
     def _build_slot_tables(self, t):
         """The one packed slot layout, and the Hessian and form multipliers on it.
@@ -477,7 +490,7 @@ class SpectralOps:
         with x^0 and x^4 active reaches blocks 0 and 2) and cost it a slot.
         """
 
-        z, zb = self._live_stack(self.zmult), self._live_stack(self.zbmult)
+        z, zb = self._z, self._zbar
 
         def ddj_mult(e):
             # (ddj u)_{jk} = dj_k u_{j sigma(k)bar} - dj_j u_{k sigma(j)bar}, on the live modes
@@ -491,58 +504,54 @@ class SpectralOps:
             partner = index.get((int(t.sigma[j]), int(t.sigma[k])))  # None for a block
             if e not in blocks and e < partner:
                 pairs.append((e, partner, int(t.form_sign[j] * t.form_sign[k])))
-        ddj = {e: ddj_mult(e) for e in [p[0] for p in pairs] + blocks}
-        eta = sum(ddj[e] for e in blocks)  # S_1 of the Hessian
-        form = {e: -mult / (self.n - 1) for e, mult in ddj.items()}
-        for e in blocks:
-            form[e] = (eta - ddj[e]) / (self.n - 1)  # Omega is 1 on every block
+        eta = sum(ddj_mult(e) for e in blocks)  # S_1 of the Hessian
+        block_set = set(blocks)
 
-        blocks.sort(key=lambda e: (not np.any(form[e]), not np.any(ddj[e])))
+        def form_mult(e):
+            if e in block_set:
+                return (eta - ddj_mult(e)) / (self.n - 1)  # Omega is 1 on every block
+            return -ddj_mult(e) / (self.n - 1)
+
+        zero = {e: (not np.any(form_mult(e)), not np.any(ddj_mult(e))) for e in blocks}
+        blocks.sort(key=zero.get)
         entries, partners, signs = np.array(pairs).T
         signs = signs.astype(float).reshape((-1,) + (1,) * len(self.grid.shape))
         real_blocks, imag_blocks = np.array(blocks[0::2]), np.array(blocks[1::2])
         self._form_layout = (entries, partners, signs, real_blocks, imag_blocks)
-        self._ddj_rows = _nonzero_rows(self._pack(ddj))
-        self._form_rows = _nonzero_rows(self._pack(form))
+        # each multiplier is made as its slot is packed, and dropped after it
+        self._ddj_rows = _nonzero_rows(self._pack(ddj_mult, z.shape[1:]))
+        self._form_rows = _nonzero_rows(self._pack(form_mult, z.shape[1:]))
         # block b sits in slot len(pairs) + b // 2, in the real part iff b is even;
         # a dead Hessian block that shares a live slot would read rounding there
-        dead = [b for b, e in enumerate(blocks) if not np.any(ddj[e])]
+        dead = [b for b, e in enumerate(blocks) if zero[e][1]]
         self._ddj_dead_parts = [[len(pairs) + b // 2 for b in dead if b % 2 == p] for p in (0, 1)]
-        # quaternion_slots: block i is (2i, 2i+1); for i < j, z is (2i, 2j+1), s is (2i, 2j)
-        slot_of = {e: c for c, e in enumerate(entries)}
-        block_pairs = [(a, b) for a in range(self.n) for b in range(a + 1, self.n)]
-        self._quaternion_slots = np.array(
-            [slot_of[index[(2 * a, 2 * b + 1)]] for a, b in block_pairs]
-            + [slot_of[index[(2 * a, 2 * b)]] for a, b in block_pairs]
-        )
+        # quaternion_slots: block i is (2i, 2i+1)
         by_part = list(real_blocks) + list(imag_blocks)  # the order quaternion_slots reads them in
         self._block_order = np.array([by_part.index(index[(b, b + 1)]) for b in range(0, 2 * self.n, 2)])
 
-    def _pack(self, upper):
-        """The slots of the layout, from per-entry values ``upper`` (indexable by entry)."""
+    def _pack(self, entry, shape):
+        """The slots of the layout, from ``entry(e)``, the value of entry e, taken one at a time."""
         entries, _, _, real_blocks, imag_blocks = self._form_layout
-        slots = [upper[e] for e in entries]
-        two_blocks = zip(real_blocks, imag_blocks)
-        slots += [np.real(upper[a]) + 1j * np.real(upper[b]) for a, b in two_blocks]
-        if len(real_blocks) > len(imag_blocks):
-            slots.append(np.real(upper[real_blocks[-1]]))
-        return np.stack(slots)
+        c = len(entries)
+        slots = np.zeros((c + len(real_blocks),) + tuple(shape), dtype=complex)
+        for slot, e in zip(slots, entries):
+            slot[...] = entry(e)
+        for slot, e in zip(slots[c:], real_blocks):
+            slot.real = np.real(entry(e))
+        for slot, e in zip(slots[c:], imag_blocks):
+            slot.imag = np.real(entry(e))
+        return slots
 
-    def _build_ik(self):
-        out = []
+    def _ik(self, real_dim: int):
+        """i k along a real coordinate on the live indices of its axis, 0 if inactive."""
         d = len(self.grid.sizes)
-        for p, size in enumerate(self.grid.sizes):
-            k = np_fft.fftfreq(size) * size
-            shape = [1] * d
-            shape[p] = size
-            out.append(1j * k.reshape(shape))
-        return out
-
-    def _ik_for(self, real_dim: int):
         axis = self.grid.axis_of(real_dim)
         if axis is None:
-            return np.zeros((1,) * len(self.grid.sizes))
-        return self._ik[axis]
+            return np.zeros((1,) * d)
+        size = self.grid.sizes[axis]
+        shape = [1] * d
+        shape[axis] = -1
+        return 1j * (np_fft.fftfreq(size) * size)[self._live_axes[axis]].reshape(shape)
 
     def _build_below_nyquist(self):
         """1.0 on the live modes (no Nyquist index on any even axis), 0.0 elsewhere.
@@ -560,15 +569,15 @@ class SpectralOps:
                 keep[tuple(index)] = 0.0
         return keep
 
-    def _build_tail_mask(self):
+    def _build_tail_live(self):
+        """The live modes with |k| >= size / 3 on some axis, in the order of ``_live_index``."""
         d = len(self.grid.sizes)
-        mask = np.zeros(self.grid.shape, dtype=bool)
-        for p, size in enumerate(self.grid.sizes):
-            k = np.abs(np_fft.fftfreq(size) * size)
+        tail = np.zeros((1,) * d, dtype=bool)
+        for p, (size, live) in enumerate(zip(self.grid.sizes, self._live_axes)):
             shape = [1] * d
-            shape[p] = size
-            mask |= np.broadcast_to(k.reshape(shape) >= size / 3.0, self.grid.shape)
-        return mask
+            shape[p] = -1
+            tail = tail | (np.abs(np_fft.fftfreq(size) * size)[live].reshape(shape) >= size / 3.0)
+        return np.broadcast_to(tail, tuple(len(live) for live in self._live_axes)).reshape(-1)
 
     # -- transforms ---------------------------------------------------
 
@@ -602,10 +611,10 @@ class SpectralOps:
         """Inverse transforms of each live multiplier of ``stack`` times ``hat``."""
         return self._ifft_batch(stack * hat)
 
-    def _derivative(self, mult, values):
-        """One grid-shaped multiplier applied to a real or complex field."""
+    def _derivative(self, row, values):
+        """One live multiplier, a one-row stack, applied to a real or complex field."""
         hat = self.fft(values).reshape(-1)[self._live_index]
-        return self._bundle(self._live_stack([mult]), hat)[0]
+        return self._bundle(row, hat)[0]
 
     def live_fft(self, values):
         """The live-mode vector of a real field: its FFT on the live modes.
@@ -637,16 +646,16 @@ class SpectralOps:
     # -- first derivatives ---------------------------------------------
 
     def partial_x(self, values, real_dim: int):
-        return self._derivative(self.below_nyquist * self._ik_for(real_dim), values)
+        return self._derivative(self._live_stack([self._ik(real_dim)]), values)
 
     def partial_z(self, values, a: int):
-        return self._derivative(self.zmult[a], values)
+        return self._derivative(self._z[a : a + 1], values)
 
     def partial_zbar(self, values, a: int):
-        return self._derivative(self.zbmult[a], values)
+        return self._derivative(self._zbar[a : a + 1], values)
 
     def z_gradient_from_hat(self, hat):
-        return self._bundle(self._live_stack(self.zmult), hat)
+        return self._bundle(self._z, hat)
 
     # -- second derivatives ---------------------------------------------
 
@@ -659,7 +668,7 @@ class SpectralOps:
         m = 2 * self.n
         entries = [(a, b) for a in range(m) for b in range(a if real_input else 0, m)]
         rows, cols = (list(idx) for idx in zip(*entries))
-        z, zb = self._live_stack(self.zmult), self._live_stack(self.zbmult)
+        z, zb = self._z, self._zbar
         H = np.empty((m, m) + self.grid.shape, dtype=complex)
         H[rows, cols] = self._bundle(z[rows] * zb[cols], hat)
         if real_input:
@@ -705,28 +714,31 @@ class SpectralOps:
         """Packed slots of a J-real form, in the layout of every bundle.
 
         Every entry is packed, also where no multiplier of the grid reaches.
-        ``upper`` stacks the (j, k) entries in ``self.pairs`` order.  Raises
-        SpecValidationError unless each partner entry equals sign * conj of
-        its entry and the blocks are real, to 1e-12 of the largest entry.
+        ``upper`` holds the (j, k) entries in ``self.pairs`` order: a stack,
+        or a sequence of grid arrays such as views of a form's entries, read
+        one entry at a time.  Raises SpecValidationError unless each partner
+        entry equals sign * conj of its entry and the blocks are real, to
+        1e-12 of the largest entry.
         """
         entries, partners, signs, real_blocks, imag_blocks = self._form_layout
-        blocks = np.concatenate([real_blocks, imag_blocks])
         defect = max(
-            float(np.max(np.abs(upper[partners] - signs * np.conj(upper[entries])))),
-            float(np.max(np.abs(upper[blocks].imag))),
+            _max_abs(upper[p] - sign * np.conj(upper[e]) for e, p, sign in zip(entries, partners, signs)),
+            _max_abs(upper[b].imag for b in (*real_blocks, *imag_blocks)),
         )
-        if not defect <= 1e-12 * float(np.max(np.abs(upper))):
+        if not defect <= 1e-12 * _max_abs(upper):
             raise SpecValidationError(f"the background form is not J-real (defect {defect:.3e})")
-        return self._pack(upper)
+        return self._pack(upper.__getitem__, np.shape(upper[0]))
 
     def packed_form_from_hat(self, packed_base, hat):
         """``packed_base`` plus the packed (S_1(ddj u) Omega - ddj u) / (n - 1).
 
         ``packed_base`` comes from :meth:`pack_j_real`; ``hat`` must be the
         live-mode vector of a real field.  Only the slots with a non-zero
-        multiplier are transformed.
+        multiplier are transformed, and the base is added into their output.
         """
-        return packed_base + self._live_rows(self._form_rows, hat)
+        slots = self._live_rows(self._form_rows, hat)
+        slots += packed_base
+        return slots
 
     def unpack_form(self, packed):
         """Upper-triangle entries and S_1 (the sum of the blocks) of packed slots."""
@@ -763,14 +775,14 @@ class SpectralOps:
     def quaternion_slots(self, packed):
         """(a, z, s) of :func:`model.quaternion_entries`, read off packed slots.
 
-        The blocks ``a`` come out real; every pair slot holds one of the
-        off-diagonal entries ``z`` and ``s``, and each of those has a slot.
+        The blocks ``a`` come out real.  The pair slots hold the entries
+        (2i, k), k > 2i + 1, in ``pairs`` order: for the block pairs i < j in
+        lexicographic order, s = (2i, 2j) and then z = (2i, 2j + 1).  So
+        ``z`` and ``s`` are every other pair slot, views of ``packed``.
         """
         c = len(self._form_layout[0])
         blocks = np.concatenate((packed[c:].real, packed[c : c + len(self._form_layout[4])].imag))
-        q = packed[self._quaternion_slots]
-        half = len(q) // 2
-        return blocks[self._block_order], q[:half], q[half:]
+        return blocks[self._block_order], packed[1:c:2], packed[0:c:2]
 
     def zbar_gradient_batched_from_hat(self, hat):
         """u_{abar} for a = 0..2n-1, stacked on a leading axis.
@@ -788,7 +800,10 @@ class SpectralOps:
         ``hat`` is a live-mode vector.  The mean mode, which leads it, is
         excluded from the reference energy so a large additive constant
         cannot mask tail growth.  Returns 0 for fields with no non-mean
-        content, and on grids where the top third holds no live mode.
+        content, and on grids where the top third holds no live mode (every
+        axis of 2 or 4 points, such as 4^8).  On a grid whose axes all have
+        3 points it returns 1 up to rounding for every field with non-mean
+        content: there the top third, |k| >= 1, is every non-mean mode.
         """
         power = np.abs(hat) ** 2
         total = float(power.sum() - power[0])
@@ -858,20 +873,26 @@ def build_omega_h(
     every grid point before returning; a violation reports the offending
     point and the minimum eigenvalue there.  A form with an entry of
     float_max^(1/n) / (2n) or more in size is rejected first: its S_n may
-    overflow.
+    overflow.  The form is assembled on its upper triangle, c added to the
+    blocks of ddj(rho)'s, and expanded to the full array once.
     """
     if grid.n != model.n:
         raise SpecValidationError("grid and model dimensions differ")
     if not c > 0:
         raise SpecValidationError(f"background scale c must be positive, got {c}")
-    entries = constant_two_form_field(grid, model.omega * c).entries
+    m = 2 * model.n
+    omega_upper = model.omega[np.triu_indices(m, 1)]  # the order of ops.pairs and full_from_upper
     if rho is not None and rho.terms:
         ops = spectral_ops(grid)
         upper, _ = ops.ddj_upper_s1_from_hat(ops.live_fft(sample(rho, grid).values))
-        entries += full_from_upper(upper, 2 * model.n)
+    else:
+        upper = np.zeros(omega_upper.shape + grid.shape, dtype=complex)
+    for e in np.flatnonzero(omega_upper):  # the blocks
+        upper[e] += c * omega_upper[e]
     # S_n and the closed forms of the positivity test sum products of n
-    # entries; each stays below (2n max|entry|)^n
-    largest = float(np.max(np.abs(entries)))
+    # entries; each stays below (2n max|entry|)^n.  The triangle holds the
+    # largest one.
+    largest = _max_abs(upper)
     limit = np.finfo(float).max ** (1.0 / model.n) / (2 * model.n)
     if not largest < limit:
         raise SpecValidationError(
@@ -879,5 +900,7 @@ def build_omega_h(
             f"{limit:.3e}, the bound that keeps S_n, a product of n = {model.n} block "
             "eigenvalues, finite"
         )
+    entries = full_from_upper(upper, m)
+    del upper
     require_strictly_positive(entries, model.n, margin, "the background form")
     return TwoFormField(grid, entries)

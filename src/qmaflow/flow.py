@@ -34,7 +34,8 @@ S_n = Pf(omega_tilde) / Pf(Omega) (Pf(Omega) = 1), the product of the
 block eigenvalues: the quaternionic determinant of the J-real form
 (Aslaksen, Math. Intelligencer 18, 1996).  For n = 2 the guard and the
 right-hand side read S_1 and S_2 = S_n straight off the slots as real
-polynomials, and the pair's eigenvalues come in closed form.  For n = 3
+polynomials, and the pair's eigenvalues come in closed form about their
+mean, from the blocks and the off-diagonal quaternion's norm.  For n = 3
 they read the blocks and the off-diagonal quaternions off the slots
 (``SpectralOps.quaternion_slots``): S_n is their Moore determinant, and the
 smallest block eigenvalue comes in closed form too, from the trigonometric
@@ -85,6 +86,7 @@ from .model import (
     failing_point,
     moore_determinant,
     pair_eigenvalues,
+    quaternion_norms,
     triple_eigenvalues,
     triple_terms,
 )
@@ -204,8 +206,7 @@ class FlowEngine:
         self.margin = margin
         self.halvings = 0
         self.evaluations = 0
-        upper_h = np.stack([omega_h.entries[j, k] for j, k in self.ops.pairs])
-        self._packed_omega_h = self.ops.pack_j_real(upper_h)
+        self._packed_omega_h = self.ops.pack_j_real([omega_h.entries[j, k] for j, k in self.ops.pairs])
         self._s1_omega_h, _ = self.ops.slot_invariants(self._packed_omega_h)
 
     def evaluate(self, u_values, hat=None) -> _Stage:
@@ -216,7 +217,8 @@ class FlowEngine:
         Runs on the packed J-real slots of the form.  The right-hand side is
         log S_n - f, S_n = Pf(omega_tilde) / Pf(Omega) the product of the
         block eigenvalues (Pf(Omega) = 1).  For n = 2, S_1 and S_2 = S_n come
-        straight off the slots and the pair's eigenvalues in closed form; for
+        straight off the slots and the pair's eigenvalues in closed form from
+        the blocks and the quaternion slots; for
         n = 3, S_1, S_2, the Moore determinant S_3 and the smallest block
         eigenvalue are closed forms in the slots; for n = 4 the slots are
         unpacked for the block eigenvalues, whose product is S_n and whose
@@ -230,7 +232,8 @@ class FlowEngine:
         packed = self.ops.packed_form_from_hat(self._packed_omega_h, hat)
         if self.n == 2:
             s1, s_n = self.ops.slot_invariants(packed)
-            lam_min, _ = pair_eigenvalues(s1, s_n)
+            a, z, s = self.ops.quaternion_slots(packed)
+            lam_min, _ = pair_eigenvalues(a, quaternion_norms(z, s)[0])
             s_prev = s1  # S_{n-1}
         elif self.n == 3:
             a, z, s = self.ops.quaternion_slots(packed)

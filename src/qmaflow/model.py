@@ -22,8 +22,9 @@ equal pairs (one pair per quaternionic block).
 A J-real form is strictly positive when its n block eigenvalues are
 (Aslaksen, Math. Intelligencer 18, 1996).  :func:`block_eigenvalues` is the
 one positivity test of a form field: in closed form for n = 2 (the roots
-of a quadratic) and n = 3 (the trigonometric roots of a cubic about its
-mean, :func:`triple_eigenvalues`), as averaged pairs of the batched
+of a quadratic about their mean, :func:`pair_eigenvalues`) and n = 3 (the
+trigonometric roots of a cubic about its mean,
+:func:`triple_eigenvalues`), as averaged pairs of the batched
 Hermitian eigensolver for n = 4, with NaN at any grid point holding a
 non-finite entry.  Every check goes through it, and
 :func:`failing_point` is the one failure rule (a point fails unless its
@@ -39,7 +40,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PositivityError, SpecValidationError
-from .exterior import pfaffian
+# perfbench/tracing.py patches model.pfaffian; nothing here calls it
+from .exterior import pfaffian  # noqa: F401
 
 _SUPPORTED_N = (2, 3, 4)
 
@@ -170,9 +172,19 @@ def positivity_eigenvalues(entries, n: int):
     return np.linalg.eigvalsh(m)
 
 
-def pair_eigenvalues(s1, pf):
-    """Roots (lo, hi) of lambda^2 - S_1 lambda + Pf: the n = 2 block pair."""
-    disc = np.sqrt(np.maximum(s1 * s1 - 4.0 * pf, 0.0))
+def pair_eigenvalues(a, w):
+    """The n = 2 block pair (lo, hi), the roots of lambda^2 - S_1 lambda + S_2.
+
+    ``a`` holds the two blocks and ``w`` the squared norm |z|^2 + |s|^2 of
+    the one off-diagonal quaternion (:func:`quaternion_entries`,
+    :func:`quaternion_norms`).  The roots are (S_1 -+ disc) / 2 with
+    disc^2 = (a_0 - a_1)^2 + 4 w, which is S_1^2 - 4 S_2 taken about the
+    mean root: the difference of squares cancels near a double root, and
+    this sum of squares does not.
+    """
+    s1 = a[0] + a[1]
+    d = a[0] - a[1]
+    disc = np.sqrt(d * d + 4.0 * w)
     return 0.5 * (s1 - disc), 0.5 * (s1 + disc)
 
 
@@ -191,15 +203,21 @@ def quaternion_entries(entries, n: int):
     return entries[blocks, blocks + 1].real, entries[2 * i, 2 * j + 1], entries[2 * i, 2 * j]
 
 
+def quaternion_norms(z, s):
+    """Squared norms |z|^2 + |s|^2 of off-diagonal quaternions z + s j, in real arithmetic."""
+    return z.real**2 + z.imag**2 + s.real**2 + s.imag**2
+
+
 def triple_terms(z, s):
     """The off-diagonal terms of the n = 3 Moore determinant.
 
     ``z`` and ``s`` stack the pairs (0, 1), (0, 2), (1, 2) as
     :func:`quaternion_entries` gives them.  Returns (w, t): ``w`` the
-    squared norms |z|^2 + |s|^2 of the three quaternions, ``t`` twice the
-    real part of their cyclic product q01 q12 conj(q02), in complex pairs.
+    squared norms of the three quaternions (:func:`quaternion_norms`),
+    ``t`` twice the real part of their cyclic product q01 q12 conj(q02), in
+    complex pairs.
     """
-    w = z.real**2 + z.imag**2 + s.real**2 + s.imag**2
+    w = quaternion_norms(z, s)
     (z01, z02, z12), (s01, s02, s12) = z, s
     zq = z01 * z12 - s01 * s12.conj()
     sq = z01 * s12 + s01 * z12.conj()
@@ -247,10 +265,10 @@ def block_eigenvalues(entries, n: int):
     eigenvalues of M come in equal pairs, one pair per quaternionic block;
     this returns one representative per pair, ascending.  Precondition:
     ``entries`` is J-real.  It is not checked here, and a form that is not
-    gets meaningless values (for n = 2 the closed form reads only the real
-    parts of the blocks and the Pfaffian).  For n = 2 the
-    pair values come from :func:`pair_eigenvalues` and for n = 3 from
-    :func:`triple_eigenvalues`; for n = 4 the batched Hermitian eigensolver
+    gets meaningless values (the closed forms read only the real parts of
+    the blocks and the entries :func:`quaternion_entries` returns).  For
+    n = 2 the pair values come from :func:`pair_eigenvalues` and for n = 3
+    from :func:`triple_eigenvalues`; for n = 4 the batched Hermitian eigensolver
     is used and adjacent eigenvalues are averaged.  A grid point with a
     non-finite entry gets NaN block eigenvalues and is never handed to any
     of them.
@@ -262,8 +280,8 @@ def block_eigenvalues(entries, n: int):
         lam[~finite] = np.nan
         return lam
     if n == 2:
-        s1 = (entries[0, 1] + entries[2, 3]).real
-        return np.stack(pair_eigenvalues(s1, pfaffian(entries).real), axis=-1)
+        a, z, s = quaternion_entries(entries, 2)
+        return np.stack(pair_eigenvalues(a, quaternion_norms(z, s)[0]), axis=-1)
     if n == 3:
         a, z, s = quaternion_entries(entries, 3)
         return np.stack(triple_eigenvalues(a, *triple_terms(z, s)), axis=-1)

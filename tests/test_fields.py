@@ -29,6 +29,8 @@ from qmaflow.fields import (
 from qmaflow.model import build_model, j_tables, standard_form
 from qmaflow.verify import default_identity_grid
 
+from support import full_grid_multipliers, traced_peak
+
 
 @pytest.fixture
 def grid():
@@ -192,8 +194,9 @@ BUNDLE_GRIDS = {
 def _ddj_multiplier(ops, j, k):
     """Grid-sized multiplier of the (j, k) quaternionic Hessian entry."""
     t = j_tables(ops.n)
-    first = t.dj_sign[k] * ops.zmult[j] * ops.zbmult[t.sigma[k]]
-    second = t.dj_sign[j] * ops.zmult[k] * ops.zbmult[t.sigma[j]]
+    z, zbar, _ = full_grid_multipliers(ops)
+    first = t.dj_sign[k] * z[j] * zbar[t.sigma[k]]
+    second = t.dj_sign[j] * z[k] * zbar[t.sigma[j]]
     return np.broadcast_to(first - second, ops.grid.shape)
 
 
@@ -262,9 +265,10 @@ def test_zbar_gradient_batched_matches_partial_zbar(name):
     u = np.random.default_rng(12).standard_normal(grid.shape)
     batched = ops.zbar_gradient_batched_from_hat(ops.live_fft(u))
     assert batched.shape == (2 * grid.n,) + grid.shape
+    _, zbar, _ = full_grid_multipliers(ops)
     for a in range(2 * grid.n):
         single = ops.partial_zbar(u, a)
-        if not np.any(ops.zbmult[a]):
+        if not np.any(zbar[a]):
             assert np.all(batched[a] == 0) and np.all(single == 0)
         assert np.max(np.abs(batched[a] - single)) <= 1e-13 * max(np.max(np.abs(single)), 1.0)
 
@@ -308,8 +312,9 @@ def _matches_scipy_fft(ops, u):
     _close(ops.ifft(hat), sp_fft.ifftn(hat))
     live = _live_pair_matches_scipy_fft(ops, u)
     projected = ops.below_nyquist * sp_fft.fftn(u)
-    _close(ops.s1_from_hat(live), sp_fft.ifftn(ops.s1_mult * projected).real)
-    _close(ops.partial_z(u, 0), sp_fft.ifftn(ops.zmult[0] * projected))
+    z, _, s1_mult = full_grid_multipliers(ops)
+    _close(ops.s1_from_hat(live), sp_fft.ifftn(s1_mult * projected).real)
+    _close(ops.partial_z(u, 0), sp_fft.ifftn(z[0] * projected))
 
 
 # grids with an axis longer than DFT_MATRIX_MAX_AXIS keep numpy.fft; the
@@ -443,6 +448,31 @@ def test_dft_matrix_backend_matches_scipy_fft(name, monkeypatch):
         _close(ops.partial_zbar(z, a), ref.partial_zbar(z, a))
 
 
+def _held_arrays(value):
+    """Every array an attribute value holds, in lists, tuples and DFT matrices."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _held_arrays(item)
+    elif isinstance(value, fields._KroneckerDft):
+        yield from _held_arrays(vars(value)["_operands"])
+
+
+@pytest.mark.parametrize("name", ["n2-full-3x4", "n2-z0-64x64", "n3-z0-9x8"])
+def test_spectral_ops_holds_no_full_grid_complex_array(name):
+    # every multiplier is built and held on the live modes only; on a grid
+    # with Nyquist modes those are fewer than the grid's points
+    grid = {**BUNDLE_GRIDS, **NUMPY_GRIDS}[name]
+    ops = SpectralOps(grid)
+    assert len(ops._live_index) < grid.num_points
+    held = [a for value in vars(ops).values() for a in _held_arrays(value)]
+    assert any(a.dtype == complex for a in held)
+    for a in held:
+        if a.dtype == complex:
+            assert grid.num_points not in a.shape and a.shape[-len(grid.shape) :] != grid.shape
+
+
 @pytest.mark.parametrize("sizes", [(4, 4), (5, 4)], ids=["4x4", "5x4"])
 def test_every_multiplier_vanishes_on_nyquist_modes(sizes):
     # one Nyquist rule: a mode with a Nyquist index on any even axis is
@@ -454,7 +484,8 @@ def test_every_multiplier_vanishes_on_nyquist_modes(sizes):
         if size % 2 == 0:
             nyquist[(slice(None),) * p + (size // 2,)] = True
     assert np.array_equal(ops.below_nyquist == 0, nyquist)
-    mults = ops.zmult + ops.zbmult + [ops.s1_mult]
+    z, zbar, s1_mult = full_grid_multipliers(ops)
+    mults = z + zbar + [s1_mult]
     for mult in mults:
         assert np.all(np.broadcast_to(mult, grid.shape)[nyquist] == 0)
     assert any(np.any(mult) for mult in mults)
@@ -526,6 +557,20 @@ def test_spectral_tail_detects_high_modes():
     assert spectral_ops(g4).spectral_tail(spectral_ops(g4).live_fft(u4)) == 0.0
 
 
+def test_spectral_tail_reads_one_on_three_point_axes():
+    # on a 3-point axis |k| >= size / 3 holds every non-mean mode, so on a
+    # 3^d grid the tail is all of a field's non-mean energy: 1 up to rounding
+    g3 = TorusGrid(n=2, active_dims=(0, 1, 4, 5), sizes=(3,) * 4)
+    ops = spectral_ops(g3)
+    assert np.all(ops._tail_live[1:]) and not ops._tail_live[0]
+    for seed in range(3):
+        u = np.random.default_rng(seed).standard_normal(g3.shape)
+        assert ops.spectral_tail(ops.live_fft(u)) == pytest.approx(1.0, abs=1e-15)
+    low = sample(TrigPolySpec.single((1, 0, 0, 0), 1.0), g3)
+    assert ops.spectral_tail(ops.live_fft(low.values + 5.0)) == pytest.approx(1.0, abs=1e-15)
+    assert ops.spectral_tail(ops.live_fft(np.full(g3.shape, 2.0))) == 0.0
+
+
 def test_scalar_field_arithmetic(grid):
     u = ScalarField.constant(grid, 1.0)
     v = u + 2.0
@@ -574,6 +619,16 @@ def test_build_omega_h_rejects_nonpositive_scale(grid):
 def test_build_omega_h_rejects_nan_scale(grid):
     with pytest.raises(SpecValidationError, match="must be positive"):
         build_omega_h(build_model(2), grid, float("nan"), None)
+
+
+def test_build_omega_h_peak_is_below_two_form_fields():
+    # the form is assembled on its upper triangle and expanded to the full
+    # array once, so it never holds two full arrays (run4's 4^8 background)
+    grid = TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(4,) * 8)
+    rho = TrigPolySpec.single((0, 0, 0, 1, 0, 0, 1, 0), 0.02)
+    spectral_ops(grid)  # built once per grid, before the measurement
+    oh, peak = traced_peak(lambda: build_omega_h(build_model(2), grid, 1.0, rho))
+    assert peak < 2 * oh.entries.nbytes
 
 
 def test_trig_spec_json_round_trip():

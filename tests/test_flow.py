@@ -49,6 +49,8 @@ from qmaflow.verify import (
     random_j_real_positive,
 )
 
+from support import full_grid_multipliers, traced_peak
+
 GRID = TorusGrid(n=2, active_dims=(0, 4), sizes=(16, 16))
 MODEL = build_model(2)
 
@@ -208,8 +210,10 @@ def test_packed_flow_map_matches_references(name):
     stage = engine.evaluate(u.values, hat)
     assert stage.ok
     # S_1's multiplier is real: the complex product's imaginary part cancels exactly
-    assert ops.s1_mult.dtype == float
-    assert not np.any(sum(z * zb for z, zb in zip(ops.zmult, ops.zbmult)).imag)
+    z, zbar, s1_mult = full_grid_multipliers(ops)
+    assert s1_mult.dtype == float
+    assert not np.any(sum(a * b for a, b in zip(z, zbar)).imag)
+    assert np.array_equal(ops.s1_live, s1_mult.reshape(-1)[ops._live_index])
 
     ddj, s1 = ops.ddj_upper_s1_from_hat(hat)
     omega_upper = np.array([standard_form(n)[j, k] for j, k in ops.pairs])
@@ -579,6 +583,16 @@ def test_run_manufactured_n4_converges():
     assert abs(result.b_tilde) < 1e-8
     assert all(r.min_eig_omega_tilde > 0 for r in result.history)
     assert monitor_maximum_principle(result.history)
+
+
+def test_flow_engine_setup_peak_is_below_two_packed_backgrounds():
+    # the background is packed from views of its entries, slot by slot, with
+    # no copy of its upper triangle (run4's 4^8 background)
+    grid = TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(4,) * 8)
+    oh = build_omega_h(MODEL, grid, 1.0, TrigPolySpec.single((0, 0, 0, 1, 0, 0, 1, 0), 0.02))
+    f = ScalarField.zeros(grid)
+    engine, peak = traced_peak(lambda: FlowEngine(oh, f))
+    assert peak < 2 * engine._packed_omega_h.nbytes
 
 
 # -- maximum-principle monitor ----------------------------------------------------

@@ -148,14 +148,15 @@ def test_block_eigenvalues_match_eigensolver_pairs(n):
         assert np.max(np.abs(eig[0::2] - eig[1::2])) <= 1e-10
         # the positivity test agrees with the full eigensolver, its oracle
         assert min_positivity_eigenvalue(alpha, n) == pytest.approx(eig[0], abs=1e-10)
-    if n == 3:
-        # near the flat form, a triple root: the closed form takes its roots
-        # about the mean eigenvalue, so it keeps full precision there
+    if n in (2, 3):
+        # near the flat form, a double (n = 2) or triple (n = 3) root: the
+        # closed forms take their roots about the mean eigenvalue, so they
+        # keep full precision there
         for scale in 10.0 ** np.arange(-12, 0):
-            alpha = standard_form(3) + scale * j_real_projection(random_antisymmetric(rng, 6), 3)
-            eig = np.linalg.eigvalsh(positivity_matrix(alpha, 3))
+            alpha = standard_form(n) + scale * j_real_projection(random_antisymmetric(rng, 2 * n), n)
+            eig = np.linalg.eigvalsh(positivity_matrix(alpha, n))
             paired = 0.5 * (eig[0::2] + eig[1::2])
-            assert np.max(np.abs(block_eigenvalues(alpha, 3) - paired)) <= 1e-12
+            assert np.max(np.abs(block_eigenvalues(alpha, n) - paired)) <= 1e-12
 
 
 @pytest.mark.parametrize("order", [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
