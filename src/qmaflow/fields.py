@@ -420,7 +420,7 @@ class SpectralOps:
     position-space arrays.  The packed :meth:`ddj_upper_s1_from_hat` is the
     Hessian transform and :meth:`packed_form_from_hat` the flow's; both use
     the one slot layout of :meth:`pack_j_real`, which :meth:`unpack_form`,
-    :meth:`slot_invariants` and :meth:`quaternion_slots` read.  :meth:`live_fft` and
+    :meth:`slot_terms` and :meth:`quaternion_slots` read.  :meth:`live_fft` and
     :meth:`live_ifft_real` are the step pair, and ``s1_live`` is the S_1
     multiplier the step solves with.
     """
@@ -753,24 +753,33 @@ class SpectralOps:
         return upper, real.sum(axis=0) + imag.sum(axis=0)
 
     def slot_invariants(self, packed):
-        """S_1 and S_2 of a J-real form packed as by :meth:`pack_j_real`.
+        """S_1 and S_2 of a J-real form packed as by :meth:`pack_j_real` (see :meth:`slot_terms`)."""
+        s1, s2, _, _ = self.slot_terms(packed)
+        return s1, s2
 
-        These are the first two elementary symmetric functions of the block
-        eigenvalues, read off the slots for every n: S_1 is the sum of the
-        blocks b, and S_2 = e_2(b) - sum of |p|^2 over the pair slots p,
-        since the positivity matrix M has every block eigenvalue twice and
-        tr M^2 = 2 sum b^2 + 4 sum |p|^2.  For n = 2, S_2 is the Pfaffian.
+    def slot_terms(self, packed):
+        """S_1, S_2, the blocks and w of a J-real form packed as by :meth:`pack_j_real`.
+
+        S_1 and S_2 are the first two elementary symmetric functions of the
+        block eigenvalues, read off the slots for every n: S_1 is the sum of
+        the blocks b, and S_2 = e_2(b) - w, w the sum of |p|^2 over the pair
+        slots p, since the positivity matrix M has every block eigenvalue
+        twice and tr M^2 = 2 sum b^2 + 4 w.  For n = 2, S_2 is the Pfaffian
+        and w the squared norm of the one off-diagonal quaternion.  The
+        blocks come as views of ``packed``, in slot order.
         """
         entries, _, _, _, imag_blocks = self._form_layout
         c = len(entries)
         blocks = [*packed[c:].real, *packed[c : c + len(imag_blocks)].imag]
-        s1, s2 = blocks[0], 0.0
+        s1, s2, w = blocks[0], 0.0, 0.0
         for b in blocks[1:]:
             s2 = s2 + b * s1
             s1 = s1 + b
         for p in packed[:c]:
-            s2 -= p.real * p.real + p.imag * p.imag
-        return s1, s2
+            norm = p.real * p.real + p.imag * p.imag
+            s2 -= norm
+            w = w + norm
+        return s1, s2, blocks, w
 
     def quaternion_slots(self, packed):
         """(a, z, s) of :func:`model.quaternion_entries`, read off packed slots.

@@ -35,7 +35,8 @@ block eigenvalues: the quaternionic determinant of the J-real form
 (Aslaksen, Math. Intelligencer 18, 1996).  For n = 2 the guard and the
 right-hand side read S_1 and S_2 = S_n straight off the slots as real
 polynomials, and the pair's eigenvalues come in closed form about their
-mean, from the blocks and the off-diagonal quaternion's norm.  For n = 3
+mean, from the blocks and the off-diagonal quaternion's squared norm
+(``SpectralOps.slot_terms``).  For n = 3
 they read the blocks and the off-diagonal quaternions off the slots
 (``SpectralOps.quaternion_slots``): S_n is their Moore determinant, and the
 smallest block eigenvalue comes in closed form too, from the trigonometric
@@ -86,7 +87,6 @@ from .model import (
     failing_point,
     moore_determinant,
     pair_eigenvalues,
-    quaternion_norms,
     triple_eigenvalues,
     triple_terms,
 )
@@ -217,8 +217,8 @@ class FlowEngine:
         Runs on the packed J-real slots of the form.  The right-hand side is
         log S_n - f, S_n = Pf(omega_tilde) / Pf(Omega) the product of the
         block eigenvalues (Pf(Omega) = 1).  For n = 2, S_1 and S_2 = S_n come
-        straight off the slots and the pair's eigenvalues in closed form from
-        the blocks and the quaternion slots; for
+        straight off the slots, and the pair's eigenvalues in closed form from
+        the blocks and the pair slots' squared norms; for
         n = 3, S_1, S_2, the Moore determinant S_3 and the smallest block
         eigenvalue are closed forms in the slots; for n = 4 the slots are
         unpacked for the block eigenvalues, whose product is S_n and whose
@@ -231,9 +231,8 @@ class FlowEngine:
             hat = self.ops.live_fft(u_values)
         packed = self.ops.packed_form_from_hat(self._packed_omega_h, hat)
         if self.n == 2:
-            s1, s_n = self.ops.slot_invariants(packed)
-            a, z, s = self.ops.quaternion_slots(packed)
-            lam_min, _ = pair_eigenvalues(a, quaternion_norms(z, s)[0])
+            s1, s_n, a, w = self.ops.slot_terms(packed)
+            lam_min, _ = pair_eigenvalues(a, w)
             s_prev = s1  # S_{n-1}
         elif self.n == 3:
             a, z, s = self.ops.quaternion_slots(packed)
