@@ -776,9 +776,10 @@ class SpectralOps:
             s2 = s2 + b * s1
             s1 = s1 + b
         for p in packed[:c]:
-            norm = p.real * p.real + p.imag * p.imag
+            norm = p.real * p.real
+            norm += p.imag * p.imag
             s2 -= norm
-            w = w + norm
+            w += norm
         return s1, s2, blocks, w
 
     def quaternion_slots(self, packed):
