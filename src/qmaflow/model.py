@@ -279,11 +279,10 @@ def block_eigenvalues(entries, n: int):
         lam = block_eigenvalues(np.where(finite, entries, 0.0), n)
         lam[~finite] = np.nan
         return lam
-    if n == 2:
-        a, z, s = quaternion_entries(entries, 2)
-        return np.stack(pair_eigenvalues(a, quaternion_norms(z, s)[0]), axis=-1)
-    if n == 3:
-        a, z, s = quaternion_entries(entries, 3)
+    if n in (2, 3):
+        a, z, s = quaternion_entries(entries, n)
+        if n == 2:
+            return np.stack(pair_eigenvalues(a, quaternion_norms(z, s)[0]), axis=-1)
         return np.stack(triple_eigenvalues(a, *triple_terms(z, s)), axis=-1)
     eig = positivity_eigenvalues(entries, n)
     return 0.5 * (eig[..., 0::2] + eig[..., 1::2])
