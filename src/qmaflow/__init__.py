@@ -9,6 +9,7 @@ a randomized verification suite for every identity the solver relies on.
 from .errors import PositivityError, SpecValidationError, StiffnessError
 from .exterior import ExteriorElement, pfaffian, perfect_matchings, s_m, top_quotient
 from .fields import (
+    PackedTwoForm,
     ScalarField,
     TorusGrid,
     TrigPolySpec,
@@ -77,6 +78,7 @@ __all__ = [
     "perfect_matchings",
     "s_m",
     "top_quotient",
+    "PackedTwoForm",
     "ScalarField",
     "TorusGrid",
     "TrigPolySpec",

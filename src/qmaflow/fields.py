@@ -29,10 +29,13 @@ The quaternionic Hessian of a real field is a J-real form: the entry
 packed layout: one complex slot per partner pair, and the real blocks two
 per slot, read back as real and imaginary parts.  The Hessian bundle
 inverse transforms that layout's slots (multiplier M_a + i M_b for two
-blocks).  The flow's evolving form minus its background,
-(S_1(ddj u) Omega - ddj u) / (n - 1), is a Fourier multiplier of u as
-well and fills the same slots: the flow packs the background once, adds
-that bundle, and never assembles the form entry by entry.  A bundle
+blocks).  The background form c Omega + ddj(rho) is built, checked and
+kept on those slots (``build_omega_h`` returns a ``PackedTwoForm``, whose
+full entries are expanded only when read).  The flow's evolving form
+minus its background, (S_1(ddj u) Omega - ddj u) / (n - 1), is a Fourier
+multiplier of u as well and fills the same slots: the flow adds that
+bundle to the packed background and never assembles the form entry by
+entry.  A bundle
 transforms only the slots whose multiplier does not vanish on the grid
 (inactive coordinates zero some).  S_1 and S_2 of a packed form, the
 first two elementary symmetric functions of its block eigenvalues, are
@@ -76,7 +79,7 @@ from numpy import fft as np_fft  # numpy loads its fft lazily; do it at import
 
 from .errors import SpecValidationError
 from .exterior import full_from_upper
-from .model import TorusModel, j_reality_defect, j_tables, require_strictly_positive
+from .model import TorusModel, j_reality_defect, j_tables, require_positive_minimum
 
 PERIOD = 2.0 * np.pi
 DFT_MATRIX_MAX_AXIS = 32  # grids with no longer axis transform by live-mode DFT matrices
@@ -522,8 +525,10 @@ class SpectralOps:
         self._ddj_rows = _nonzero_rows(self._pack(ddj_mult, z.shape[1:]))
         self._form_rows = _nonzero_rows(self._pack(form_mult, z.shape[1:]))
         # block b sits in slot len(pairs) + b // 2, in the real part iff b is even;
-        # a dead Hessian block that shares a live slot would read rounding there
-        dead = [b for b, e in enumerate(blocks) if zero[e][1]]
+        # a dead Hessian block that shares a live slot would read rounding there,
+        # and so would the empty imaginary part after an odd number of blocks
+        parts = len(blocks) + len(blocks) % 2
+        dead = [b for b in range(parts) if b == len(blocks) or zero[blocks[b]][1]]
         self._ddj_dead_parts = [[len(pairs) + b // 2 for b in dead if b % 2 == p] for p in (0, 1)]
         # quaternion_slots: block i is (2i, 2i+1)
         by_part = list(real_blocks) + list(imag_blocks)  # the order quaternion_slots reads them in
@@ -705,10 +710,19 @@ class SpectralOps:
         S_1 is the sum of the blocks.  Entries whose multiplier vanishes on
         the grid are zero.
         """
+        return self.unpack_form(self.ddj_slots_from_hat(hat))
+
+    def ddj_slots_from_hat(self, hat):
+        """The quaternionic Hessian of a real field, packed as by :meth:`pack_j_real`.
+
+        ``hat`` is the field's live-mode vector.  Parts of a block slot that
+        hold no live Hessian block are zero, as :meth:`pack_j_real` leaves
+        them, not rounding.
+        """
         slots = self._live_rows(self._ddj_rows, hat)
         slots.real[self._ddj_dead_parts[0]] = 0.0
         slots.imag[self._ddj_dead_parts[1]] = 0.0
-        return self.unpack_form(slots)
+        return slots
 
     def pack_j_real(self, upper):
         """Packed slots of a J-real form, in the layout of every bundle.
@@ -860,6 +874,42 @@ class TwoFormField:
         return j_reality_defect(self.entries, self.n)
 
 
+@dataclass
+class PackedTwoForm:
+    """A J-real (2,0)-form field held on the packed slots of its grid.
+
+    ``slots`` is in the layout of :meth:`SpectralOps.pack_j_real`: one
+    complex slot per partner pair, then the real blocks two per slot, so
+    the form takes n(n-1) + ceil(n/2) grid arrays instead of (2n)^2.  A
+    packed form is J-real by construction.  ``entries`` expands the full
+    array on every read and keeps nothing, so it reads as a TwoFormField.
+    """
+
+    grid: TorusGrid
+    slots: np.ndarray
+
+    def __post_init__(self):
+        n = self.grid.n
+        self.slots = np.asarray(self.slots, dtype=complex)
+        shape = (n * (n - 1) + (n + 1) // 2,) + self.grid.shape
+        if self.slots.shape != shape:
+            raise SpecValidationError(
+                f"packed form shape {self.slots.shape} does not match {shape}"
+            )
+
+    @property
+    def n(self) -> int:
+        return self.grid.n
+
+    @property
+    def entries(self) -> np.ndarray:
+        upper, _ = spectral_ops(self.grid).unpack_form(self.slots)
+        return full_from_upper(upper, 2 * self.n)
+
+    def j_reality_defect(self) -> float:
+        return j_reality_defect(self.entries, self.n)
+
+
 def constant_two_form_field(grid: TorusGrid, matrix) -> TwoFormField:
     matrix = np.asarray(matrix, dtype=complex)
     entries = np.broadcast_to(
@@ -875,34 +925,37 @@ def build_omega_h(
     c: float,
     rho: TrigPolySpec | None = None,
     margin: float = 1e-10,
-) -> TwoFormField:
-    """Background form c * Omega + ddj(rho), verified strictly positive.
+) -> PackedTwoForm:
+    """Background form c * Omega + ddj(rho) on packed slots, verified strictly positive.
 
     J-reality is automatic: the standard form is J-real and so is the
-    quaternionic Hessian of any real function.  Positivity is checked at
-    every grid point before returning; a violation reports the offending
-    point and the minimum eigenvalue there.  A form with an entry of
+    quaternionic Hessian of any real function, and the form is built on
+    the packed slots, c added to the block parts of ddj(rho)'s; it is never
+    expanded to the full array.  A form with an entry of
     float_max^(1/n) / (2n) or more in size is rejected first: its S_n may
-    overflow.  The form is assembled on its upper triangle, c added to the
-    blocks of ddj(rho)'s, and expanded to the full array once.
+    overflow.  Positivity is then checked at every grid point by the flow
+    map's own test on the slots (``flow.packed_block_terms``); a violation
+    reports the offending point and the minimum eigenvalue there.
     """
+    from .flow import packed_block_terms  # flow imports this module
+
     if grid.n != model.n:
         raise SpecValidationError("grid and model dimensions differ")
     if not c > 0:
         raise SpecValidationError(f"background scale c must be positive, got {c}")
-    m = 2 * model.n
-    omega_upper = model.omega[np.triu_indices(m, 1)]  # the order of ops.pairs and full_from_upper
+    ops = spectral_ops(grid)
+    entries, _, _, real_blocks, imag_blocks = ops._form_layout
+    c_pairs = len(entries)
     if rho is not None and rho.terms:
-        ops = spectral_ops(grid)
-        upper, _ = ops.ddj_upper_s1_from_hat(ops.live_fft(sample(rho, grid).values))
+        slots = ops.ddj_slots_from_hat(ops.live_fft(sample(rho, grid).values))
     else:
-        upper = np.zeros(omega_upper.shape + grid.shape, dtype=complex)
-    for e in np.flatnonzero(omega_upper):  # the blocks
-        upper[e] += c * omega_upper[e]
+        slots = np.zeros((c_pairs + len(real_blocks),) + grid.shape, dtype=complex)
+    slots.real[c_pairs:] += c  # Omega is 1 on every block
+    slots.imag[c_pairs : c_pairs + len(imag_blocks)] += c
     # S_n and the closed forms of the positivity test sum products of n
-    # entries; each stays below (2n max|entry|)^n.  The triangle holds the
-    # largest one.
-    largest = _max_abs(upper)
+    # entries; each stays below (2n max|entry|)^n.  A pair slot is as large
+    # as its entry, a block as its real or imaginary part.
+    largest = max(_max_abs(slots[:c_pairs]), _max_abs([*slots[c_pairs:].real, *slots[c_pairs:].imag]))
     limit = np.finfo(float).max ** (1.0 / model.n) / (2 * model.n)
     if not largest < limit:
         raise SpecValidationError(
@@ -910,7 +963,6 @@ def build_omega_h(
             f"{limit:.3e}, the bound that keeps S_n, a product of n = {model.n} block "
             "eigenvalues, finite"
         )
-    entries = full_from_upper(upper, m)
-    del upper
-    require_strictly_positive(entries, model.n, margin, "the background form")
-    return TwoFormField(grid, entries)
+    lam_min, *_ = packed_block_terms(ops, slots)
+    require_positive_minimum(lam_min, margin, "the background form")
+    return PackedTwoForm(grid, slots)

@@ -27,9 +27,12 @@ see a mode with a Nyquist index, so an update there would make the limit
 non-unique on an even grid).
 
 The flow map itself runs on the packed J-real slots of the evolving form
-(see ``fields``): the background form is packed once per run, and each
-evaluation adds one batched inverse transform of the form's slot
-multipliers to it.  The right-hand side is log S_n - f with
+(see ``fields``): the background form arrives on them
+(``fields.build_omega_h`` builds it there; a full ``TwoFormField`` is
+packed once per run), and each evaluation adds one batched inverse
+transform of the form's slot multipliers to it.  The positivity test on
+the slots (:func:`packed_block_terms`) is the one the background is
+checked with too.  The right-hand side is log S_n - f with
 S_n = Pf(omega_tilde) / Pf(Omega) (Pf(Omega) = 1), the product of the
 block eigenvalues: the quaternionic determinant of the J-real form
 (Aslaksen, Math. Intelligencer 18, 1996).  For n = 2 the guard and the
@@ -81,7 +84,7 @@ from .exterior import full_from_upper
 # perfbench/tracing.py patches flow.block_eigenvalues, flow.pfaffian_upper and
 # flow.pfaffian; the last two are not called here
 from .exterior import pfaffian, pfaffian_upper  # noqa: F401
-from .fields import ScalarField, TwoFormField, spectral_ops
+from .fields import PackedTwoForm, ScalarField, TwoFormField, spectral_ops
 from .model import (
     block_eigenvalues,
     failing_point,
@@ -182,18 +185,48 @@ class _Stage:
         self.point = point
 
 
+def packed_block_terms(ops, packed):
+    """The positivity test of a J-real form on ``ops``'s packed slots, with S_1 and S_n.
+
+    Returns (lam_min, s1, s_n, k) per grid point: the smallest block
+    eigenvalue, S_1, S_n (the product of the block eigenvalues) and what
+    kappa, the sum of their reciprocals, is taken from: k = S_{n-1} for
+    n <= 3 (kappa = S_{n-1} / S_n), the block eigenvalues for n = 4.  For
+    n = 2, S_1 and S_2 = S_n come straight off the slots, and the pair's
+    eigenvalues in closed form from the blocks and the pair slots' squared
+    norms; for n = 3, S_1, S_2, the Moore determinant S_3 and the smallest
+    block eigenvalue are closed forms in the blocks and quaternions read off
+    the slots; for n = 4 the slots are unpacked for
+    :func:`model.block_eigenvalues`.  The flow map's guard and
+    ``fields.build_omega_h``'s check of the background both use it.
+    """
+    if ops.n == 2:
+        s1, s_n, a, w = ops.slot_terms(packed)
+        lam_min, _ = pair_eigenvalues(a, w)
+        return lam_min, s1, s_n, s1
+    if ops.n == 3:
+        a, z, s = ops.quaternion_slots(packed)
+        w, t = triple_terms(z, s)
+        s_prev = a[0] * a[1] + (a[0] + a[1]) * a[2] - (w[0] + w[1] + w[2])
+        (lam_min,) = triple_eigenvalues(a, w, t, count=1)
+        return lam_min, a[0] + a[1] + a[2], moore_determinant(a, w, t), s_prev
+    upper, s1 = ops.unpack_form(packed)
+    lam = block_eigenvalues(full_from_upper(upper, 2 * ops.n), ops.n)
+    return lam[..., 0], s1, np.prod(lam, axis=-1), lam
+
+
 class FlowEngine:
     """Shared per-run workspace and the one implementation of the flow map.
 
     ``flow_form``, ``flow_rhs`` and the manufactured problems go through it.
-    ``omega_h`` must be J-real (SpecValidationError otherwise): the engine
-    keeps only its packed slots, one entry per partner pair and the real
-    parts of the blocks.
+    ``omega_h`` is a PackedTwoForm, whose slots the engine uses as they
+    are, or a TwoFormField, which must be J-real (SpecValidationError
+    otherwise) and is packed once (``SpectralOps.pack_j_real``).
     """
 
     def __init__(
         self,
-        omega_h: TwoFormField,
+        omega_h: TwoFormField | PackedTwoForm,
         f: ScalarField,
         sigma: float = DEFAULT_SIGMA,
         margin: float = DEFAULT_MARGIN,
@@ -206,7 +239,10 @@ class FlowEngine:
         self.margin = margin
         self.halvings = 0
         self.evaluations = 0
-        self._packed_omega_h = self.ops.pack_j_real([omega_h.entries[j, k] for j, k in self.ops.pairs])
+        if isinstance(omega_h, PackedTwoForm):
+            self._packed_omega_h = omega_h.slots
+        else:
+            self._packed_omega_h = self.ops.pack_j_real([omega_h.entries[j, k] for j, k in self.ops.pairs])
         self._s1_omega_h, _ = self.ops.slot_invariants(self._packed_omega_h)
 
     def evaluate(self, u_values, hat=None) -> _Stage:
@@ -216,13 +252,8 @@ class FlowEngine:
         when the caller already holds it.
         Runs on the packed J-real slots of the form.  The right-hand side is
         log S_n - f, S_n = Pf(omega_tilde) / Pf(Omega) the product of the
-        block eigenvalues (Pf(Omega) = 1).  For n = 2, S_1 and S_2 = S_n come
-        straight off the slots, and the pair's eigenvalues in closed form from
-        the blocks and the pair slots' squared norms; for
-        n = 3, S_1, S_2, the Moore determinant S_3 and the smallest block
-        eigenvalue are closed forms in the slots; for n = 4 the slots are
-        unpacked for the block eigenvalues, whose product is S_n and whose
-        smallest one is the guard.
+        block eigenvalues (Pf(Omega) = 1); the guard, S_1 and S_n come from
+        :func:`packed_block_terms`.
         """
         self.evaluations += 1
         if not np.all(np.isfinite(u_values)):
@@ -230,22 +261,7 @@ class FlowEngine:
         if hat is None:
             hat = self.ops.live_fft(u_values)
         packed = self.ops.packed_form_from_hat(self._packed_omega_h, hat)
-        if self.n == 2:
-            s1, s_n, a, w = self.ops.slot_terms(packed)
-            lam_min, _ = pair_eigenvalues(a, w)
-            s_prev = s1  # S_{n-1}
-        elif self.n == 3:
-            a, z, s = self.ops.quaternion_slots(packed)
-            w, t = triple_terms(z, s)
-            s1 = a[0] + a[1] + a[2]
-            s_prev = a[0] * a[1] + (a[0] + a[1]) * a[2] - (w[0] + w[1] + w[2])
-            s_n = moore_determinant(a, w, t)
-            (lam_min,) = triple_eigenvalues(a, w, t, count=1)
-        else:
-            upper, s1 = self.ops.unpack_form(packed)
-            lam = block_eigenvalues(full_from_upper(upper, 2 * self.n), self.n)
-            lam_min = lam[..., 0]
-            s_n = np.prod(lam, axis=-1)
+        lam_min, s1, s_n, k = packed_block_terms(self.ops, packed)
         min_eig, point = failing_point(lam_min, self.margin)
         if point is not None:
             return _Stage(ok=False, min_eig=min_eig, point=point)
@@ -253,7 +269,7 @@ class FlowEngine:
         if not np.all(np.isfinite(rhs)):
             return _Stage(ok=False, rhs=rhs, min_eig=min_eig)
         # kappa = sum of reciprocal block eigenvalues = S_{n-1} / S_n
-        kappa = float((s_prev / s_n if self.n <= 3 else (1.0 / lam).sum(axis=-1)).max())
+        kappa = float((k / s_n if self.n <= 3 else (1.0 / k).sum(axis=-1)).max())
         # S_1(Omega) = n, so S_1 of the form grows by exactly S_1(ddj u)
         return _Stage(True, rhs, min_eig, kappa, s1 - self._s1_omega_h, hat)
 
@@ -367,7 +383,7 @@ def non_finite_rhs_error(rhs) -> SpecValidationError:
     )
 
 
-def cfl_dt(u: ScalarField, omega_h: TwoFormField, sigma: float = DEFAULT_SIGMA) -> float:
+def cfl_dt(u: ScalarField, omega_h: TwoFormField | PackedTwoForm, sigma: float = DEFAULT_SIGMA) -> float:
     """Parabolic step bound sigma * h_min^2 / kappa at the given state.
 
     kappa is the largest grid value of the sum of reciprocal block
@@ -380,7 +396,7 @@ def cfl_dt(u: ScalarField, omega_h: TwoFormField, sigma: float = DEFAULT_SIGMA) 
 
 def step(
     state: FlowState,
-    omega_h: TwoFormField,
+    omega_h: TwoFormField | PackedTwoForm,
     f: ScalarField,
     sigma: float = DEFAULT_SIGMA,
     margin: float = DEFAULT_MARGIN,
@@ -393,7 +409,7 @@ def step(
 
 def run_to_steady(
     u0: ScalarField,
-    omega_h: TwoFormField,
+    omega_h: TwoFormField | PackedTwoForm,
     f: ScalarField,
     tol_steady: float = 1e-8,
     t_max: float = 1000.0,

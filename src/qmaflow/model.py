@@ -26,7 +26,9 @@ of a quadratic about their mean, :func:`pair_eigenvalues`) and n = 3 (the
 trigonometric roots of a cubic about its mean,
 :func:`triple_eigenvalues`), as averaged pairs of the batched
 Hermitian eigensolver for n = 4, with NaN at any grid point holding a
-non-finite entry.  Every check goes through it, and
+non-finite entry.  Every check of a full form field goes through it (the
+flow's guard and the check of its background run the same closed forms
+on packed slots, ``flow.packed_block_terms``), and
 :func:`failing_point` is the one failure rule (a point fails unless its
 value is > margin, so NaN fails).  The full spectrum of the positivity
 matrix, :func:`positivity_eigenvalues`, stays the tests' oracle.
@@ -329,10 +331,21 @@ def require_strictly_positive(entries, n: int, margin: float, what: str):
     """Raise PositivityError naming the worst grid point if the test fails.
 
     Precondition: ``entries`` is J-real, as for :func:`block_eigenvalues`;
-    it is not checked here (the flow's background is checked when it is
-    packed, ``SpectralOps.pack_j_real``).
+    it is not checked here.  The flow's background is J-real wherever it
+    comes from: ``fields.build_omega_h`` builds it on the packed J-real
+    slots and checks it there, and a full form handed to the flow is
+    checked when it is packed (``SpectralOps.pack_j_real``).
     """
-    worst, point = failing_point(min_positivity_eigenvalue(entries, n), margin)
+    require_positive_minimum(min_positivity_eigenvalue(entries, n), margin, what)
+
+
+def require_positive_minimum(min_eig: np.ndarray, margin: float, what: str):
+    """Raise PositivityError naming the worst grid point unless ``min_eig`` > margin everywhere.
+
+    ``min_eig`` holds the smallest block eigenvalue of a form at each grid
+    point; :func:`failing_point` decides.
+    """
+    worst, point = failing_point(min_eig, margin)
     if point is not None:
         raise PositivityError(
             f"{what} is not strictly positive: min eigenvalue {worst:.6e}, "

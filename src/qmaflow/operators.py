@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SpecValidationError
 from .exterior import ExteriorElement, full_from_upper, pfaffian, s_m
-from .fields import ScalarField, TorusGrid, TwoFormField, spectral_ops
+from .fields import PackedTwoForm, ScalarField, TorusGrid, TwoFormField, spectral_ops
 from .flow import FlowEngine
 from .model import (
     j_conjugate_one_one,
@@ -76,7 +76,7 @@ def s1_field(chi: TwoFormField) -> ScalarField:
     return ScalarField(chi.grid, blocks.real)
 
 
-def flow_form(u: ScalarField, omega_h: TwoFormField) -> TwoFormField:
+def flow_form(u: ScalarField, omega_h: TwoFormField | PackedTwoForm) -> TwoFormField:
     """The stepper's evolving form Omega_h + (S_1(ddj u) Omega - ddj u) / (n - 1)."""
     engine = FlowEngine(omega_h, ScalarField.zeros(u.grid))
     upper, _ = engine.form_upper(engine.ops.live_fft(u.values))
@@ -85,7 +85,7 @@ def flow_form(u: ScalarField, omega_h: TwoFormField) -> TwoFormField:
 
 def flow_rhs(
     u: ScalarField,
-    omega_h: TwoFormField,
+    omega_h: TwoFormField | PackedTwoForm,
     f: ScalarField,
     margin: float = 0.0,
 ) -> ScalarField:
@@ -129,7 +129,7 @@ def gradient_energy_wedge(u: ScalarField) -> ScalarField:
 
 
 def apply_linearized(
-    u: ScalarField, v: ScalarField, omega_h: TwoFormField
+    u: ScalarField, v: ScalarField, omega_h: TwoFormField | PackedTwoForm
 ) -> ScalarField:
     """Spatial part of the linearized flow operator at u, applied to v.
 
@@ -193,7 +193,7 @@ class RealOneOneForm:
         return np.linalg.eigvalsh(moved)[..., 0]
 
 
-def induced_metric_form(u: ScalarField, omega_h: TwoFormField) -> RealOneOneForm:
+def induced_metric_form(u: ScalarField, omega_h: TwoFormField | PackedTwoForm) -> RealOneOneForm:
     """Fundamental form of the hyperhermitian metric of the evolving form.
 
     Metric-contraction path: the Hermitian matrix is the positivity matrix
@@ -205,7 +205,7 @@ def induced_metric_form(u: ScalarField, omega_h: TwoFormField) -> RealOneOneForm
 
 
 def induced_metric_form_real_path(
-    u: ScalarField, omega_h: TwoFormField
+    u: ScalarField, omega_h: TwoFormField | PackedTwoForm
 ) -> RealOneOneForm:
     """Same form assembled from real (1,1)-data instead of the (2,0) matrix.
 

@@ -1,11 +1,13 @@
 """CLI contract: subcommands, exit codes, file formats, determinism."""
 
+import gc
 import json
 import math
 import os
 import resource
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,8 @@ from qmaflow.cli import (
 )
 from qmaflow.errors import SpecValidationError
 from qmaflow.fields import ScalarField, TorusGrid
+
+from support import traced_peak
 
 
 def base_config(out_dir, **overrides):
@@ -208,6 +212,52 @@ def test_grid_too_large_exits_two(tmp_path, capsys, command):
     assert main(argv) == EXIT_INVALID
     err = capsys.readouterr().err
     assert err.startswith("error:") and "too large" in err
+
+
+RUN4_CONFIG = {
+    "n": 2,
+    "grid": {"active_dims": list(range(8)), "sizes": [4] * 8},
+    "omega_h": {"c": 1.0, "rho": [{"k": [0, 0, 0, 1, 0, 0, 1, 0], "amplitude": 0.02}]},
+    "f": {
+        "manufactured": {
+            "u_star": [
+                {"k": [1, 0, 0, 0, 0, 0, 0, 0], "amplitude": 0.05},
+                {"k": [0, 1, 0, 0, 0, 1, 0, 0], "amplitude": 0.03},
+                {"k": [0, 0, 1, 0, 0, 0, 0, -1], "amplitude": 0.02},
+            ]
+        }
+    },
+    "tol_steady": 1e-6,
+    "t_max": 100.0,
+}
+
+
+def _arrays_reachable_from(root):
+    """Every numpy array reachable from ``root`` through containers and instances (not types or modules)."""
+    seen, stack, arrays = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return arrays
+
+
+def test_build_problem_never_holds_a_full_background_form(tmp_path):
+    # run4's 4^8 problem: the background is built, checked and returned on its
+    # packed slots, so setup peaks below one full (4, 4) + grid form field and
+    # keeps none alive for the solve
+    config = RunConfig.from_json(RUN4_CONFIG, tmp_path)
+    grid = config.grid
+    full_form_bytes = (2 * grid.n) ** 2 * grid.num_points * np.dtype(complex).itemsize
+    problem, peak = traced_peak(lambda: cli._build_problem(config))
+    assert peak < full_form_bytes
+    shapes = [a.shape for a in _arrays_reachable_from(problem)]
+    assert (3,) + grid.shape in shapes  # the packed background
+    assert (4, 4) + grid.shape not in shapes
 
 
 def _cap_address_space():

@@ -15,18 +15,22 @@ import qmaflow
 from qmaflow import fields
 
 from qmaflow.errors import PositivityError, SpecValidationError
+from qmaflow.exterior import full_from_upper
 from qmaflow.fields import (
     DFT_MATRIX_MAX_AXIS,
+    PackedTwoForm,
     ScalarField,
     SpectralOps,
     TorusGrid,
     TrigPolySpec,
     TrigTerm,
+    TwoFormField,
     build_omega_h,
     sample,
     spectral_ops,
 )
-from qmaflow.model import build_model, j_tables, standard_form
+from qmaflow.flow import FlowEngine
+from qmaflow.model import build_model, j_tables, require_strictly_positive, standard_form
 from qmaflow.verify import default_identity_grid
 
 from support import full_grid_multipliers, traced_peak
@@ -622,13 +626,88 @@ def test_build_omega_h_rejects_nan_scale(grid):
 
 
 def test_build_omega_h_peak_is_below_two_form_fields():
-    # the form is assembled on its upper triangle and expanded to the full
-    # array once, so it never holds two full arrays (run4's 4^8 background)
+    # the form is built, checked and returned on its packed slots and never
+    # expanded, so it never holds even half of one full array (run4's 4^8
+    # background: 3.1 MB of slots against 16.8 MB of entries)
     grid = TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(4,) * 8)
     rho = TrigPolySpec.single((0, 0, 0, 1, 0, 0, 1, 0), 0.02)
     spectral_ops(grid)  # built once per grid, before the measurement
     oh, peak = traced_peak(lambda: build_omega_h(build_model(2), grid, 1.0, rho))
-    assert peak < 2 * oh.entries.nbytes
+    assert isinstance(oh, PackedTwoForm)
+    assert peak < oh.entries.nbytes / 2
+
+
+def _unpacked_background_entries(grid, c, rho):
+    """The background as it was built before it was packed: ddj(rho)'s upper
+    triangle from the Hessian bundle, c added to the blocks, expanded in full."""
+    ops = spectral_ops(grid)
+    upper, _ = ops.ddj_upper_s1_from_hat(ops.live_fft(sample(rho, grid).values))
+    for e, (j, k) in enumerate(ops.pairs):
+        if j % 2 == 0 and k == j + 1:
+            upper[e] += c * standard_form(grid.n)[j, k]
+    return full_from_upper(upper, 2 * grid.n)
+
+
+def _spec(*terms):
+    return TrigPolySpec.from_terms([TrigTerm(k, a, p) for k, a, p in terms])
+
+
+@pytest.mark.parametrize(
+    "grid, rho",
+    [
+        (TorusGrid(n=2, active_dims=(0, 4), sizes=(16, 16)), _spec(((1, 1), 0.05, 0.3))),
+        (TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(4,) * 8), _spec(((0, 0, 0, 1, 0, 0, 1, 0), 0.02, 0.0))),
+        (TorusGrid(n=3, active_dims=(0, 6), sizes=(8, 8)), _spec(((0, 1), 0.05, 0.0))),
+        (TorusGrid(n=3, active_dims=(0, 1, 6, 7), sizes=(8,) * 4), _spec(((1, 0, 0, 1), 0.03, 0.4), ((0, 1, 1, 0), 0.02, 1.3))),
+        (TorusGrid(n=4, active_dims=(0, 8), sizes=(8, 8)), _spec(((1, 1), 0.05, 0.7))),
+        (TorusGrid(n=4, active_dims=(0, 1, 8, 9), sizes=(8,) * 4), _spec(((1, 0, 0, 1), 0.03, 0.4), ((0, 1, 1, 0), 0.02, 1.3))),
+    ],
+)
+def test_packed_background_is_the_packing_of_the_full_form(grid, rho):
+    # the packed build gives the very slots the flow made by packing the old
+    # full form, and expands to the very same entries
+    oh = build_omega_h(build_model(grid.n), grid, 1.3, rho)
+    full = TwoFormField(grid, _unpacked_background_entries(grid, 1.3, rho))
+    packed = FlowEngine(full, ScalarField.zeros(grid))._packed_omega_h
+    assert isinstance(oh, PackedTwoForm) and oh.n == grid.n
+    assert oh.slots.dtype == packed.dtype and oh.slots.tobytes() == packed.tobytes()
+    assert np.array_equal(oh.entries, full.entries)
+    assert oh.j_reality_defect() == 0.0
+    # the flow uses a packed form's slots as they are, and packs a full one
+    assert FlowEngine(oh, ScalarField.zeros(grid))._packed_omega_h is oh.slots
+
+
+@pytest.mark.parametrize(
+    "grid, rho",
+    [
+        (TorusGrid(n=2, active_dims=(0, 4), sizes=(64, 64)), _spec(((1, 0), 9.0, 0.3), ((0, 1), 7.0, 1.1), ((1, 1), 3.0, 0.5))),
+        (
+            TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(4,) * 8),
+            _spec(((1, 0, 0, 1, 0, 0, 1, 0), 2.0, 0.4), ((0, 1, 0, 0, 1, 0, 0, 1), 1.5, 1.3)),
+        ),
+        (
+            TorusGrid(n=3, active_dims=(0, 1, 6, 7), sizes=(8,) * 4),
+            _spec(((1, 0, 0, 1), 3.0, 0.4), ((0, 1, 1, 0), 2.5, 1.3), ((1, 1, 0, 0), 1.0, 2.0)),
+        ),
+        (TorusGrid(n=4, active_dims=(0, 8), sizes=(8, 8)), _spec(((1, 0), 9.0, 0.3), ((0, 1), 7.0, 1.1), ((1, 1), 3.0, 0.5))),
+    ],
+)
+def test_failing_background_reports_what_the_full_form_test_reports(grid, rho):
+    # the check on the slots names the worst point and its min eigenvalue as
+    # require_strictly_positive does on the full form, in the same words
+    with pytest.raises(PositivityError) as full:
+        require_strictly_positive(_unpacked_background_entries(grid, 1.0, rho), grid.n, 1e-10, "the background form")
+    with pytest.raises(PositivityError) as packed:
+        build_omega_h(build_model(grid.n), grid, 1.0, rho)
+    assert packed.value.point == full.value.point is not None
+    assert packed.value.min_eigenvalue == pytest.approx(full.value.min_eigenvalue, rel=1e-15, abs=0.0)
+    assert str(packed.value) == str(full.value)
+
+
+def test_packed_two_form_rejects_a_wrong_slot_count():
+    grid = TorusGrid(n=3, active_dims=(0, 6), sizes=(8, 8))
+    with pytest.raises(SpecValidationError, match="packed form shape"):
+        PackedTwoForm(grid, np.zeros((7, 8, 8), dtype=complex))
 
 
 def test_trig_spec_json_round_trip():

@@ -18,6 +18,7 @@ from qmaflow.fields import (
     TorusGrid,
     TrigPolySpec,
     TrigTerm,
+    TwoFormField,
     build_omega_h,
     constant_two_form_field,
     sample,
@@ -586,13 +587,17 @@ def test_run_manufactured_n4_converges():
 
 
 def test_flow_engine_setup_peak_is_below_two_packed_backgrounds():
-    # the background is packed from views of its entries, slot by slot, with
-    # no copy of its upper triangle (run4's 4^8 background)
+    # a full background form is packed from views of its entries, slot by
+    # slot, with no copy of its upper triangle (run4's 4^8 background)
     grid = TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(4,) * 8)
-    oh = build_omega_h(MODEL, grid, 1.0, TrigPolySpec.single((0, 0, 0, 1, 0, 0, 1, 0), 0.02))
+    packed = build_omega_h(MODEL, grid, 1.0, TrigPolySpec.single((0, 0, 0, 1, 0, 0, 1, 0), 0.02))
+    oh = TwoFormField(grid, packed.entries)
     f = ScalarField.zeros(grid)
     engine, peak = traced_peak(lambda: FlowEngine(oh, f))
     assert peak < 2 * engine._packed_omega_h.nbytes
+    # a packed background is used as it is: the engine allocates only S_1's terms
+    engine, peak = traced_peak(lambda: FlowEngine(packed, f))
+    assert engine._packed_omega_h is packed.slots and peak < packed.slots.nbytes
 
 
 # -- maximum-principle monitor ----------------------------------------------------
@@ -649,5 +654,7 @@ print(json.dumps({name: entry["calls"] for name, entry in calls.items()}))
     )
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(proc.stdout.splitlines()[-1])
-    assert calls["flow.evaluate"] > 0 and calls["model.block_eigenvalues"] == calls["flow.evaluate"]
+    # every evaluation calls it once, and so does build_omega_h's check of the
+    # background, which runs the flow map's positivity test on its slots
+    assert calls["flow.evaluate"] > 0 and calls["model.block_eigenvalues"] == calls["flow.evaluate"] + 1
     assert calls["exterior.pfaffian_upper"] == 0  # the flow map computes no Pfaffian
