@@ -297,7 +297,6 @@ def _field_identities_once(rng: np.random.Generator, grid: TorusGrid):
     c = float(rng.uniform(0.5, 2.0))
     rho = random_trig_spec(rng, grid, num_terms=4, amplitude=0.1)
     omega_h = build_omega_h(model, grid, c, rho, margin=1e-6)
-    oh_entries = omega_h.entries  # expanded from the packed slots on every read
     u, _, _ = admissible_potential(rng, grid, omega_h)
 
     ops = spectral_ops(grid)
@@ -305,6 +304,10 @@ def _field_identities_once(rng: np.random.Generator, grid: TorusGrid):
     ddju = del_del_j(u)
     omt = flow_form(u, omega_h)
     eta = ops.s1_from_hat(hat)
+    # the flow's paths above take the packed form; the full-form paths below
+    # share one expansion of it, and the packed form is not kept beside it
+    oh_full = TwoFormField(grid, omega_h.entries)
+    del omega_h
     out = {}
 
     # exterior S_1 of the quaternionic Hessian vs the Hessian trace
@@ -315,14 +318,14 @@ def _field_identities_once(rng: np.random.Generator, grid: TorusGrid):
 
     # S_1 splits between the evolving and background forms
     s1_omt = _s1_exterior(omt.entries, grid)
-    s1_oh = _s1_exterior(oh_entries, grid)
+    s1_oh = _s1_exterior(oh_full.entries, grid)
     scale = max(float(np.max(np.abs(s1_omt))), 1.0)
     out["s1_decomposition"] = _rel_err(eta - (s1_omt - s1_oh), scale)
 
     # the quaternionic Hessian reconstructed from the two forms
     omega_b = standard_form(n).reshape((2 * n, 2 * n) + (1,) * len(grid.shape))
     recon = (
-        (n - 1) * oh_entries
+        (n - 1) * oh_full.entries
         - s1_oh * omega_b
         + s1_omt * omega_b
         - (n - 1) * omt.entries
@@ -340,7 +343,7 @@ def _field_identities_once(rng: np.random.Generator, grid: TorusGrid):
 
     # induced fundamental form: metric contraction vs real-form recombination
     m_metric = positivity_matrix(omt.entries, n)
-    m_real = induced_metric_form_real_path(u, omega_h).matrix
+    m_real = induced_metric_form_real_path(u, oh_full).matrix
     scale = max(float(np.max(np.abs(m_metric))), 1.0)
     out["metric_form_dual_path"] = _rel_err(m_real - m_metric, scale)
 
