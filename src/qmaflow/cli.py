@@ -157,7 +157,11 @@ class RunConfig:
 
 
 def _build_problem(config: RunConfig):
-    """Background form, source and initial data for a run config."""
+    """Background form, source and initial data for a run config.
+
+    The background comes packed (``fields.PackedTwoForm``); neither ``flow``
+    nor ``check`` builds the full (2n, 2n) + grid array of it.
+    """
     model = build_model(config.n)
     if config.u_star_spec is not None:
         problem = build_manufactured(

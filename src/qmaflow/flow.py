@@ -262,6 +262,7 @@ class FlowEngine:
             hat = self.ops.live_fft(u_values)
         packed = self.ops.packed_form_from_hat(self._packed_omega_h, hat)
         lam_min, s1, s_n, k = packed_block_terms(self.ops, packed)
+        del packed  # dead once read: the rest of the step runs without this slot stack
         min_eig, point = failing_point(lam_min, self.margin)
         if point is not None:
             return _Stage(ok=False, min_eig=min_eig, point=point)
