@@ -35,11 +35,15 @@ full entries are expanded only when read).  The flow's evolving form
 minus its background, (S_1(ddj u) Omega - ddj u) / (n - 1), is a Fourier
 multiplier of u as well and fills the same slots: the flow adds that
 bundle to the packed background and never assembles the form entry by
-entry.  A bundle
-transforms only the slots whose multiplier does not vanish on the grid
-(inactive coordinates zero some).  S_1 and S_2 of a packed form, the
-first two elementary symmetric functions of its block eigenvalues, are
-real polynomials in its slots (``SpectralOps.slot_invariants``).  The
+entry.  A bundle transforms only the slots whose multiplier does not
+vanish on the grid (inactive coordinates zero some), one slot at a time
+into one output: each slot's multiplier meets the live-mode vector as its
+turn comes, and the slot's transform is written straight into its place,
+so a bundle holds its output, one slot's spectrum and its transform's
+scratch buffers, and no stack of products or of intermediate results.
+S_1 and S_2 of a packed form, the first two elementary symmetric functions
+of its block eigenvalues, are real polynomials in its slots
+(``SpectralOps.slot_invariants``).  The
 slots also hold the form as a quaternionic Hermitian matrix: every pair
 slot is one off-diagonal entry of it, so the blocks and the off-diagonal
 quaternions are read off without unpacking (``SpectralOps.quaternion_slots``,
@@ -56,23 +60,28 @@ transform pair use DFT matrices on the live modes: adjacent axes fuse into
 groups of at most DFT_GROUP_MAX_POINTS points, each group's matrix is the
 Kronecker product of its axes' DFT matrices restricted to the live modes,
 and a transform is one matrix product per group, exact because every
-multiplier vanishes off the live modes.  The forward transform takes a
+multiplier vanishes off the live modes.  The products of one array run in
+two scratch buffers that the transform keeps, and the last one writes into
+the caller's output; a grid of one group, at most DFT_GROUP_MAX_POINTS
+points, takes all the arrays of a call in one product.  The forward transform takes a
 real field, so its first product is a real one: the first group's matrix
 holds each mode's cos and sin columns interleaved, and the product reads
 as complex without a copy.  An FFT library pays per call and per line of
 each axis, which on short axes costs far more than the arithmetic (4^8:
 16,384 lines of 4 points per axis).  Grids with a longer axis run on
 numpy.fft: the forward gathers the live modes from the full FFT, and the
-inverse scatters them into a zero grid.  The full transforms run on
-numpy.fft on every grid; the FFT of a real field is rfftn's half spectrum
-filled out by conjugation (``_hermitian_gather``), so it is Hermitian
-exactly, not just to rounding.
+inverse scatters them into a zero grid, one slot at a time, and transforms
+it into the slot.  The full transforms run on numpy.fft on every grid; the
+FFT of a real field is rfftn's half spectrum filled out by conjugation
+(``_hermitian_gather``, built by the first such FFT: a flow on DFT matrices
+never takes one), so it is Hermitian exactly, not just to rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy import fft as np_fft  # numpy loads its fft lazily; do it at import
@@ -378,6 +387,13 @@ class _KroneckerDft:
     The forward transform takes real input: its first matrix is real, each
     mode's cos and sin columns interleaved, so the first product is real
     arithmetic and its result is the complex one, viewed without a copy.
+
+    Arrays are transformed one at a time: every group product but the last
+    is written into one of two scratch buffers that the transform keeps and
+    reuses, and the last into the caller's output, so a transform holds no
+    array that it returns.  A grid of one group (at most
+    DFT_GROUP_MAX_POINTS points) takes all its arrays in one product
+    instead, as the transform of a stack always has.
     """
 
     def __init__(self, sizes, modes, inverse: bool):
@@ -390,21 +406,42 @@ class _KroneckerDft:
                 forward = np.exp(-2j * np.pi / size * phase)  # mode x position
                 mat = np.kron(mat, forward.conj().T / size if inverse else forward)
             self._operands.append(np.ascontiguousarray(mat.T))  # right operand
+        # each product's result for one array, in complex numbers: the groups
+        # still to do at their input length, then the groups done at their
+        # output length; every result but the last goes into one of the two
+        # scratch buffers, in turn
+        ins = [len(mat) for mat in self._operands]
+        outs = [mat.shape[1] for mat in self._operands]
+        shapes = [(math.prod(ins[k + 1 :]) * math.prod(outs[:k]), outs[k]) for k in range(len(ins))]
+        self._last_shape = shapes.pop()
+        sizes = [math.prod(shape) for shape in shapes]
+        self._scratch = [np.empty(max(sizes[k::2], default=0), dtype=complex) for k in (0, 1)]
+        self._results = [self._scratch[k % 2][:size].reshape(shape) for k, (size, shape) in enumerate(zip(sizes, shapes))]
         if not inverse:
             first = self._operands[0]
             self._operands[0] = np.stack([first.real, first.imag], axis=-1).reshape(len(first), -1)
+        # what each product writes: the real first product, (re, im) pairs
+        self._targets = [result.view(mat.dtype) for result, mat in zip(self._results, self._operands)]
 
-    def __call__(self, x):
-        """Transform ``x``: the grid axes first, any batch axes after them.
+    def __call__(self, xs, outs):
+        """Transform each array of ``xs`` into the array of ``outs`` in its place.
 
-        Returns a 2-d array whose row-major order is the batch axes, then
-        the transformed grid axes.
+        An input holds the grid axes, raveled or not, and its output the
+        transformed ones; every output must be C-contiguous and share no
+        memory with the inputs.  Returns ``outs``.
         """
-        for operand in self._operands:
-            x = x.reshape(len(operand), -1).T @ operand
-            if x.dtype != complex:  # the real first product: (re, im) column pairs
-                x = x.view(complex)
-        return x
+        *firsts, last = self._operands
+        if not firsts:
+            stack = np.array([x.reshape(-1) for x in xs]) @ last
+            for out, result in zip(outs, stack.view(complex)):
+                out.reshape(-1)[...] = result
+            return outs
+        for x, out in zip(xs, outs):
+            for operand, target, result in zip(firsts, self._targets, self._results):
+                np.matmul(x.reshape(len(operand), -1).T, operand, out=target)
+                x = result
+            np.matmul(x.reshape(len(last), -1).T, last, out=out.reshape(self._last_shape))
+        return outs
 
 
 class SpectralOps:
@@ -425,7 +462,11 @@ class SpectralOps:
     the one slot layout of :meth:`pack_j_real`, which :meth:`unpack_form`,
     :meth:`slot_terms` and :meth:`quaternion_slots` read.  :meth:`live_fft` and
     :meth:`live_ifft_real` are the step pair, and ``s1_live`` is the S_1
-    multiplier the step solves with.
+    multiplier the step solves with.  :meth:`zbar_gradient_norm2_from_hat`
+    reduces the z-bar gradient to its squared norm one derivative at a time.
+    One instance serves a grid (:func:`spectral_ops`), so every method
+    returns new arrays, none of them sharing memory with the transforms'
+    scratch buffers.
     """
 
     def __init__(self, grid: TorusGrid):
@@ -435,7 +476,6 @@ class SpectralOps:
         self._live_index = np.flatnonzero(self.below_nyquist)
         # per axis, the indices below Nyquist: the live modes are their product
         self._live_axes = [np.flatnonzero(2 * np.arange(size) != size) for size in grid.sizes]
-        self._hermitian_index, self._real_modes = _hermitian_gather(grid.sizes)
         self._live_dft = None  # DFT matrices on the live modes, in the order of _live_index
         if max(grid.sizes) <= DFT_MATRIX_MAX_AXIS:
             self._live_dft = _KroneckerDft(grid.sizes, self._live_axes, inverse=False)
@@ -558,6 +598,11 @@ class SpectralOps:
         shape[axis] = -1
         return 1j * (np_fft.fftfreq(size) * size)[self._live_axes[axis]].reshape(shape)
 
+    @cached_property
+    def _hermitian(self):
+        """``_hermitian_gather`` of the grid, built by the first :meth:`fft` of a real field."""
+        return _hermitian_gather(self.grid.sizes)
+
     def _build_below_nyquist(self):
         """1.0 on the live modes (no Nyquist index on any even axis), 0.0 elsewhere.
 
@@ -590,36 +635,47 @@ class SpectralOps:
         """Full FFT; a real field's is gathered from its rfftn, exactly Hermitian."""
         if np.iscomplexobj(values):
             return np_fft.fftn(values)
+        index, real = self._hermitian
         h = np_fft.rfftn(values).reshape(-1)
-        return np.concatenate([h, h.conj(), h[self._real_modes].real])[self._hermitian_index]
+        return np.concatenate([h, h.conj(), h[real].real])[index]
 
     def ifft(self, hat):
         return np_fft.ifftn(hat)
 
-    def _ifft_batch(self, live):
-        """Inverse transforms of spectra given on the live modes, one per leading slot.
+    def _ifft_into(self, spectra, outs):
+        """Inverse transform each spectrum of ``spectra``, given on the live modes, into its array of ``outs``.
 
-        Every spectrum vanishes off the live modes, as every multiplier
-        times a spectrum does: the DFT matrices read the live modes only,
-        numpy.fft transforms them scattered into a zero grid.
+        One spectrum at a time: ``spectra`` may be a generator that makes
+        each as its turn comes, and every output is a C-contiguous complex
+        grid array.  Every spectrum vanishes off the live modes, as every
+        multiplier times a spectrum does: the DFT matrices read the live
+        modes only, numpy.fft transforms them scattered into a zero grid.
         """
-        shape = (len(live),) + self.grid.shape
         if self._live_dft is not None:
-            return self._live_idft(live.T).reshape(shape)
-        full = np.zeros((len(live), self.grid.num_points), dtype=complex)
-        for slot, spectrum in zip(full, live):  # per slot: 3x faster than full[:, index]
-            slot[self._live_index] = spectrum
-        axes = tuple(range(1, len(shape)))
-        return np_fft.ifftn(full.reshape(shape), axes=axes)
+            return self._live_idft(spectra, outs)
+        full = np.zeros(self.grid.shape, dtype=complex)
+        for spectrum, out in zip(spectra, outs):
+            full.reshape(-1)[self._live_index] = spectrum
+            np_fft.ifftn(full, out=out)
+        return outs
 
-    def _bundle(self, stack, hat):
-        """Inverse transforms of each live multiplier of ``stack`` times ``hat``."""
-        return self._ifft_batch(stack * hat)
+    def _bundle(self, stack, hat, out):
+        """Inverse transforms of each live multiplier of ``stack`` times ``hat``, into the slots of ``out``.
+
+        Each slot's multiplier is applied to ``hat`` as its turn comes, so no
+        stack of products is held.
+        """
+        self._ifft_into((mult * hat for mult in stack), out)
+        return out
+
+    def _new_stack(self, size, zero=False):
+        """A complex stack of ``size`` grid arrays, zero if asked."""
+        return (np.zeros if zero else np.empty)((size,) + self.grid.shape, dtype=complex)
 
     def _derivative(self, row, values):
         """One live multiplier, a one-row stack, applied to a real or complex field."""
         hat = self.fft(values).reshape(-1)[self._live_index]
-        return self._bundle(row, hat)[0]
+        return self._bundle(row, hat, self._new_stack(1))[0]
 
     def live_fft(self, values):
         """The live-mode vector of a real field: its FFT on the live modes.
@@ -635,7 +691,7 @@ class SpectralOps:
         if self._live_dft is None:
             return self.fft(values).reshape(-1)[self._live_index]
         shift = values.flat[0]
-        hat = self._live_dft(values - shift).ravel()
+        (hat,) = self._live_dft([values - shift], [np.empty(len(self._live_index), dtype=complex)])
         hat[0] += shift * self.grid.num_points
         return hat
 
@@ -646,7 +702,8 @@ class SpectralOps:
         backend; for the live-mode vector of a real field the discarded
         imaginary part is rounding.
         """
-        return self._ifft_batch(hat[None])[0].real
+        (out,) = self._ifft_into([hat], self._new_stack(1))
+        return out.real
 
     # -- first derivatives ---------------------------------------------
 
@@ -660,7 +717,7 @@ class SpectralOps:
         return self._derivative(self._zbar[a : a + 1], values)
 
     def z_gradient_from_hat(self, hat):
-        return self._bundle(self._z, hat)
+        return self._bundle(self._z, hat, self._new_stack(len(self._z)))
 
     # -- second derivatives ---------------------------------------------
 
@@ -672,10 +729,9 @@ class SpectralOps:
         """
         m = 2 * self.n
         entries = [(a, b) for a in range(m) for b in range(a if real_input else 0, m)]
-        rows, cols = (list(idx) for idx in zip(*entries))
         z, zb = self._z, self._zbar
         H = np.empty((m, m) + self.grid.shape, dtype=complex)
-        H[rows, cols] = self._bundle(z[rows] * zb[cols], hat)
+        self._ifft_into((z[a] * zb[b] * hat for a, b in entries), [H[a, b] for a, b in entries])
         if real_input:
             for a in range(m):
                 for b in range(a):
@@ -689,15 +745,12 @@ class SpectralOps:
     def _live_rows(self, nonzero_rows, hat):
         """The bundle of a stack of ``size`` multipliers, from ``_nonzero_rows(stack)``.
 
-        Only the ``rows`` whose multiplier is not zero are transformed; the
-        others come out zero.
+        Only the ``rows`` whose multiplier is not zero are transformed, one
+        at a time into their slot of the output; the others come out zero.
         """
         rows, stack, size = nonzero_rows
-        if len(rows) == size:
-            return self._bundle(stack, hat)
-        out = np.zeros((size,) + self.grid.shape, dtype=complex)
-        if len(rows):
-            out[rows] = self._bundle(stack, hat)
+        out = self._new_stack(size, zero=len(rows) < size)
+        self._bundle(stack, hat, [out[row] for row in rows])
         return out
 
     def ddj_upper_s1_from_hat(self, hat):
@@ -705,8 +758,8 @@ class SpectralOps:
 
         ``hat`` must be the live-mode vector of a real field.  Returns
         (upper, s1) where ``upper`` stacks the (j, k) entries in
-        ``self.pairs`` order.  One batched transform of the packed slots
-        serves the whole bundle; the partners are rebuilt by conjugation and
+        ``self.pairs`` order.  The packed slots' transforms serve the whole
+        bundle; the partners are rebuilt by conjugation and
         S_1 is the sum of the blocks.  Entries whose multiplier vanishes on
         the grid are zero.
         """
@@ -785,15 +838,20 @@ class SpectralOps:
         entries, _, _, _, imag_blocks = self._form_layout
         c = len(entries)
         blocks = [*packed[c:].real, *packed[c : c + len(imag_blocks)].imag]
-        s1, s2, w = blocks[0], 0.0, 0.0
+        s1, s2 = blocks[0], 0.0
         for b in blocks[1:]:
             s2 = s2 + b * s1
             s1 = s1 + b
+        w = square = None
         for p in packed[:c]:
             norm = p.real * p.real
-            norm += p.imag * p.imag
+            square = np.multiply(p.imag, p.imag, out=square)
+            norm += square
             s2 -= norm
-            w += norm
+            if w is None:
+                w = norm
+            else:
+                w += norm
         return s1, s2, blocks, w
 
     def quaternion_slots(self, packed):
@@ -815,6 +873,30 @@ class SpectralOps:
         multiplier vanishes on the grid are zero and not transformed.
         """
         return self._live_rows(self._zbar_rows, hat)
+
+    def zbar_gradient_norm2_from_hat(self, hat):
+        """sum_a |u_{abar}|^2 at every grid point, the squared norm of the z-bar gradient.
+
+        ``hat`` must be the live-mode vector of a real field.  The
+        derivatives are transformed one at a time into one grid array, and
+        the squares of their real and of their imaginary parts are summed
+        apart, in the order of ``a``, then added: the same numbers as the
+        sum over the stack of :meth:`zbar_gradient_batched_from_hat`, which
+        is never held.  A grid of one DFT group, at most
+        DFT_GROUP_MAX_POINTS points, transforms a stack in one product
+        (``_KroneckerDft``), so there the derivatives go in one stack too.
+        """
+        _, stack, _ = self._zbar_rows
+        at_once = len(stack) if self.grid.num_points <= DFT_GROUP_MAX_POINTS else 1
+        slots = self._new_stack(max(at_once, 1))
+        parts = slots.reshape(len(slots), -1).view(float)  # (re, im) of every point, in pairs
+        sums = np.zeros_like(parts[0])
+        for start in range(0, len(stack), len(slots)):
+            self._bundle(stack[start : start + len(slots)], hat, slots)
+            for part in parts:
+                part *= part
+                sums += part
+        return (sums[0::2] + sums[1::2]).reshape(self.grid.shape)
 
     # -- diagnostics ----------------------------------------------------
 

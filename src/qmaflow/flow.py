@@ -29,8 +29,8 @@ non-unique on an even grid).
 The flow map itself runs on the packed J-real slots of the evolving form
 (see ``fields``): the background form arrives on them
 (``fields.build_omega_h`` builds it there; a full ``TwoFormField`` is
-packed once per run), and each evaluation adds one batched inverse
-transform of the form's slot multipliers to it.  The positivity test on
+packed once per run), and each evaluation adds the inverse transforms of
+the form's slot multipliers to it, slot by slot.  The positivity test on
 the slots (:func:`packed_block_terms`) is the one the background is
 checked with too.  The right-hand side is log S_n - f with
 S_n = Pf(omega_tilde) / Pf(Omega) (Pf(Omega) = 1), the product of the
@@ -46,7 +46,9 @@ smallest block eigenvalue comes in closed form too, from the trigonometric
 solution of the cubic about its mean root (``model.triple_eigenvalues``).
 For n = 4 the slots are unpacked for ``model.block_eigenvalues``, the
 library's one positivity test, whose block eigenvalues give the guard, S_n
-and kappa.  No Pfaffian is computed.  The guard decides by
+and kappa.  No Pfaffian is computed.  The per-step diagnostics take
+``max_beta``, the largest sum_a |u_{abar}|^2, one z-bar derivative at a time
+(``SpectralOps.zbar_gradient_norm2_from_hat``), never as the gradient stack.  The guard decides by
 ``model.failing_point``, the rule every positivity check shares: a point
 fails unless its smallest block eigenvalue is > margin, so NaN fails.  A
 state that passes the guard but whose right-hand side is not finite (S_n
@@ -202,7 +204,7 @@ def packed_block_terms(ops, packed):
     """
     if ops.n == 2:
         s1, s_n, a, w = ops.slot_terms(packed)
-        lam_min, _ = pair_eigenvalues(a, w)
+        (lam_min,) = pair_eigenvalues(a, w, count=1)
         return lam_min, s1, s_n, s1
     if ops.n == 3:
         a, z, s = ops.quaternion_slots(packed)
@@ -307,9 +309,6 @@ class FlowEngine:
         return self.sigma * stage.min_eig / S1_UNIT_SYMBOL
 
     def diagnostics(self, state: FlowState, stage: _Stage) -> DiagnosticsRecord:
-        g = self.ops.zbar_gradient_batched_from_hat(stage.hat)
-        v = g.reshape(len(g), -1).view(float)  # (re, im) of every point, in pairs
-        square_sums = np.einsum("ij,ij->j", v, v)
         rhs_max, rhs_min = float(stage.rhs.max()), float(stage.rhs.min())
         return DiagnosticsRecord(
             step=state.step_count,
@@ -317,7 +316,7 @@ class FlowEngine:
             dt=state.dt,
             sup_abs_ut=max(rhs_max, -rhs_min),
             osc_u=float(state.u.values.max() - state.u.values.min()),
-            max_beta=float((square_sums[0::2] + square_sums[1::2]).max()),
+            max_beta=float(self.ops.zbar_gradient_norm2_from_hat(stage.hat).max()),
             max_eta=max(float(stage.eta.max()), -float(stage.eta.min())),
             min_eig_omega_tilde=stage.min_eig,
             osc_ut=rhs_max - rhs_min,

@@ -174,8 +174,8 @@ def positivity_eigenvalues(entries, n: int):
     return np.linalg.eigvalsh(m)
 
 
-def pair_eigenvalues(a, w):
-    """The n = 2 block pair (lo, hi), the roots of lambda^2 - S_1 lambda + S_2.
+def pair_eigenvalues(a, w, count: int = 2):
+    """The lowest ``count`` of the n = 2 block pair (lo, hi), the roots of lambda^2 - S_1 lambda + S_2.
 
     ``a`` holds the two blocks and ``w`` the squared norm |z|^2 + |s|^2 of
     the one off-diagonal quaternion (:func:`quaternion_entries`,
@@ -185,9 +185,15 @@ def pair_eigenvalues(a, w):
     this sum of squares does not.
     """
     s1 = a[0] + a[1]
-    d = a[0] - a[1]
-    disc = np.sqrt(d * d + 4.0 * w)
-    return 0.5 * (s1 - disc), 0.5 * (s1 + disc)
+    disc = np.asarray(a[0] - a[1])
+    disc *= disc
+    disc += 4.0 * w
+    np.sqrt(disc, out=disc)
+    if count == 1:  # the lower root alone, written over disc
+        lo = np.subtract(s1, disc, out=disc)
+        lo *= 0.5
+        return [lo]
+    return [0.5 * (s1 - disc), 0.5 * (s1 + disc)]
 
 
 def quaternion_entries(entries, n: int):

@@ -1,4 +1,4 @@
-"""Helpers shared by the tests: full-grid multiplier oracles and traced memory peaks."""
+"""Helpers shared by the tests: full-grid multiplier oracles, traced memory peaks, stacked transforms."""
 
 import tracemalloc
 
@@ -41,3 +41,51 @@ def traced_peak(fn):
         if not tracing:
             tracemalloc.stop()
     return out, peak - start
+
+
+# -- the stacked transforms: every slot of a bundle in one transform -----------------
+
+
+def _stacked_dft(operands, x):
+    """``x``'s grid axes (leading) transformed by the group matrices, its batch axes carried along."""
+    for operand in operands:
+        x = x.reshape(len(operand), -1).T @ operand
+        if x.dtype != complex:  # the real first product of the forward transform
+            x = x.view(complex)
+    return x
+
+
+def stacked_inverse(ops, live):
+    """Inverse transforms of a (slots, live) stack of spectra, all slots in one transform."""
+    shape = (len(live),) + ops.grid.shape
+    if ops._live_dft is not None:
+        return _stacked_dft(ops._live_idft._operands, live.T).reshape(shape)
+    full = np.zeros((len(live), ops.grid.num_points), dtype=complex)
+    full[:, ops._live_index] = live
+    return np.fft.ifftn(full.reshape(shape), axes=tuple(range(1, len(shape))))
+
+
+def stacked_live_fft(ops, values):
+    """The live-mode vector of a real field, by the whole-array forward transform."""
+    if ops._live_dft is None:
+        return ops.fft(values).reshape(-1)[ops._live_index]
+    shift = values.flat[0]
+    hat = _stacked_dft(ops._live_dft._operands, values - shift).ravel()
+    hat[0] += shift * ops.grid.num_points
+    return hat
+
+
+def stacked_rows(ops, nonzero_rows, hat):
+    """A bundle from ``(rows, multipliers, size)``: the stack of products in one transform, zero elsewhere."""
+    rows, stack, size = nonzero_rows
+    out = np.zeros((size,) + ops.grid.shape, dtype=complex)
+    out[rows] = stacked_inverse(ops, stack * hat)
+    return out
+
+
+def stacked_gradient_norm2(ops, hat):
+    """sum_a |u_{abar}|^2 from the whole z-bar gradient stack, real and imaginary squares summed apart."""
+    g = stacked_rows(ops, ops._zbar_rows, hat)
+    v = g.reshape(len(g), -1).view(float)
+    sums = np.einsum("ij,ij->j", v, v)
+    return (sums[0::2] + sums[1::2]).reshape(ops.grid.shape)

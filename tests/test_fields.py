@@ -29,11 +29,18 @@ from qmaflow.fields import (
     sample,
     spectral_ops,
 )
-from qmaflow.flow import FlowEngine
+from qmaflow.flow import FlowEngine, FlowState
 from qmaflow.model import build_model, j_tables, require_strictly_positive, standard_form
 from qmaflow.verify import default_identity_grid
 
-from support import full_grid_multipliers, traced_peak
+from support import (
+    full_grid_multipliers,
+    stacked_gradient_norm2,
+    stacked_inverse,
+    stacked_live_fft,
+    stacked_rows,
+    traced_peak,
+)
 
 
 @pytest.fixture
@@ -475,6 +482,97 @@ def test_spectral_ops_holds_no_full_grid_complex_array(name):
     for a in held:
         if a.dtype == complex:
             assert grid.num_points not in a.shape and a.shape[-len(grid.shape) :] != grid.shape
+
+
+# the bundles transform slot by slot; on these grids (three on DFT matrices
+# of several groups, one of a single group, one on numpy.fft) they must give
+# the numbers of the transforms that took every slot at once
+SLOT_GRIDS = {
+    "n2-4^8": TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(4,) * 8),
+    "n3-identity": default_identity_grid(3),
+    "n4-8^4": TorusGrid(n=4, active_dims=(0, 1, 8, 9), sizes=(8,) * 4),
+    "n2-8x8-one-group": TorusGrid(n=2, active_dims=(0, 1), sizes=(8, 8)),
+    "n2-z0-64x64": TorusGrid(n=2, active_dims=(0, 4), sizes=(64, 64)),
+}
+
+
+def _slot_problem(grid):
+    """A field with content on every mode, its live-mode vector and a packed base of random slots."""
+    ops = spectral_ops(grid)
+    rng = np.random.default_rng(31)
+    u = rng.standard_normal(grid.shape)
+    hat = ops.live_fft(u)
+    base = rng.standard_normal(ops.ddj_slots_from_hat(hat).shape) + 0j
+    return ops, u, hat, base
+
+
+@pytest.mark.parametrize("name", list(SLOT_GRIDS))
+def test_slot_by_slot_bundles_equal_the_stacked_transforms(name):
+    ops, u, hat, base = _slot_problem(SLOT_GRIDS[name])
+    assert np.array_equal(hat, stacked_live_fft(ops, u))
+    assert np.array_equal(ops.live_ifft_real(hat), stacked_inverse(ops, hat[None])[0].real)
+    ddj = stacked_rows(ops, ops._ddj_rows, hat)
+    ddj.real[ops._ddj_dead_parts[0]] = 0.0
+    ddj.imag[ops._ddj_dead_parts[1]] = 0.0
+    assert np.array_equal(ops.ddj_slots_from_hat(hat), ddj)
+    assert np.array_equal(ops.packed_form_from_hat(base, hat), stacked_rows(ops, ops._form_rows, hat) + base)
+    assert np.array_equal(ops.zbar_gradient_batched_from_hat(hat), stacked_rows(ops, ops._zbar_rows, hat))
+    assert np.array_equal(ops.zbar_gradient_norm2_from_hat(hat), stacked_gradient_norm2(ops, hat))
+    assert np.array_equal(ops.z_gradient_from_hat(hat), stacked_inverse(ops, ops._z * hat))
+
+
+@pytest.mark.parametrize("name", ["n2-4^8", "n2-8x8-one-group", "n2-z0-64x64"])
+def test_bundle_outputs_share_no_memory(name):
+    # the grid's SpectralOps is shared, and its transforms reuse scratch
+    # buffers: nothing a call returns may alias them or another call's result
+    ops, u, hat, base = _slot_problem(SLOT_GRIDS[name])
+    scratch = [] if ops._live_dft is None else ops._live_dft._scratch + ops._live_idft._scratch
+    calls = [
+        lambda: ops.packed_form_from_hat(base, hat),
+        lambda: ops.ddj_slots_from_hat(hat),
+        lambda: ops.zbar_gradient_batched_from_hat(hat),
+        lambda: ops.zbar_gradient_norm2_from_hat(hat),
+        lambda: ops.z_gradient_from_hat(hat),
+        lambda: ops.mixed_hessian_from_hat(hat),
+        lambda: ops.live_ifft_real(hat),
+        lambda: ops.live_fft(u),
+        lambda: ops.partial_zbar(u, 0),
+    ]
+    for call in calls:
+        first, second = call(), call()
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        assert not any(np.shares_memory(result, buf) for result in (first, second) for buf in scratch)
+        assert not any(np.shares_memory(first, a) for a in (u, hat, base))
+
+
+def test_bundle_peaks_stay_below_their_output_and_one_slot():
+    # each slot's multiplier meets hat as its turn comes and is transformed
+    # straight into its slot: no stack of products, no stacked intermediates
+    ops, _, hat, base = _slot_problem(SLOT_GRIDS["n2-4^8"])
+    for call in (lambda: ops.packed_form_from_hat(base, hat), lambda: ops.ddj_slots_from_hat(hat)):
+        slots, peak = traced_peak(call)
+        assert peak < slots.nbytes + slots[0].nbytes
+
+
+def test_a_flow_never_builds_the_hermitian_gather(monkeypatch):
+    # a 4^8 flow transforms by DFT matrices only; the full FFT's index table
+    # (one integer per grid point) is built by the first full FFT
+    monkeypatch.setattr(fields, "_SPECTRAL_CACHE", {})
+    grid = SLOT_GRIDS["n2-4^8"]
+    omega_h = build_omega_h(build_model(2), grid, 1.0, TrigPolySpec.single((0, 0, 0, 1, 0, 0, 1, 0), 0.02))
+    f = sample(TrigPolySpec.single((1, 0, 0, 0, 0, 1, 0, 0), 0.1), grid)
+    engine = FlowEngine(omega_h, f)
+    engine.step(FlowState(ScalarField.zeros(grid), 0.0, 0.05, 0))
+    ops = engine.ops
+
+    def grid_sized_index_tables():
+        held = [a for value in vars(ops).values() for a in _held_arrays(value)]
+        return [a for a in held if a.dtype.kind == "i" and a.size >= grid.num_points]
+
+    assert not grid_sized_index_tables()
+    _assert_hermitian(ops.fft(f.values))
+    assert grid_sized_index_tables()
 
 
 @pytest.mark.parametrize("sizes", [(4, 4), (5, 4)], ids=["4x4", "5x4"])
