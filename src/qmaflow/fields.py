@@ -58,7 +58,8 @@ Each grid picks its transform once, from its shape.  If no axis is longer
 than DFT_MATRIX_MAX_AXIS points, every derivative and the stepper's
 transform pair use DFT matrices on the live modes: adjacent axes fuse into
 groups of at most DFT_GROUP_MAX_POINTS points, each group's matrix is the
-Kronecker product of its axes' DFT matrices restricted to the live modes,
+Kronecker product of its axes' DFT matrices restricted to the live modes
+(``dft._KroneckerDft``),
 and a transform is one matrix product per group, exact because every
 multiplier vanishes off the live modes.  The products of one array run in
 two scratch buffers that the transform keeps, and the last one writes into
@@ -86,13 +87,13 @@ from functools import cached_property
 import numpy as np
 from numpy import fft as np_fft  # numpy loads its fft lazily; do it at import
 
+from .dft import DFT_GROUP_MAX_POINTS, _hermitian_gather, _KroneckerDft
 from .errors import SpecValidationError
 from .exterior import full_from_upper
 from .model import TorusModel, j_reality_defect, j_tables, require_positive_minimum
 
 PERIOD = 2.0 * np.pi
 DFT_MATRIX_MAX_AXIS = 32  # grids with no longer axis transform by live-mode DFT matrices
-DFT_GROUP_MAX_POINTS = 64  # adjacent axes fuse into DFT matrices of at most this order
 
 
 @dataclass(frozen=True)
@@ -321,18 +322,6 @@ def sample(spec: TrigPolySpec, grid: TorusGrid) -> ScalarField:
 # -- spectral calculus ----------------------------------------------------
 
 
-def _axis_groups(sizes):
-    """Runs of adjacent axes whose point count stays within DFT_GROUP_MAX_POINTS."""
-    groups, points = [[]], 1
-    for p, size in enumerate(sizes):
-        if groups[-1] and points * size > DFT_GROUP_MAX_POINTS:
-            groups.append([])
-            points = 1
-        groups[-1].append(p)
-        points *= size
-    return groups
-
-
 def _nonzero_rows(stack):
     """(rows, their multipliers, len(stack)): the rows of a multiplier stack that are not zero.
 
@@ -346,102 +335,6 @@ def _nonzero_rows(stack):
 def _max_abs(arrays):
     """The largest magnitude over a sequence of arrays, taken one array at a time; NaN if any is."""
     return float(np.max([np.max(np.abs(a)) for a in arrays]))
-
-
-def _hermitian_gather(sizes):
-    """(index, real) such that ``concatenate([h, conj(h), h[real].real])[index]``
-    is the FFT of a real field whose raveled rfftn is h.
-
-    The last axis p on which 2 k_p is not 0 mod size_p decides: mode k reads
-    conj(h) at -k iff k_p > size_p / 2, else h at k, which rfftn holds; a
-    mode with no such axis is its own mirror and reads the real part of h.
-    """
-    half_sizes = sizes[:-1] + (sizes[-1] // 2 + 1,)
-    strides = np.cumprod((1,) + half_sizes[:0:-1])[::-1]  # row-major, of h
-    mirrored = np.zeros(sizes, dtype=bool)
-    self_mirror = np.ones(sizes, dtype=bool)
-    own = mirror = 0
-    for p, (size, stride) in enumerate(zip(sizes, strides)):
-        k = np.arange(size).reshape((-1,) + (1,) * (len(sizes) - p - 1))
-        mirrored = np.where(2 * k % size == 0, mirrored, 2 * k > size)
-        self_mirror &= 2 * k % size == 0
-        own = own + k * stride
-        mirror = mirror + (-k % size) * stride
-    h_size = math.prod(half_sizes)
-    index = np.where(mirrored, mirror + h_size, own)
-    real = own[self_mirror]
-    index[self_mirror] = 2 * h_size + np.arange(len(real))
-    return index, real
-
-
-class _KroneckerDft:
-    """A multidimensional DFT as one matrix per group of adjacent axes.
-
-    ``modes`` holds, per axis, the mode indices the transform keeps: the
-    forward transform returns only those modes, the inverse reads only
-    them.  A group's matrix is the Kronecker product of its axes' DFT
-    matrices (row-major, so it acts on the group's axes flattened in
-    place).  Each product contracts the leading group and moves it behind
-    the rest, so after one product per group the axes are back in order.
-
-    The forward transform takes real input: its first matrix is real, each
-    mode's cos and sin columns interleaved, so the first product is real
-    arithmetic and its result is the complex one, viewed without a copy.
-
-    Arrays are transformed one at a time: every group product but the last
-    is written into one of two scratch buffers that the transform keeps and
-    reuses, and the last into the caller's output, so a transform holds no
-    array that it returns.  A grid of one group (at most
-    DFT_GROUP_MAX_POINTS points) takes all its arrays in one product
-    instead, as the transform of a stack always has.
-    """
-
-    def __init__(self, sizes, modes, inverse: bool):
-        self._operands = []
-        for group in _axis_groups(sizes):
-            mat = np.ones((1, 1))
-            for p in group:
-                size = sizes[p]
-                phase = np.outer(modes[p], np.arange(size)) % size  # exact integers
-                forward = np.exp(-2j * np.pi / size * phase)  # mode x position
-                mat = np.kron(mat, forward.conj().T / size if inverse else forward)
-            self._operands.append(np.ascontiguousarray(mat.T))  # right operand
-        # each product's result for one array, in complex numbers: the groups
-        # still to do at their input length, then the groups done at their
-        # output length; every result but the last goes into one of the two
-        # scratch buffers, in turn
-        ins = [len(mat) for mat in self._operands]
-        outs = [mat.shape[1] for mat in self._operands]
-        shapes = [(math.prod(ins[k + 1 :]) * math.prod(outs[:k]), outs[k]) for k in range(len(ins))]
-        self._last_shape = shapes.pop()
-        sizes = [math.prod(shape) for shape in shapes]
-        self._scratch = [np.empty(max(sizes[k::2], default=0), dtype=complex) for k in (0, 1)]
-        self._results = [self._scratch[k % 2][:size].reshape(shape) for k, (size, shape) in enumerate(zip(sizes, shapes))]
-        if not inverse:
-            first = self._operands[0]
-            self._operands[0] = np.stack([first.real, first.imag], axis=-1).reshape(len(first), -1)
-        # what each product writes: the real first product, (re, im) pairs
-        self._targets = [result.view(mat.dtype) for result, mat in zip(self._results, self._operands)]
-
-    def __call__(self, xs, outs):
-        """Transform each array of ``xs`` into the array of ``outs`` in its place.
-
-        An input holds the grid axes, raveled or not, and its output the
-        transformed ones; every output must be C-contiguous and share no
-        memory with the inputs.  Returns ``outs``.
-        """
-        *firsts, last = self._operands
-        if not firsts:
-            stack = np.array([x.reshape(-1) for x in xs]) @ last
-            for out, result in zip(outs, stack.view(complex)):
-                out.reshape(-1)[...] = result
-            return outs
-        for x, out in zip(xs, outs):
-            for operand, target, result in zip(firsts, self._targets, self._results):
-                np.matmul(x.reshape(len(operand), -1).T, operand, out=target)
-                x = result
-            np.matmul(x.reshape(len(last), -1).T, last, out=out.reshape(self._last_shape))
-        return outs
 
 
 class SpectralOps:
