@@ -69,12 +69,12 @@ class _KroneckerDft:
     mode's cos and sin columns interleaved, so the first product is real
     arithmetic and its result is the complex one, viewed without a copy.
 
-    Arrays are transformed one at a time: every group product but the last
-    is written into one of two scratch buffers that the transform keeps and
+    A call transforms one array: every group product but the last is
+    written into one of two scratch buffers that the transform keeps and
     reuses, and the last into the caller's output, so a transform holds no
-    array that it returns.  A grid of one group (at most
-    DFT_GROUP_MAX_POINTS points) takes all its arrays in one product
-    instead, as the transform of a stack always has.
+    array that it returns.  A transform of one group (at most
+    DFT_GROUP_MAX_POINTS points) is a single product, and it also takes a
+    stack of arrays on a leading axis, all in that one product.
     """
 
     def __init__(self, sizes, modes, inverse: bool):
@@ -104,22 +104,20 @@ class _KroneckerDft:
         # what each product writes: the real first product, (re, im) pairs
         self._targets = [result.view(mat.dtype) for result, mat in zip(self._results, self._operands)]
 
-    def __call__(self, xs, outs):
-        """Transform each array of ``xs`` into the array of ``outs`` in its place.
+    def __call__(self, x, out):
+        """Transform ``x``, the grid axes raveled or not, into ``out`` and return it.
 
-        An input holds the grid axes, raveled or not, and its output the
-        transformed ones; every output must be C-contiguous and share no
-        memory with the inputs.  Returns ``outs``.
+        ``out`` holds the transformed axes; it must be C-contiguous and share
+        no memory with ``x``.  With one group, ``x`` and ``out`` may be
+        stacks on a leading axis.
         """
         *firsts, last = self._operands
-        if not firsts:
-            stack = np.array([x.reshape(-1) for x in xs]) @ last
-            for out, result in zip(outs, stack.view(complex)):
-                out.reshape(-1)[...] = result
-            return outs
-        for x, out in zip(xs, outs):
+        if firsts:
             for operand, target, result in zip(firsts, self._targets, self._results):
                 np.matmul(x.reshape(len(operand), -1).T, operand, out=target)
                 x = result
-            np.matmul(x.reshape(len(last), -1).T, last, out=out.reshape(self._last_shape))
-        return outs
+            x = x.reshape(len(last), -1).T
+        else:
+            x = x.reshape(-1, len(last))
+        np.matmul(x, last, out=out.reshape(len(x), self._last_shape[1]).view(last.dtype))  # real: (re, im) pairs
+        return out

@@ -56,26 +56,24 @@ transforms are grid-sized.
 
 Each grid picks its transform once, from its shape.  If no axis is longer
 than DFT_MATRIX_MAX_AXIS points, every derivative and the stepper's
-transform pair use DFT matrices on the live modes: adjacent axes fuse into
-groups of at most DFT_GROUP_MAX_POINTS points, each group's matrix is the
-Kronecker product of its axes' DFT matrices restricted to the live modes
-(``dft._KroneckerDft``),
-and a transform is one matrix product per group, exact because every
-multiplier vanishes off the live modes.  The products of one array run in
-two scratch buffers that the transform keeps, and the last one writes into
-the caller's output; a grid of one group, at most DFT_GROUP_MAX_POINTS
-points, takes all the arrays of a call in one product.  The forward transform takes a
-real field, so its first product is a real one: the first group's matrix
+transform pair use DFT matrices on the live modes (``dft._KroneckerDft``):
+adjacent axes fuse into groups of at most ``dft.DFT_GROUP_MAX_POINTS``
+points, each group's matrix is the Kronecker product of its axes' DFT
+matrices restricted to the live modes, and a transform is one matrix
+product per group, exact because every multiplier vanishes off the live
+modes.  A slot's products run in two scratch buffers that the transform
+keeps, and the last one writes into the slot.  The forward transform takes
+a real field, so its first product is a real one: the first group's matrix
 holds each mode's cos and sin columns interleaved, and the product reads
 as complex without a copy.  An FFT library pays per call and per line of
 each axis, which on short axes costs far more than the arithmetic (4^8:
 16,384 lines of 4 points per axis).  Grids with a longer axis run on
 numpy.fft: the forward gathers the live modes from the full FFT, and the
-inverse scatters them into a zero grid, one slot at a time, and transforms
-it into the slot.  The full transforms run on numpy.fft on every grid; the
-FFT of a real field is rfftn's half spectrum filled out by conjugation
-(``_hermitian_gather``, built by the first such FFT: a flow on DFT matrices
-never takes one), so it is Hermitian exactly, not just to rounding.
+inverse scatters each slot's into a zero grid and transforms it into the
+slot.  The full transforms run on numpy.fft on every grid; the FFT of a
+real field is rfftn's half spectrum filled out by conjugation
+(``dft._hermitian_gather``, built by the first such FFT: a flow on DFT
+matrices never takes one), so it is Hermitian exactly, not just to rounding.
 """
 
 from __future__ import annotations
@@ -87,7 +85,7 @@ from functools import cached_property
 import numpy as np
 from numpy import fft as np_fft  # numpy loads its fft lazily; do it at import
 
-from .dft import DFT_GROUP_MAX_POINTS, _hermitian_gather, _KroneckerDft
+from .dft import _hermitian_gather, _KroneckerDft
 from .errors import SpecValidationError
 from .exterior import full_from_upper
 from .model import TorusModel, j_reality_defect, j_tables, require_positive_minimum
@@ -373,6 +371,8 @@ class SpectralOps:
         if max(grid.sizes) <= DFT_MATRIX_MAX_AXIS:
             self._live_dft = _KroneckerDft(grid.sizes, self._live_axes, inverse=False)
             self._live_idft = _KroneckerDft(grid.sizes, self._live_axes, inverse=True)
+        # a grid of one DFT group transforms a stack of slots in one product
+        self._whole_stacks = self._live_dft is not None and len(self._live_idft._operands) == 1
         m = 2 * self.n
         # d/dz^a -> (ik_a + k_{2n+a})/2,  d/dzbar^a -> (ik_a - k_{2n+a})/2
         self._z = self._live_stack([0.5 * (self._ik(a) + (-1j) * self._ik(m + a)) for a in range(m)])
@@ -535,30 +535,35 @@ class SpectralOps:
     def ifft(self, hat):
         return np_fft.ifftn(hat)
 
-    def _ifft_into(self, spectra, outs):
-        """Inverse transform each spectrum of ``spectra``, given on the live modes, into its array of ``outs``.
+    def _ifft_into(self, spectrum, out):
+        """Inverse transform of a spectrum given on the live modes, into the grid array ``out``.
 
-        One spectrum at a time: ``spectra`` may be a generator that makes
-        each as its turn comes, and every output is a C-contiguous complex
-        grid array.  Every spectrum vanishes off the live modes, as every
-        multiplier times a spectrum does: the DFT matrices read the live
-        modes only, numpy.fft transforms them scattered into a zero grid.
+        ``out`` is complex and C-contiguous; it is returned.  Every spectrum
+        vanishes off the live modes, as every multiplier times a spectrum
+        does: the DFT matrices read the live modes only, numpy.fft transforms
+        them scattered into a zero grid.
         """
         if self._live_dft is not None:
-            return self._live_idft(spectra, outs)
-        full = np.zeros(self.grid.shape, dtype=complex)
-        for spectrum, out in zip(spectra, outs):
-            full.reshape(-1)[self._live_index] = spectrum
-            np_fft.ifftn(full, out=out)
-        return outs
+            return self._live_idft(spectrum, out)
+        full = np.zeros(self.grid.num_points, dtype=complex)
+        full[self._live_index] = spectrum
+        return np_fft.ifftn(full.reshape(self.grid.shape), out=out)
 
     def _bundle(self, stack, hat, out):
         """Inverse transforms of each live multiplier of ``stack`` times ``hat``, into the slots of ``out``.
 
-        Each slot's multiplier is applied to ``hat`` as its turn comes, so no
-        stack of products is held.
+        One slot at a time: each slot's multiplier is applied to ``hat`` as
+        its turn comes, so no stack of products is held.  A grid of one DFT
+        group, at most 64 points, takes the stack in one product instead:
+        a slot taken alone is a vector-matrix product, which BLAS rounds
+        otherwise than the matrix product of a stack.
         """
-        self._ifft_into((mult * hat for mult in stack), out)
+        if self._whole_stacks:
+            for slot, result in zip(out, self._live_idft(stack * hat, self._new_stack(len(stack)))):
+                slot[...] = result
+            return out
+        for mult, slot in zip(stack, out):
+            self._ifft_into(mult * hat, slot)
         return out
 
     def _new_stack(self, size, zero=False):
@@ -584,7 +589,7 @@ class SpectralOps:
         if self._live_dft is None:
             return self.fft(values).reshape(-1)[self._live_index]
         shift = values.flat[0]
-        (hat,) = self._live_dft([values - shift], [np.empty(len(self._live_index), dtype=complex)])
+        hat = self._live_dft(values - shift, np.empty(len(self._live_index), dtype=complex))
         hat[0] += shift * self.grid.num_points
         return hat
 
@@ -595,8 +600,7 @@ class SpectralOps:
         backend; for the live-mode vector of a real field the discarded
         imaginary part is rounding.
         """
-        (out,) = self._ifft_into([hat], self._new_stack(1))
-        return out.real
+        return self._ifft_into(hat, np.empty(self.grid.shape, dtype=complex)).real
 
     # -- first derivatives ---------------------------------------------
 
@@ -624,7 +628,7 @@ class SpectralOps:
         entries = [(a, b) for a in range(m) for b in range(a if real_input else 0, m)]
         z, zb = self._z, self._zbar
         H = np.empty((m, m) + self.grid.shape, dtype=complex)
-        self._ifft_into((z[a] * zb[b] * hat for a, b in entries), [H[a, b] for a, b in entries])
+        self._bundle([z[a] * zb[b] for a, b in entries], hat, [H[a, b] for a, b in entries])
         if real_input:
             for a in range(m):
                 for b in range(a):
@@ -735,16 +739,14 @@ class SpectralOps:
         for b in blocks[1:]:
             s2 = s2 + b * s1
             s1 = s1 + b
-        w = square = None
+        w = np.zeros_like(s1)
+        norm = square = None  # one buffer each, reused for every pair slot
         for p in packed[:c]:
-            norm = p.real * p.real
+            norm = np.multiply(p.real, p.real, out=norm)
             square = np.multiply(p.imag, p.imag, out=square)
             norm += square
             s2 -= norm
-            if w is None:
-                w = norm
-            else:
-                w += norm
+            w += norm
         return s1, s2, blocks, w
 
     def quaternion_slots(self, packed):
@@ -775,15 +777,12 @@ class SpectralOps:
         the squares of their real and of their imaginary parts are summed
         apart, in the order of ``a``, then added: the same numbers as the
         sum over the stack of :meth:`zbar_gradient_batched_from_hat`, which
-        is never held.  A grid of one DFT group, at most
-        DFT_GROUP_MAX_POINTS points, transforms a stack in one product
-        (``_KroneckerDft``), so there the derivatives go in one stack too.
+        is never held (a grid of one DFT group takes it whole, see ``_bundle``).
         """
-        _, stack, _ = self._zbar_rows
-        at_once = len(stack) if self.grid.num_points <= DFT_GROUP_MAX_POINTS else 1
-        slots = self._new_stack(max(at_once, 1))
+        stack = self._zbar_rows[1]
+        slots = self._new_stack(max(len(stack), 1) if self._whole_stacks else 1)
         parts = slots.reshape(len(slots), -1).view(float)  # (re, im) of every point, in pairs
-        sums = np.zeros_like(parts[0])
+        sums = np.zeros(parts.shape[1])
         for start in range(0, len(stack), len(slots)):
             self._bundle(stack[start : start + len(slots)], hat, slots)
             for part in parts:
