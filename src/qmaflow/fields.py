@@ -40,7 +40,9 @@ vanish on the grid (inactive coordinates zero some), one slot at a time
 into one output: each slot's multiplier meets the live-mode vector as its
 turn comes, and the slot's transform is written straight into its place,
 so a bundle holds its output, one slot's spectrum and its transform's
-scratch buffers, and no stack of products or of intermediate results.
+scratch buffers, and no stack of products or of intermediate results
+(a grid of at most 64 points, one DFT group, takes its small stack in one
+product, which keeps the stack's rounding).
 S_1 and S_2 of a packed form, the first two elementary symmetric functions
 of its block eigenvalues, are real polynomials in its slots
 (``SpectralOps.slot_invariants``).  The
@@ -642,8 +644,8 @@ class SpectralOps:
     def _live_rows(self, nonzero_rows, hat):
         """The bundle of a stack of ``size`` multipliers, from ``_nonzero_rows(stack)``.
 
-        Only the ``rows`` whose multiplier is not zero are transformed, one
-        at a time into their slot of the output; the others come out zero.
+        Only the ``rows`` whose multiplier is not zero are transformed, into
+        their slots of the output (see ``_bundle``); the others come out zero.
         """
         rows, stack, size = nonzero_rows
         out = self._new_stack(size, zero=len(rows) < size)
