@@ -3,7 +3,8 @@
 ``_KroneckerDft`` transforms between a grid and a chosen set of modes per
 axis by one matrix product per group of adjacent axes, each group's matrix
 the Kronecker product of its axes' DFT matrices; ``fields.SpectralOps``
-uses it on grids of short axes, restricted to the modes below Nyquist.
+uses a forward and inverse pair of them (``_kronecker_pair``) on grids of
+short axes, restricted to the modes below Nyquist.
 ``_hermitian_gather`` is the index that fills rfftn's half spectrum out to
 the full FFT of a real field by conjugation.
 """
@@ -55,6 +56,32 @@ def _hermitian_gather(sizes):
     return index, real
 
 
+def _product_shapes(ins, outs):
+    """Each group product's result for one array, in complex numbers: the
+    groups still to do at their input length ``ins``, then the groups done
+    at their output length ``outs``."""
+    return [(math.prod(ins[k + 1 :]) * math.prod(outs[:k]), outs[k]) for k in range(len(ins))]
+
+
+def _scratch_lengths(ins, outs):
+    """The lengths of the two scratch buffers that take every product but
+    the last, in turn."""
+    lengths = [math.prod(shape) for shape in _product_shapes(ins, outs)[:-1]]
+    return [max(lengths[k::2], default=0) for k in (0, 1)]
+
+
+def _kronecker_pair(sizes, modes):
+    """The forward and inverse :class:`_KroneckerDft` between a grid of
+    ``sizes`` and its ``modes``, sharing one pair of scratch buffers sized
+    for both."""
+    groups = _axis_groups(sizes)
+    points = [math.prod(sizes[p] for p in group) for group in groups]
+    kept = [math.prod(len(modes[p]) for p in group) for group in groups]
+    lengths = zip(_scratch_lengths(points, kept), _scratch_lengths(kept, points))
+    scratch = [np.empty(max(pair), dtype=complex) for pair in lengths]
+    return _KroneckerDft(sizes, modes, False, scratch), _KroneckerDft(sizes, modes, True, scratch)
+
+
 class _KroneckerDft:
     """A multidimensional DFT as one matrix per group of adjacent axes.
 
@@ -70,14 +97,16 @@ class _KroneckerDft:
     arithmetic and its result is the complex one, viewed without a copy.
 
     A call transforms one array: every group product but the last is
-    written into one of two scratch buffers that the transform keeps and
-    reuses, and the last into the caller's output, so a transform holds no
-    array that it returns.  A transform of one group (at most
-    DFT_GROUP_MAX_POINTS points) is a single product, and it also takes a
-    stack of arrays on a leading axis, all in that one product.
+    written into one of two scratch buffers, ``scratch``, in turn, and the
+    last into the caller's output, so a transform holds no array that it
+    returns.  :func:`_kronecker_pair` gives the forward and inverse
+    transforms of a grid one pair of buffers, since they never run at
+    once.  A transform of one group (at most DFT_GROUP_MAX_POINTS points)
+    is a single product, and it also takes a stack of arrays on a leading
+    axis, all in that one product.
     """
 
-    def __init__(self, sizes, modes, inverse: bool):
+    def __init__(self, sizes, modes, inverse: bool, scratch):
         self._operands = []
         for group in _axis_groups(sizes):
             mat = np.ones((1, 1))
@@ -87,17 +116,11 @@ class _KroneckerDft:
                 forward = np.exp(-2j * np.pi / size * phase)  # mode x position
                 mat = np.kron(mat, forward.conj().T / size if inverse else forward)
             self._operands.append(np.ascontiguousarray(mat.T))  # right operand
-        # each product's result for one array, in complex numbers: the groups
-        # still to do at their input length, then the groups done at their
-        # output length; every result but the last goes into one of the two
-        # scratch buffers, in turn
-        ins = [len(mat) for mat in self._operands]
-        outs = [mat.shape[1] for mat in self._operands]
-        shapes = [(math.prod(ins[k + 1 :]) * math.prod(outs[:k]), outs[k]) for k in range(len(ins))]
-        self._last_shape = shapes.pop()
-        sizes = [math.prod(shape) for shape in shapes]
-        self._scratch = [np.empty(max(sizes[k::2], default=0), dtype=complex) for k in (0, 1)]
-        self._results = [self._scratch[k % 2][:size].reshape(shape) for k, (size, shape) in enumerate(zip(sizes, shapes))]
+        *shapes, self._last_shape = _product_shapes(
+            [len(mat) for mat in self._operands], [mat.shape[1] for mat in self._operands]
+        )
+        self._scratch = scratch
+        self._results = [scratch[k % 2][: math.prod(shape)].reshape(shape) for k, shape in enumerate(shapes)]
         if not inverse:
             first = self._operands[0]
             self._operands[0] = np.stack([first.real, first.imag], axis=-1).reshape(len(first), -1)

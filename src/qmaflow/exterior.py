@@ -7,6 +7,15 @@ evaluated exactly up to floating round-off in the coefficient arithmetic,
 and the same code serves both as a pointwise reference oracle and as a
 vectorized computation over a grid or a stack of random trials.
 
+Every quantity read off a top degree is taken without forming the top
+product: the top coefficient of a ^ b pairs each key of a with its
+complement in b (``wedge_top``), and that of a^p pairs a^(p//2) with
+itself or with a^(p//2) ^ a (``wedge_power_top``).  A wedge runs one pass
+per term of its shorter factor from a plan that depends only on the two
+key sets (the longer factor's keys each term meets, their output slots
+and merge signs), kept in a bounded cache, so a chain of wedges on the
+same layouts derives its tables once.
+
 All forms handled here are built from 2-forms, so their elements have
 even degree and commute; ``wedge`` still keeps the graded sign of each
 term, so it is exact for elements of any degree.  The generator count is
@@ -22,6 +31,7 @@ from math import comb, factorial
 import numpy as np
 
 _SHIFTS = (1, 2, 4, 8, 16, 32)  # prefix-XOR steps that span a 64-bit key
+WEDGE_PLAN_CACHE_SIZE = 64  # wedge plans kept, one per pair of key sets
 
 
 def _parity_below(keys):
@@ -58,25 +68,26 @@ def _lift(stack, ndim: int):
     return stack.reshape(stack.shape[:1] + (1,) * pad + stack.shape[1:])
 
 
-def _layout(rows, cols, keys):
-    """Read-only, because every element built from a cached layout shares it."""
-    for array in (keys, rows, cols):
+def _read_only(*arrays):
+    """``arrays``, made read-only: every element built from a cached layout
+    or wedge plan shares them."""
+    for array in arrays:
         array.flags.writeable = False
-    return keys, rows, cols
+    return arrays
 
 
 @lru_cache(maxsize=None)
 def _two_form_layout(m: int, shift: int):
     """Keys of e_{shift+j} ^ e_{shift+k}, j < k, ascending, with their (j, k)."""
     cols, rows = np.tril_indices(m, -1)  # k ascending, then j: ascending keys
-    return _layout(rows, cols, (1 << (shift + rows)) | (1 << (shift + cols)))
+    return _read_only((1 << (shift + rows)) | (1 << (shift + cols)), rows, cols)
 
 
 @lru_cache(maxsize=None)
 def _one_one_form_layout(m: int):
     """Keys of e_j ^ e_{m+k} over 2m generators, ascending, with their (j, k)."""
     cols, rows = np.indices((m, m)).reshape(2, -1)  # k ascending, then j
-    return _layout(rows, cols, (1 << rows) | (1 << (m + cols)))
+    return _read_only((1 << rows) | (1 << (m + cols)), rows, cols)
 
 
 class ExteriorElement:
@@ -148,35 +159,45 @@ class ExteriorElement:
     # -- algebra ------------------------------------------------------
 
     def wedge(self, other: "ExteriorElement") -> "ExteriorElement":
-        if self.n_gen != other.n_gen:
-            raise ValueError(
-                f"generator counts differ: {self.n_gen} vs {other.n_gen}"
-            )
+        _require_same_generators(self, other)
         # One pass per term of the shorter factor against the whole longer
         # one, so no transient is larger than the longer factor's stack.
-        # Bit i of ``flips`` tells whether a longer-factor generator i
-        # crosses an odd number of the term's generators when the product
-        # self ^ other is sorted.
-        if self.keys.size <= other.keys.size:
-            short, long, flips = self, other, _parity_above(self.keys)
-        else:
-            short, long, flips = other, self, _parity_below(other.keys)
-        hits = [np.flatnonzero((long.keys & key) == 0) for key in short.keys]
-        parts = [long.keys[idx] | key for idx, key in zip(hits, short.keys)]
-        keys = _sorted_unique(np.concatenate(parts)) if parts else short.keys
+        short_first = self.keys.size <= other.keys.size
+        short, long = (self, other) if short_first else (other, self)
+        keys, terms = _wedge_plan(short.keys.tobytes(), long.keys.tobytes(), short_first)
         shape = np.broadcast_shapes(short.stack.shape[1:], long.stack.shape[1:])
         long_stack = _lift(long.stack, len(shape))
         out = np.zeros(
             (keys.size,) + shape, dtype=np.result_type(short.stack, long.stack)
         )
         axes = (1,) * len(shape)
-        for idx, part, key, flip, coeff in zip(hits, parts, short.keys, flips, short.stack):
-            odd = np.bitwise_count((part ^ key) & flip) & 1  # part ^ key: the long keys
+        for (idx, slots, odd), coeff in zip(terms, short.stack):
             term = long_stack[idx] * coeff
-            np.negative(term, out=term, where=odd.view(bool).reshape(odd.shape + axes))
-            # the keys of one part are distinct, so the fancy += is exact
-            out[np.searchsorted(keys, part)] += term
+            np.negative(term, out=term, where=odd.reshape(odd.shape + axes))
+            # the slots of one term are distinct, so the fancy += is exact
+            out[slots] += term
+            del term  # before the next term's gather
         return ExteriorElement._of(self.n_gen, keys, out)
+
+    def wedge_top(self, other: "ExteriorElement"):
+        """Top coefficient of self ^ other, without forming the product.
+
+        Only the pairs (K, complement of K) reach the top, so each key of
+        ``self`` is looked up in ``other`` once; the merge sign is the one
+        :meth:`wedge` gives the pair.  A zero of the product's trailing
+        shape and dtype when no pair exists.
+        """
+        _require_same_generators(self, other)
+        comp = ((1 << self.n_gen) - 1) ^ self.keys
+        pos = np.searchsorted(other.keys, comp)
+        hit = np.flatnonzero(pos < other.keys.size)
+        hit = hit[other.keys[pos[hit]] == comp[hit]]
+        nd = max(self.stack.ndim, other.stack.ndim) - 1
+        mine = self.stack if hit.size == self.keys.size else self.stack[hit]
+        terms = _lift(mine, nd) * _lift(other.stack[pos[hit]], nd)
+        odd = np.bitwise_count(comp[hit] & _parity_above(self.keys[hit])) & 1
+        np.negative(terms, out=terms, where=odd.view(bool).reshape(odd.shape + (1,) * nd))
+        return terms.sum(axis=0)
 
     def wedge_power(self, p: int) -> "ExteriorElement":
         if p < 0:
@@ -188,14 +209,19 @@ class ExteriorElement:
             acc = acc.wedge(self)
         return acc
 
+    def wedge_power_top(self, p: int):
+        """Top coefficient of self^p: self^(p//2) paired with itself, or
+        with self^(p//2) ^ self when p is odd."""
+        half = self.wedge_power(p // 2)
+        return half.wedge_top(half.wedge(self) if p % 2 else half)
+
     def scale(self, factor) -> "ExteriorElement":
         return ExteriorElement._of(
             self.n_gen, self.keys, _lift(self.stack, np.ndim(factor)) * factor
         )
 
     def __add__(self, other: "ExteriorElement") -> "ExteriorElement":
-        if self.n_gen != other.n_gen:
-            raise ValueError("generator counts differ")
+        _require_same_generators(self, other)
         keys = _sorted_unique(np.concatenate((self.keys, other.keys)))
         shape = np.broadcast_shapes(self.stack.shape[1:], other.stack.shape[1:])
         out = np.zeros(
@@ -217,6 +243,38 @@ class ExteriorElement:
     def top_coefficient(self):
         """Coefficient of e_0 ^ e_1 ^ ... ^ e_{n_gen-1}."""
         return self.coefficient((1 << self.n_gen) - 1)
+
+
+def _require_same_generators(a: ExteriorElement, b: ExteriorElement):
+    if a.n_gen != b.n_gen:
+        raise ValueError(f"generator counts differ: {a.n_gen} vs {b.n_gen}")
+
+
+@lru_cache(maxsize=WEDGE_PLAN_CACHE_SIZE)
+def _wedge_plan(short: bytes, long: bytes, short_first: bool):
+    """Output keys of a wedge and, per key of its shorter factor, the plan
+    of that term: the longer factor's keys it misses (their indices), the
+    output slots of their products and where the merge sign is odd.
+
+    ``short`` and ``long`` are the factors' int64 keys as bytes, and
+    ``short_first`` tells whether the shorter factor is the left one.
+    """
+    short, long = np.frombuffer(short, dtype=np.int64), np.frombuffer(long, dtype=np.int64)
+    # bit i of a flip tells whether a longer-factor generator i crosses an
+    # odd number of the term's generators when the product is sorted
+    flips = _parity_above(short) if short_first else _parity_below(short)
+    hits = [np.flatnonzero((long & key) == 0).astype(np.int32) for key in short]
+    parts = [long[idx] | key for idx, key in zip(hits, short)]
+    keys = _sorted_unique(np.concatenate(parts)) if parts else short
+    terms = tuple(
+        _read_only(
+            idx,
+            np.searchsorted(keys, part).astype(np.int32),
+            (np.bitwise_count(long[idx] & flip) & 1).astype(bool),
+        )
+        for idx, part, flip in zip(hits, parts, flips)
+    )
+    return _read_only(keys)[0], terms
 
 
 # -- Pfaffian ----------------------------------------------------------
@@ -325,7 +383,7 @@ def s_m(chi, omega, n: int, m: int):
         raise ValueError("degenerate reference form: Pf(omega) = 0")
     chi_el = ExteriorElement.from_two_form(chi)
     om_el = ExteriorElement.from_two_form(omega)
-    top = chi_el.wedge_power(m).wedge(om_el.wedge_power(n - m)).top_coefficient()
+    top = chi_el.wedge_power(m).wedge_top(om_el.wedge_power(n - m))
     return comb(n, m) * top / top_omega
 
 
@@ -342,7 +400,7 @@ def top_quotient(alpha, omega, n: int, method: str = "pfaffian"):
     if method == "pfaffian":
         return pfaffian(alpha) / pf_omega
     if method == "exterior":
-        top_a = ExteriorElement.from_two_form(alpha).wedge_power(n).top_coefficient()
-        top_o = ExteriorElement.from_two_form(omega).wedge_power(n).top_coefficient()
+        top_a = ExteriorElement.from_two_form(alpha).wedge_power_top(n)
+        top_o = ExteriorElement.from_two_form(omega).wedge_power_top(n)
         return top_a / top_o
     raise ValueError(f"unknown method {method!r}")

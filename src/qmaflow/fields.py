@@ -63,8 +63,9 @@ adjacent axes fuse into groups of at most ``dft.DFT_GROUP_MAX_POINTS``
 points, each group's matrix is the Kronecker product of its axes' DFT
 matrices restricted to the live modes, and a transform is one matrix
 product per group, exact because every multiplier vanishes off the live
-modes.  A slot's products run in two scratch buffers that the transform
-keeps, and the last one writes into the slot.  The forward transform takes
+modes.  A slot's products run in two scratch buffers, one pair that the
+forward and inverse transforms share, and the last one writes into the
+slot.  The forward transform takes
 a real field, so its first product is a real one: the first group's matrix
 holds each mode's cos and sin columns interleaved, and the product reads
 as complex without a copy.  An FFT library pays per call and per line of
@@ -87,7 +88,7 @@ from functools import cached_property
 import numpy as np
 from numpy import fft as np_fft  # numpy loads its fft lazily; do it at import
 
-from .dft import _hermitian_gather, _KroneckerDft
+from .dft import _hermitian_gather, _kronecker_pair
 from .errors import SpecValidationError
 from .exterior import full_from_upper
 from .model import TorusModel, j_reality_defect, j_tables, require_positive_minimum
@@ -371,8 +372,7 @@ class SpectralOps:
         self._live_axes = [np.flatnonzero(2 * np.arange(size) != size) for size in grid.sizes]
         self._live_dft = None  # DFT matrices on the live modes, in the order of _live_index
         if max(grid.sizes) <= DFT_MATRIX_MAX_AXIS:
-            self._live_dft = _KroneckerDft(grid.sizes, self._live_axes, inverse=False)
-            self._live_idft = _KroneckerDft(grid.sizes, self._live_axes, inverse=True)
+            self._live_dft, self._live_idft = _kronecker_pair(grid.sizes, self._live_axes)
         # a grid of one DFT group transforms a stack of slots in one product
         self._whole_stacks = self._live_dft is not None and len(self._live_idft._operands) == 1
         m = 2 * self.n

@@ -147,14 +147,12 @@ def apply_linearized(
     om_pow = om_el.wedge_power(n - 1)
     omt_pow = omt_el.wedge_power(n - 1)
     top_omega = factorial(n) * pfaffian(standard_form(n))
-    s_nm1 = n * omt_pow.wedge(om_el).top_coefficient() / top_omega
+    s_nm1 = n * omt_pow.wedge_top(om_el) / top_omega
 
     coeff_form = (om_pow.scale(s_nm1) - omt_pow).scale(n / (n - 1))
-    denom = omt_pow.wedge(omt_el).top_coefficient()
+    denom = omt_pow.wedge_top(omt_el)
     ddjv = del_del_j(v)
-    numer = coeff_form.wedge(
-        ExteriorElement.from_two_form(ddjv.entries)
-    ).top_coefficient()
+    numer = coeff_form.wedge_top(ExteriorElement.from_two_form(ddjv.entries))
     return ScalarField(grid, (numer / denom).real)
 
 

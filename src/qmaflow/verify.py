@@ -281,12 +281,9 @@ def _volume_identity_err(alpha, n: int) -> float:
     gens = 4 * n
     el_a = ExteriorElement.from_two_form(alpha, n_gen=gens, shift=0)
     el_abar = ExteriorElement.from_two_form(np.conj(alpha), n_gen=gens, shift=2 * n)
-    lhs = (
-        el_a.wedge_power(n).wedge(el_abar.wedge_power(n)).top_coefficient()
-        / factorial(n) ** 2
-    )
+    lhs = el_a.wedge_power(n).wedge_top(el_abar.wedge_power(n)) / factorial(n) ** 2
     el_omega = ExteriorElement.from_one_one_form(positivity_matrix(alpha, n))
-    rhs = el_omega.wedge_power(2 * n).top_coefficient() / factorial(2 * n)
+    rhs = el_omega.wedge_power_top(2 * n) / factorial(2 * n)
     return _rel_err(lhs - rhs, np.maximum(np.abs(lhs), 1.0))
 
 

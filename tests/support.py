@@ -1,8 +1,11 @@
-"""Helpers shared by the tests: full-grid multiplier oracles, traced memory peaks, stacked transforms."""
+"""Helpers shared by the tests: full-grid multiplier oracles, traced memory peaks, stacked transforms
+and the per-call wedge."""
 
 import tracemalloc
 
 import numpy as np
+
+from qmaflow.exterior import ExteriorElement, _lift, _parity_above, _parity_below, _sorted_unique
 
 
 def full_grid_multipliers(ops):
@@ -89,3 +92,33 @@ def stacked_gradient_norm2(ops, hat):
     v = g.reshape(len(g), -1).view(float)
     sums = np.einsum("ij,ij->j", v, v)
     return (sums[0::2] + sums[1::2]).reshape(ops.grid.shape)
+
+
+# -- the wedge that derives its structural tables on every call -----------------
+
+
+def wedge_per_call(a, b):
+    """``a ^ b`` as the exterior algebra computed it before wedge plans were cached.
+
+    Every call finds, per term of the shorter factor, the longer factor's
+    disjoint keys, their output slots and merge signs; the plan-cached
+    ``ExteriorElement.wedge`` must give the same keys and coefficients, bit
+    for bit.
+    """
+    if a.keys.size <= b.keys.size:
+        short, long, flips = a, b, _parity_above(a.keys)
+    else:
+        short, long, flips = b, a, _parity_below(b.keys)
+    hits = [np.flatnonzero((long.keys & key) == 0) for key in short.keys]
+    parts = [long.keys[idx] | key for idx, key in zip(hits, short.keys)]
+    keys = _sorted_unique(np.concatenate(parts)) if parts else short.keys
+    shape = np.broadcast_shapes(short.stack.shape[1:], long.stack.shape[1:])
+    long_stack = _lift(long.stack, len(shape))
+    out = np.zeros((keys.size,) + shape, dtype=np.result_type(short.stack, long.stack))
+    axes = (1,) * len(shape)
+    for idx, part, key, flip, coeff in zip(hits, parts, short.keys, flips, short.stack):
+        odd = np.bitwise_count((part ^ key) & flip) & 1
+        term = long_stack[idx] * coeff
+        np.negative(term, out=term, where=odd.view(bool).reshape(odd.shape + axes))
+        out[np.searchsorted(keys, part)] += term
+    return ExteriorElement._of(a.n_gen, keys, out)

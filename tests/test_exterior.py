@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmaflow import exterior
 from qmaflow.exterior import (
+    WEDGE_PLAN_CACHE_SIZE,
     ExteriorElement,
     perfect_matchings,
     pfaffian,
@@ -16,8 +18,10 @@ from qmaflow.exterior import (
     s_m,
     top_quotient,
 )
-from qmaflow.model import standard_form
+from qmaflow.model import positivity_matrix, standard_form
 from qmaflow.verify import random_j_real_positive
+
+from support import traced_peak, wedge_per_call
 
 
 def two_form(n, entries):
@@ -205,6 +209,149 @@ def test_from_two_form_rejects_too_few_generators():
         ExteriorElement.from_two_form(a, n_gen=5, shift=2)
     with pytest.raises(ValueError):
         ExteriorElement.from_two_form(a, n_gen=3)
+
+
+# -- top coefficients by complementary pairing ----------------------------------
+
+BROADCAST_SHAPES = [((), ()), ((), (3, 4)), ((5,), ()), ((2, 1), (1, 3))]
+
+
+def complementary_pair(rng, n_gen, shape_a, shape_b, parity):
+    """Random a and b where b holds the complements of about half of a's keys."""
+    a = random_element(rng, n_gen, 8, shape_a, parity)
+    full = (1 << n_gen) - 1
+    partners = [full ^ key for key in a.coeffs if rng.random() < 0.5]
+    b = random_element(rng, n_gen, 4, shape_b)
+    coeffs = {key: rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b) for key in partners}
+    return a, ExteriorElement(n_gen, {**b.coeffs, **coeffs})
+
+
+@pytest.mark.parametrize("parity", [None, 1])
+@pytest.mark.parametrize("shape_a, shape_b", BROADCAST_SHAPES)
+def test_wedge_top_matches_the_product_top(shape_a, shape_b, parity):
+    # mixed and odd degrees, so the graded merge sign of every pair counts
+    rng = np.random.default_rng(len(shape_a) + 3 * len(shape_b) + 7 * (parity or 0))
+    paired = 0
+    for _ in range(40):
+        a, b = complementary_pair(rng, int(rng.integers(1, 9)), shape_a, shape_b, parity)
+        got, expected = a.wedge_top(b), a.wedge(b).top_coefficient()
+        paired += bool(np.any(expected != 0))
+        assert np.shape(got) == np.broadcast_shapes(a.stack.shape[1:], b.stack.shape[1:])
+        assert got.dtype == np.result_type(a.stack, b.stack)
+        scale = max([1.0] + [float(np.max(np.abs(v))) for v in (a.stack, b.stack) if v.size])
+        assert np.max(np.abs(got - expected), initial=0.0) <= 1e-13 * scale**2 * max(a.keys.size, 1)
+    assert paired > 20
+
+
+def test_wedge_top_of_an_empty_or_unpaired_factor_is_a_typed_zero():
+    full = ExteriorElement(4, {0b0011: np.ones((2, 1)), 0b1100: np.ones((2, 1))})
+    unpaired = ExteriorElement(4, {0b0001: np.ones(3, dtype=complex), 0b0110: np.ones(3, dtype=complex)})
+    for a, b in ((full, unpaired), (unpaired, full)):
+        top = a.wedge_top(b)
+        assert top.shape == (2, 3) and top.dtype == complex and not np.any(top)
+        assert a.wedge(b).top_coefficient() == 0
+    empty = ExteriorElement(4)
+    for a, b in ((empty, unpaired), (unpaired, empty)):
+        top = a.wedge_top(b)
+        assert top.shape == (3,) and top.dtype == complex and not np.any(top)
+
+
+def test_wedge_top_mismatched_generators_rejected():
+    with pytest.raises(ValueError):
+        ExteriorElement(4, {0b11: 1.0}).wedge_top(ExteriorElement(6, {0b1100: 1.0}))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_wedge_power_top_matches_the_power_top(n):
+    # the induced real form on 4n generators (16 for n = 4), whose even
+    # powers pair a power with itself and odd ones a power with the next
+    rng = np.random.default_rng(n)
+    alpha = np.stack([random_j_real_positive(rng, n) for _ in range(2)], axis=-1)
+    omega = ExteriorElement.from_one_one_form(positivity_matrix(alpha, n))
+    chi = ExteriorElement.from_two_form(random_antisymmetric(rng, 2 * n))
+    for element, degree in ((omega, 4 * n), (chi, 2 * n)):
+        for p in range(1, degree + 1):
+            expected = element.wedge_power(p).top_coefficient()
+            got = element.wedge_power_top(p)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * max(float(np.max(np.abs(expected))), 1.0)
+    assert np.all(omega.wedge_power_top(2 * n) != 0)
+
+
+# -- wedge plans, cached by key set -------------------------------------------
+
+
+def assert_bit_identical(got, expected):
+    assert np.array_equal(got.keys, expected.keys)
+    assert got.stack.dtype == expected.stack.dtype
+    assert np.array_equal(got.stack, expected.stack)
+
+
+def test_wedge_is_bit_identical_to_the_per_call_algorithm():
+    rng = np.random.default_rng(20)
+    for shape_a, shape_b in BROADCAST_SHAPES:
+        for _ in range(20):
+            n_gen = int(rng.integers(2, 9))
+            a = random_element(rng, n_gen, 10, shape_a)
+            b = random_element(rng, n_gen, 10, shape_b)
+            assert_bit_identical(a.wedge(b), wedge_per_call(a, b))
+            assert_bit_identical(b.wedge(a), wedge_per_call(b, a))
+    # the n = 4 chain of the volume identity: omega^p on 16 generators
+    alpha = np.stack([random_j_real_positive(rng, 4) for _ in range(3)], axis=-1)
+    omega = ExteriorElement.from_one_one_form(positivity_matrix(alpha, 4))
+    power = omega
+    for _ in range(7):
+        expected = wedge_per_call(power, omega)
+        power = power.wedge(omega)
+        assert_bit_identical(power, expected)
+    chi = ExteriorElement.from_two_form(random_antisymmetric(rng, 8))
+    assert_bit_identical(chi.wedge(chi), wedge_per_call(chi, chi))
+
+
+def test_a_warm_plan_serves_other_coefficients_dtypes_and_shapes():
+    rng = np.random.default_rng(21)
+    exterior._wedge_plan.cache_clear()
+    a = ExteriorElement.from_two_form(random_antisymmetric(rng, 6))
+    b = ExteriorElement.from_two_form(random_antisymmetric(rng, 6)[..., None, None] * np.ones((2, 3)))
+    assert_bit_identical(a.wedge(b), wedge_per_call(a, b))
+    assert exterior._wedge_plan.cache_info().misses == 1
+    for coefficients in (rng.normal(size=(6, 6, 3)), rng.normal(size=(6, 6)).astype(np.float32)):
+        c = ExteriorElement.from_two_form(coefficients - np.swapaxes(coefficients, 0, 1))
+        for x, y in ((c, b), (a, c), (c, c)):
+            assert_bit_identical(x.wedge(y), wedge_per_call(x, y))
+    info = exterior._wedge_plan.cache_info()
+    assert info.misses == 1 and info.hits == 6
+
+
+def test_wedge_plan_cache_is_bounded_and_compact():
+    exterior._wedge_plan.cache_clear()
+    rng = np.random.default_rng(22)
+    for key in range(1, 2 * WEDGE_PLAN_CACHE_SIZE + 1):
+        a = ExteriorElement(12, {key: 1.0})
+        a.wedge(random_element(rng, 12, 6))
+    info = exterior._wedge_plan.cache_info()
+    assert info.maxsize == WEDGE_PLAN_CACHE_SIZE and info.currsize == WEDGE_PLAN_CACHE_SIZE
+    keys = ExteriorElement.from_two_form(random_antisymmetric(rng, 8)).keys.tobytes()
+    out_keys, terms = exterior._wedge_plan(keys, keys, True)
+    assert not out_keys.flags.writeable
+    for idx, slots, odd in terms:
+        assert (idx.dtype, slots.dtype, odd.dtype) == (np.int32, np.int32, bool)
+
+
+def test_wedge_peak_stays_within_the_longer_stack_and_output():
+    # omega^3 ^ omega on 16 generators over a block of 64 trials: one
+    # term's products at a time, never a stack of them; a cold call also
+    # keeps the plan it builds
+    rng = np.random.default_rng(23)
+    alpha = np.stack([random_j_real_positive(rng, 4) for _ in range(64)], axis=-1)
+    omega = ExteriorElement.from_one_one_form(positivity_matrix(alpha, 4))
+    cube = omega.wedge_power(3)
+    exterior._wedge_plan.cache_clear()
+    out, cold = traced_peak(lambda: cube.wedge(omega))
+    keys, terms = exterior._wedge_plan(omega.keys.tobytes(), cube.keys.tobytes(), False)
+    plan = keys.nbytes + sum(array.nbytes for term in terms for array in term)
+    out, warm = traced_peak(lambda: cube.wedge(omega))
+    assert warm <= cube.stack.nbytes + out.stack.nbytes
+    assert cold <= cube.stack.nbytes + out.stack.nbytes + plan
 
 
 # -- algebraic properties ------------------------------------------------------

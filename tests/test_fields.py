@@ -14,6 +14,7 @@ from scipy import fft as sp_fft
 import qmaflow
 from qmaflow import fields
 
+from qmaflow.dft import _KroneckerDft
 from qmaflow.errors import PositivityError, SpecValidationError
 from qmaflow.exterior import full_from_upper
 from qmaflow.fields import (
@@ -466,7 +467,7 @@ def _held_arrays(value):
     elif isinstance(value, (list, tuple)):
         for item in value:
             yield from _held_arrays(item)
-    elif isinstance(value, fields._KroneckerDft):
+    elif isinstance(value, _KroneckerDft):
         yield from _held_arrays(vars(value)["_operands"])
 
 
@@ -544,6 +545,20 @@ def test_bundle_outputs_share_no_memory(name):
         assert not np.shares_memory(first, second)
         assert not any(np.shares_memory(result, buf) for result in (first, second) for buf in scratch)
         assert not any(np.shares_memory(first, a) for a in (u, hat, base))
+
+
+@pytest.mark.parametrize("name", ["n2-4^8", "n3-identity", "n4-8^4"])
+def test_forward_and_inverse_transforms_share_one_scratch_pair(name):
+    # the two never run at once: one pair of buffers, sized for the larger
+    # of each direction's products, serves both
+    ops = SpectralOps(SLOT_GRIDS[name])
+    forward, inverse = ops._live_dft, ops._live_idft
+    assert len(forward._scratch) == 2
+    assert all(f is i for f, i in zip(forward._scratch, inverse._scratch))
+    for k, buf in enumerate(forward._scratch):
+        results = forward._results[k::2] + inverse._results[k::2]
+        assert all(np.shares_memory(result, buf) for result in results)
+        assert buf.size == max((result.size for result in results), default=0)
 
 
 def test_bundle_peaks_stay_below_their_output_and_one_slot():
