@@ -257,6 +257,9 @@ def read_snapshot(path, grid: TorusGrid | None = None):
 
 
 def cmd_identities(args) -> int:
+    # the suite's generators need numpy.random; load it at start, not in the first trial
+    import numpy.random  # noqa: F401
+
     try:
         reports = run_identity_suite(args.n, trials=args.trials, seed=args.seed)
     except (SpecValidationError, ValueError) as exc:

@@ -32,6 +32,7 @@ import numpy as np
 
 _SHIFTS = (1, 2, 4, 8, 16, 32)  # prefix-XOR steps that span a 64-bit key
 WEDGE_PLAN_CACHE_SIZE = 64  # wedge plans kept, one per pair of key sets
+REFERENCE_CACHE_SIZE = 16  # s_m reference terms kept, one per constant form and power
 
 
 def _parity_below(keys):
@@ -373,18 +374,37 @@ def s_m(chi, omega, n: int, m: int):
     """C(n,m) * (chi^m ^ omega^{n-m}) / omega^n by exact exterior expansion.
 
     ``chi`` and ``omega`` are antisymmetric (2n, 2n, ...) coefficient
-    arrays of 2-forms on 2n generators.  Requires Pf(omega) != 0.
+    arrays of 2-forms on 2n generators.  Requires Pf(omega) != 0.  When
+    ``omega`` is one form for every point (its trailing axes have length
+    1), as the standard form is, its Pfaffian and its power are built once
+    per value and power and kept in a bounded cache.
     """
     if not 0 <= m <= n:
         raise ValueError(f"m must lie in [0, {n}], got {m}")
     omega = np.asarray(omega)
+    if omega.size == omega.shape[0] ** 2:  # one form for every point: cached by value
+        top_omega, om_pow = _constant_reference(omega.tobytes(), omega.shape, omega.dtype.str, n, n - m)
+    else:
+        top_omega, om_pow = _reference(omega, n, n - m)
+    top = ExteriorElement.from_two_form(chi).wedge_power(m).wedge_top(om_pow)
+    return comb(n, m) * top / top_omega
+
+
+def _reference(omega, n: int, p: int):
+    """(n! Pf(omega), omega^p) of the reference form of :func:`s_m`."""
     top_omega = factorial(n) * pfaffian(omega)
     if np.any(np.abs(top_omega) == 0.0):
         raise ValueError("degenerate reference form: Pf(omega) = 0")
-    chi_el = ExteriorElement.from_two_form(chi)
-    om_el = ExteriorElement.from_two_form(omega)
-    top = chi_el.wedge_power(m).wedge_top(om_el.wedge_power(n - m))
-    return comb(n, m) * top / top_omega
+    return top_omega, ExteriorElement.from_two_form(omega).wedge_power(p)
+
+
+@lru_cache(maxsize=REFERENCE_CACHE_SIZE)
+def _constant_reference(data: bytes, shape: tuple, dtype: str, n: int, p: int):
+    """:func:`_reference` of a form with no grid axes (trailing axes of length 1),
+    given by value; read-only, since every call on the same form shares it."""
+    top_omega, om_pow = _reference(np.frombuffer(data, dtype).reshape(shape), n, p)
+    _read_only(np.asarray(top_omega), om_pow.stack)
+    return top_omega, om_pow
 
 
 def top_quotient(alpha, omega, n: int, method: str = "pfaffian"):

@@ -10,10 +10,10 @@ Derivatives are Fourier multipliers.  No dealiasing is applied (the flow's
 right-hand side involves a logarithm, which no truncation rule handles
 exactly); instead the energy fraction in the top third of the spectrum is
 reported as a per-step diagnostic.  Every multiplier vanishes on every mode
-with a Nyquist index on any even axis, differentiated or not
-(``SpectralOps.below_nyquist``, applied once when the multipliers are
-built): the derivatives see only the modes below Nyquist, the "live"
-modes, which keeps real fields real under differentiation.  Inputs are
+with a Nyquist index on any even axis, differentiated or not (the
+multipliers are built on the live indices of each axis only): the
+derivatives see only the modes below Nyquist, the "live" modes, which
+keeps real fields real under differentiation.  Inputs are
 required to be band-limited below Nyquist anyway, and the stepper keeps its
 updates on the live modes.
 
@@ -53,8 +53,9 @@ which the n = 3 flow map takes its closed forms from).  Every multiplier
 is held on the live modes only: the first derivatives as (2n, live)
 stacks, S_1's as a live-mode vector and the slot multipliers as packed
 stacks, each built on the live indices of each axis, never on the full
-grid.  Only ``SpectralOps.below_nyquist`` and the index tables of the full
-transforms are grid-sized.
+grid.  Only the index tables of the full transforms, built by the first
+full transform of a real field, are grid-sized; the live modes' mask
+(``SpectralOps.below_nyquist``) is built when read and not kept.
 
 Each grid picks its transform once, from its shape.  If no axis is longer
 than DFT_MATRIX_MAX_AXIS points, every derivative and the stepper's
@@ -366,10 +367,10 @@ class SpectralOps:
     def __init__(self, grid: TorusGrid):
         self.grid = grid
         self.n = grid.n
-        self.below_nyquist = self._build_below_nyquist()
-        self._live_index = np.flatnonzero(self.below_nyquist)
         # per axis, the indices below Nyquist: the live modes are their product
         self._live_axes = [np.flatnonzero(2 * np.arange(size) != size) for size in grid.sizes]
+        # their flat indices in the grid, ascending: row-major over the product
+        self._live_index = np.ravel_multi_index(np.ix_(*self._live_axes), grid.shape).reshape(-1)
         self._live_dft = None  # DFT matrices on the live modes, in the order of _live_index
         if max(grid.sizes) <= DFT_MATRIX_MAX_AXIS:
             self._live_dft, self._live_idft = _kronecker_pair(grid.sizes, self._live_axes)
@@ -498,13 +499,15 @@ class SpectralOps:
         """``_hermitian_gather`` of the grid, built by the first :meth:`fft` of a real field."""
         return _hermitian_gather(self.grid.sizes)
 
-    def _build_below_nyquist(self):
+    @property
+    def below_nyquist(self):
         """1.0 on the live modes (no Nyquist index on any even axis), 0.0 elsewhere.
 
         Every derivative multiplier is zero off the live modes, so the flow
         map cannot see a mode with a Nyquist index; the stepper's update
         keeps ``u`` out of those modes, which makes the normalized limit
-        unique.
+        unique.  A grid-sized array, built on each read and not kept: the
+        transforms read ``_live_index`` instead.
         """
         keep = np.ones(self.grid.shape)
         for p, size in enumerate(self.grid.sizes):

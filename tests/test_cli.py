@@ -63,17 +63,22 @@ def write_config(tmp_path, config, name="run.json"):
     return path
 
 
-def run_cli(argv, timeout=60, preexec_fn=None):
-    """``qmaflow`` in a child process, so a hang or a crash fails the test."""
+def run_python(args, timeout=60, preexec_fn=None):
+    """``python args`` in a child process, so a hang or a crash fails the test."""
     env = dict(os.environ, PYTHONPATH=str(Path(qmaflow.__file__).resolve().parents[1]))
     return subprocess.run(
-        [sys.executable, "-m", "qmaflow.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         timeout=timeout,
         env=env,
         preexec_fn=preexec_fn,
     )
+
+
+def run_cli(argv, timeout=60, preexec_fn=None):
+    """``qmaflow`` in a child process."""
+    return run_python(["-m", "qmaflow.cli", *argv], timeout, preexec_fn)
 
 
 # -- identities ----------------------------------------------------------------
@@ -125,6 +130,36 @@ def test_usage_error_exit_code(capsys):
     assert main(["identities"]) == EXIT_INVALID  # missing required --n
 
 
+def test_identities_loads_numpy_random_before_the_suite(tmp_path):
+    # the suite's generators need numpy.random: the command loads it on
+    # entry, so the suite, wrapped by name as the benchmark wraps it, imports
+    # nothing inside its window
+    script = """
+import sys
+from qmaflow import cli
+
+seen = {}
+suite = cli.run_identity_suite
+
+
+def wrapped(*args, **kwargs):
+    seen["entry"] = set(sys.modules)
+    try:
+        return suite(*args, **kwargs)
+    finally:
+        seen["exit"] = set(sys.modules)
+
+
+cli.run_identity_suite = wrapped
+assert "numpy.random" not in sys.modules, "numpy.random was loaded at import"
+assert cli.main(["identities", "--n", "3", "--trials", "2", "--out", sys.argv[1]]) == cli.EXIT_OK
+assert "numpy.random" in seen["entry"], "numpy.random was not loaded on entry"
+assert seen["exit"] == seen["entry"], sorted(seen["exit"] - seen["entry"])
+"""
+    proc = run_python(["-c", script, str(tmp_path / "r.json")])
+    assert proc.returncode == 0, proc.stderr
+
+
 # -- flow -----------------------------------------------------------------------
 
 
@@ -150,6 +185,23 @@ def test_flow_converges_and_writes_outputs(flow_run):
     assert (out_dir / "u_final.snap").exists()
     snaps = sorted(out_dir.glob("u_0*.snap"))
     assert snaps  # interval snapshots were emitted
+
+
+def test_flow_never_loads_numpy_random(tmp_path):
+    # no flow draws a random number: neither the package nor a manufactured
+    # flow through the command loads numpy.random
+    script = """
+import sys
+import qmaflow
+
+assert "numpy.random" not in sys.modules, "numpy.random was loaded by import qmaflow"
+from qmaflow import cli
+
+assert cli.main(["flow", "--config", sys.argv[1]]) == cli.EXIT_OK
+assert "numpy.random" not in sys.modules, "numpy.random was loaded by the flow"
+"""
+    proc = run_python(["-c", script, str(write_config(tmp_path, base_config(tmp_path / "out")))])
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_flow_diagnostics_rows_increase(flow_run):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qmaflow import exterior
 from qmaflow.exterior import (
+    REFERENCE_CACHE_SIZE,
     WEDGE_PLAN_CACHE_SIZE,
     ExteriorElement,
     perfect_matchings,
@@ -499,6 +500,29 @@ def test_s_m_rejects_bad_m_and_degenerate_omega():
         s_m(om, om, 2, 3)
     with pytest.raises(ValueError):
         s_m(om, np.zeros((4, 4), dtype=complex), 2, 1)
+
+
+def test_s_m_takes_a_constant_forms_terms_from_its_cache_bit_for_bit():
+    # the standard form's Pfaffian and power are built once per value and
+    # power, read-only; the same form spread over grid axes is never cached
+    # and gives the same bits
+    rng = np.random.default_rng(31)
+    exterior._constant_reference.cache_clear()
+    for n in (2, 3):
+        omega = standard_form(n)[..., None, None]
+        chi = np.stack([random_antisymmetric(rng, 2 * n) for _ in range(6)], axis=-1)
+        chi = chi.reshape(chi.shape[:2] + (2, 3))
+        on_grid = np.broadcast_to(omega, chi.shape)
+        for m in range(n + 1):
+            expected = s_m(chi, on_grid, n, m)
+            for _ in ("cold", "warm"):
+                got = np.broadcast_to(s_m(chi, omega, n, m), expected.shape)  # chi^0 has no grid axes
+                assert got.tobytes() == expected.tobytes()
+    info = exterior._constant_reference.cache_info()
+    assert info.maxsize == REFERENCE_CACHE_SIZE
+    assert info.currsize == info.misses == info.hits == 3 + 4
+    top_omega, power = exterior._constant_reference(omega.tobytes(), omega.shape, omega.dtype.str, 3, 2)
+    assert not power.stack.flags.writeable and not np.asarray(top_omega).flags.writeable
 
 
 def test_s_m_imaginary_part_small_for_j_real():

@@ -383,8 +383,10 @@ def test_threshold_grid_transforms_exactly_as_scipy_fft():
 
 
 def test_small_grids_never_load_scipy():
-    # a fresh process: a 16x16 flow and every identity suite (DFT matrices)
-    # and run3's 64x64 flow (numpy.fft) import nothing once qmaflow.cli is loaded
+    # a fresh process: a 16x16 flow (DFT matrices) and run3's 64x64 flow
+    # (numpy.fft) import nothing once qmaflow.cli is loaded, not even
+    # numpy.random; every identity suite (DFT matrices) imports nothing once
+    # numpy.random, which its generators need, is loaded
     script = """
 import sys
 import qmaflow.cli
@@ -399,6 +401,10 @@ for size in (16, 64):
     prob = build_manufactured(uspec, grid, c=1.0, rho=TrigPolySpec.single((0, 1), 0.05))
     result = run_to_steady(ScalarField.zeros(grid), prob.omega_h, prob.f, tol_steady=1e-8, t_max=200.0)
     assert result.converged
+assert set(sys.modules) == before, sorted(set(sys.modules) - before)
+assert "numpy.random" not in sys.modules, "numpy.random was loaded"
+import numpy.random
+before = set(sys.modules)
 for n in (2, 3, 4):
     assert all(r.passed for r in run_identity_suite(n, trials=1))
 assert "scipy" not in sys.modules, "scipy was loaded"
@@ -588,6 +594,22 @@ def test_a_flow_never_builds_the_hermitian_gather(monkeypatch):
     assert not grid_sized_index_tables()
     _assert_hermitian(ops.fft(f.values))
     assert grid_sized_index_tables()
+
+
+def test_spectral_ops_keeps_no_grid_sized_array():
+    # on run4's 4^8 grid every table and buffer is smaller than the grid;
+    # the live modes' mask is built when read, and equals the Nyquist rule's
+    grid = SLOT_GRIDS["n2-4^8"]
+    ops = SpectralOps(grid)
+    held = [a for value in vars(ops).values() for a in _held_arrays(value)]
+    held += [buf for dft in (ops._live_dft, ops._live_idft) for buf in dft._scratch]
+    assert max(a.size for a in held) < grid.num_points
+    keep = np.ones(grid.shape)
+    for p in range(len(grid.shape)):
+        keep[(slice(None),) * p + (grid.sizes[p] // 2,)] = 0.0
+    mask = ops.below_nyquist
+    assert mask.dtype == keep.dtype and np.array_equal(mask, keep)
+    assert np.array_equal(ops._live_index, np.flatnonzero(mask))
 
 
 @pytest.mark.parametrize("sizes", [(4, 4), (5, 4)], ids=["4x4", "5x4"])
