@@ -102,8 +102,7 @@ class _KroneckerDft:
     returns.  :func:`_kronecker_pair` gives the forward and inverse
     transforms of a grid one pair of buffers, since they never run at
     once.  A transform of one group (at most DFT_GROUP_MAX_POINTS points)
-    is a single product, and it also takes a stack of arrays on a leading
-    axis, all in that one product.
+    is a single vector-matrix product.
     """
 
     def __init__(self, sizes, modes, inverse: bool, scratch):
@@ -131,8 +130,7 @@ class _KroneckerDft:
         """Transform ``x``, the grid axes raveled or not, into ``out`` and return it.
 
         ``out`` holds the transformed axes; it must be C-contiguous and share
-        no memory with ``x``.  With one group, ``x`` and ``out`` may be
-        stacks on a leading axis.
+        no memory with ``x``.
         """
         *firsts, last = self._operands
         if firsts:

@@ -40,21 +40,21 @@ vanish on the grid (inactive coordinates zero some), one slot at a time
 into one output: each slot's multiplier meets the live-mode vector as its
 turn comes, and the slot's transform is written straight into its place,
 so a bundle holds its output, one slot's spectrum and its transform's
-scratch buffers, and no stack of products or of intermediate results
-(a grid of at most 64 points, one DFT group, takes its small stack in one
-product, which keeps the stack's rounding).
+scratch buffers, and no stack of products or of intermediate results.
 S_1 and S_2 of a packed form, the first two elementary symmetric functions
 of its block eigenvalues, are real polynomials in its slots
-(``SpectralOps.slot_invariants``).  The
-slots also hold the form as a quaternionic Hermitian matrix: every pair
-slot is one off-diagonal entry of it, so the blocks and the off-diagonal
-quaternions are read off without unpacking (``SpectralOps.quaternion_slots``,
-which the n = 3 flow map takes its closed forms from).  Every multiplier
+(``SpectralOps.slot_terms``).  The slots also hold the form as a
+quaternionic Hermitian matrix: every pair slot is one off-diagonal entry
+of it, so the blocks and the off-diagonal quaternions are read off without
+unpacking (``SpectralOps.quaternion_slots``, which the n = 3 flow map
+takes its closed forms from).  Every multiplier
 is held on the live modes only: the first derivatives as (2n, live)
 stacks, S_1's as a live-mode vector and the slot multipliers as packed
 stacks, each built on the live indices of each axis, never on the full
 grid.  Only the index tables of the full transforms, built by the first
-full transform of a real field, are grid-sized; the live modes' mask
+full transform of a real field, and the live modes' flat indices
+(``SpectralOps._live_index``, built on first read, which a flow on DFT
+matrices never makes) can be grid-sized; the live modes' mask
 (``SpectralOps.below_nyquist``) is built when read and not kept.
 
 Each grid picks its transform once, from its shape.  If no axis is longer
@@ -369,13 +369,10 @@ class SpectralOps:
         self.n = grid.n
         # per axis, the indices below Nyquist: the live modes are their product
         self._live_axes = [np.flatnonzero(2 * np.arange(size) != size) for size in grid.sizes]
-        # their flat indices in the grid, ascending: row-major over the product
-        self._live_index = np.ravel_multi_index(np.ix_(*self._live_axes), grid.shape).reshape(-1)
+        self._live_count = math.prod(len(live) for live in self._live_axes)
         self._live_dft = None  # DFT matrices on the live modes, in the order of _live_index
         if max(grid.sizes) <= DFT_MATRIX_MAX_AXIS:
             self._live_dft, self._live_idft = _kronecker_pair(grid.sizes, self._live_axes)
-        # a grid of one DFT group transforms a stack of slots in one product
-        self._whole_stacks = self._live_dft is not None and len(self._live_idft._operands) == 1
         m = 2 * self.n
         # d/dz^a -> (ik_a + k_{2n+a})/2,  d/dzbar^a -> (ik_a - k_{2n+a})/2
         self._z = self._live_stack([0.5 * (self._ik(a) + (-1j) * self._ik(m + a)) for a in range(m)])
@@ -495,6 +492,16 @@ class SpectralOps:
         return 1j * (np_fft.fftfreq(size) * size)[self._live_axes[axis]].reshape(shape)
 
     @cached_property
+    def _live_index(self):
+        """The live modes' flat indices in the grid, ascending: row-major over their product.
+
+        Built on first read.  Only the numpy.fft gathers and scatters and
+        the one-derivative methods read it; on a grid of odd axes it is the
+        whole grid, and a flow on DFT matrices never builds it.
+        """
+        return np.ravel_multi_index(np.ix_(*self._live_axes), self.grid.shape).reshape(-1)
+
+    @cached_property
     def _hermitian(self):
         """``_hermitian_gather`` of the grid, built by the first :meth:`fft` of a real field."""
         return _hermitian_gather(self.grid.sizes)
@@ -507,7 +514,7 @@ class SpectralOps:
         map cannot see a mode with a Nyquist index; the stepper's update
         keeps ``u`` out of those modes, which makes the normalized limit
         unique.  A grid-sized array, built on each read and not kept: the
-        transforms read ``_live_index`` instead.
+        numpy.fft transforms read ``_live_index`` instead.
         """
         keep = np.ones(self.grid.shape)
         for p, size in enumerate(self.grid.sizes):
@@ -558,15 +565,8 @@ class SpectralOps:
         """Inverse transforms of each live multiplier of ``stack`` times ``hat``, into the slots of ``out``.
 
         One slot at a time: each slot's multiplier is applied to ``hat`` as
-        its turn comes, so no stack of products is held.  A grid of one DFT
-        group, at most 64 points, takes the stack in one product instead:
-        a slot taken alone is a vector-matrix product, which BLAS rounds
-        otherwise than the matrix product of a stack.
+        its turn comes, so no stack of products is held.
         """
-        if self._whole_stacks:
-            for slot, result in zip(out, self._live_idft(stack * hat, self._new_stack(len(stack)))):
-                slot[...] = result
-            return out
         for mult, slot in zip(stack, out):
             self._ifft_into(mult * hat, slot)
         return out
@@ -594,7 +594,7 @@ class SpectralOps:
         if self._live_dft is None:
             return self.fft(values).reshape(-1)[self._live_index]
         shift = values.flat[0]
-        hat = self._live_dft(values - shift, np.empty(len(self._live_index), dtype=complex))
+        hat = self._live_dft(values - shift, np.empty(self._live_count, dtype=complex))
         hat[0] += shift * self.grid.num_points
         return hat
 
@@ -623,21 +623,21 @@ class SpectralOps:
 
     # -- second derivatives ---------------------------------------------
 
-    def mixed_hessian_from_hat(self, hat, real_input: bool = True):
+    def mixed_hessian_from_hat(self, hat):
         """H[a, b] = d_{z^a} d_{zbar^b} u with entry axes leading.
 
-        For real u only the upper triangle is transformed; the rest is
-        filled by the Hermitian symmetry H[b, a] = conj(H[a, b]).
+        ``hat`` must be the live-mode vector of a real field: only the upper
+        triangle is transformed, and the rest is filled by the Hermitian
+        symmetry H[b, a] = conj(H[a, b]).
         """
         m = 2 * self.n
-        entries = [(a, b) for a in range(m) for b in range(a if real_input else 0, m)]
+        entries = [(a, b) for a in range(m) for b in range(a, m)]
         z, zb = self._z, self._zbar
         H = np.empty((m, m) + self.grid.shape, dtype=complex)
         self._bundle([z[a] * zb[b] for a, b in entries], hat, [H[a, b] for a, b in entries])
-        if real_input:
-            for a in range(m):
-                for b in range(a):
-                    H[a, b] = np.conj(H[b, a])
+        for a in range(m):
+            for b in range(a):
+                H[a, b] = np.conj(H[b, a])
         return H
 
     def s1_from_hat(self, hat):
@@ -721,11 +721,6 @@ class SpectralOps:
         upper[imag_blocks] = imag
         return upper, real.sum(axis=0) + imag.sum(axis=0)
 
-    def slot_invariants(self, packed):
-        """S_1 and S_2 of a J-real form packed as by :meth:`pack_j_real` (see :meth:`slot_terms`)."""
-        s1, s2, _, _ = self.slot_terms(packed)
-        return s1, s2
-
     def slot_terms(self, packed):
         """S_1, S_2, the blocks and w of a J-real form packed as by :meth:`pack_j_real`.
 
@@ -782,17 +777,15 @@ class SpectralOps:
         the squares of their real and of their imaginary parts are summed
         apart, in the order of ``a``, then added: the same numbers as the
         sum over the stack of :meth:`zbar_gradient_batched_from_hat`, which
-        is never held (a grid of one DFT group takes it whole, see ``_bundle``).
+        is never held.
         """
-        stack = self._zbar_rows[1]
-        slots = self._new_stack(max(len(stack), 1) if self._whole_stacks else 1)
-        parts = slots.reshape(len(slots), -1).view(float)  # (re, im) of every point, in pairs
-        sums = np.zeros(parts.shape[1])
-        for start in range(0, len(stack), len(slots)):
-            self._bundle(stack[start : start + len(slots)], hat, slots)
-            for part in parts:
-                part *= part
-                sums += part
+        slot = np.empty(self.grid.shape, dtype=complex)
+        part = slot.reshape(-1).view(float)  # (re, im) of every point, in pairs
+        sums = np.zeros(len(part))
+        for mult in self._zbar_rows[1]:
+            self._ifft_into(mult * hat, slot)
+            part *= part
+            sums += part
         return (sums[0::2] + sums[1::2]).reshape(self.grid.shape)
 
     # -- diagnostics ----------------------------------------------------
@@ -889,13 +882,18 @@ class PackedTwoForm:
         return j_reality_defect(self.entries, self.n)
 
 
-def constant_two_form_field(grid: TorusGrid, matrix) -> TwoFormField:
+def constant_two_form_field(grid: TorusGrid, matrix) -> PackedTwoForm:
+    """The constant form ``matrix`` at every grid point, packed from broadcast views of its entries.
+
+    Raises SpecValidationError unless ``matrix`` is (2n, 2n) and J-real (see
+    :meth:`SpectralOps.pack_j_real`); the full (2n, 2n) + grid array is never built.
+    """
+    m = 2 * grid.n
     matrix = np.asarray(matrix, dtype=complex)
-    entries = np.broadcast_to(
-        matrix.reshape(matrix.shape + (1,) * len(grid.shape)),
-        matrix.shape + grid.shape,
-    ).copy()
-    return TwoFormField(grid, entries)
+    if matrix.shape != (m, m):
+        raise SpecValidationError(f"constant form shape {matrix.shape} does not match ({m}, {m})")
+    ops = spectral_ops(grid)
+    return PackedTwoForm(grid, ops.pack_j_real([np.broadcast_to(matrix[j, k], grid.shape) for j, k in ops.pairs]))
 
 
 def build_omega_h(

@@ -27,12 +27,12 @@ see a mode with a Nyquist index, so an update there would make the limit
 non-unique on an even grid).
 
 The flow map itself runs on the packed J-real slots of the evolving form
-(see ``fields``): the background form arrives on them
-(``fields.build_omega_h`` builds it there; a full ``TwoFormField`` is
-packed once per run), and each evaluation adds the inverse transforms of
-the form's slot multipliers to it, slot by slot.  The positivity test on
-the slots (:func:`packed_block_terms`) is the one the background is
-checked with too.  The right-hand side is log S_n - f with
+(see ``fields``): the background form arrives on them as a
+``PackedTwoForm`` (``fields.build_omega_h`` and
+``fields.constant_two_form_field`` build it there), and each evaluation
+adds the inverse transforms of the form's slot multipliers to it, slot by
+slot.  The positivity test on the slots (:func:`packed_block_terms`) is
+the one the background is checked with too.  The right-hand side is log S_n - f with
 S_n = Pf(omega_tilde) / Pf(Omega) (Pf(Omega) = 1), the product of the
 block eigenvalues: the quaternionic determinant of the J-real form
 (Aslaksen, Math. Intelligencer 18, 1996).  For n = 2 the guard and the
@@ -75,6 +75,7 @@ volume average.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -86,7 +87,7 @@ from .exterior import full_from_upper
 # perfbench/tracing.py patches flow.block_eigenvalues, flow.pfaffian_upper and
 # flow.pfaffian; the last two are not called here
 from .exterior import pfaffian, pfaffian_upper  # noqa: F401
-from .fields import PackedTwoForm, ScalarField, TwoFormField, spectral_ops
+from .fields import PackedTwoForm, ScalarField, spectral_ops
 from .model import (
     block_eigenvalues,
     failing_point,
@@ -129,21 +130,12 @@ class DiagnosticsRecord:
     osc_ut: float
     spectral_tail: float
 
-    CSV_FIELDS = (
-        "step",
-        "t",
-        "dt",
-        "sup_abs_ut",
-        "osc_u",
-        "max_beta",
-        "max_eta",
-        "min_eig_omega_tilde",
-        "osc_ut",
-        "spectral_tail",
-    )
-
     def csv_row(self) -> str:
         return ",".join(repr(getattr(self, name)) for name in self.CSV_FIELDS)
+
+
+# the diagnostics.csv header: the record's fields, in order
+DiagnosticsRecord.CSV_FIELDS = tuple(field.name for field in dataclasses.fields(DiagnosticsRecord))
 
 
 @dataclass
@@ -221,14 +213,12 @@ class FlowEngine:
     """Shared per-run workspace and the one implementation of the flow map.
 
     ``flow_form``, ``flow_rhs`` and the manufactured problems go through it.
-    ``omega_h`` is a PackedTwoForm, whose slots the engine uses as they
-    are, or a TwoFormField, which must be J-real (SpecValidationError
-    otherwise) and is packed once (``SpectralOps.pack_j_real``).
+    ``omega_h`` is a PackedTwoForm, whose slots the engine uses as they are.
     """
 
     def __init__(
         self,
-        omega_h: TwoFormField | PackedTwoForm,
+        omega_h: PackedTwoForm,
         f: ScalarField,
         sigma: float = DEFAULT_SIGMA,
         margin: float = DEFAULT_MARGIN,
@@ -241,11 +231,8 @@ class FlowEngine:
         self.margin = margin
         self.halvings = 0
         self.evaluations = 0
-        if isinstance(omega_h, PackedTwoForm):
-            self._packed_omega_h = omega_h.slots
-        else:
-            self._packed_omega_h = self.ops.pack_j_real([omega_h.entries[j, k] for j, k in self.ops.pairs])
-        self._s1_omega_h, _ = self.ops.slot_invariants(self._packed_omega_h)
+        self._packed_omega_h = omega_h.slots
+        self._s1_omega_h, _, _, _ = self.ops.slot_terms(self._packed_omega_h)
 
     def evaluate(self, u_values, hat=None) -> _Stage:
         """Evolving form, positivity guard, right-hand side at one state.
@@ -383,7 +370,7 @@ def non_finite_rhs_error(rhs) -> SpecValidationError:
     )
 
 
-def cfl_dt(u: ScalarField, omega_h: TwoFormField | PackedTwoForm, sigma: float = DEFAULT_SIGMA) -> float:
+def cfl_dt(u: ScalarField, omega_h: PackedTwoForm, sigma: float = DEFAULT_SIGMA) -> float:
     """Parabolic step bound sigma * h_min^2 / kappa at the given state.
 
     kappa is the largest grid value of the sum of reciprocal block
@@ -396,7 +383,7 @@ def cfl_dt(u: ScalarField, omega_h: TwoFormField | PackedTwoForm, sigma: float =
 
 def step(
     state: FlowState,
-    omega_h: TwoFormField | PackedTwoForm,
+    omega_h: PackedTwoForm,
     f: ScalarField,
     sigma: float = DEFAULT_SIGMA,
     margin: float = DEFAULT_MARGIN,
@@ -409,7 +396,7 @@ def step(
 
 def run_to_steady(
     u0: ScalarField,
-    omega_h: TwoFormField | PackedTwoForm,
+    omega_h: PackedTwoForm,
     f: ScalarField,
     tol_steady: float = 1e-8,
     t_max: float = 1000.0,

@@ -76,7 +76,7 @@ def s1_field(chi: TwoFormField) -> ScalarField:
     return ScalarField(chi.grid, blocks.real)
 
 
-def flow_form(u: ScalarField, omega_h: TwoFormField | PackedTwoForm) -> TwoFormField:
+def flow_form(u: ScalarField, omega_h: PackedTwoForm) -> TwoFormField:
     """The stepper's evolving form Omega_h + (S_1(ddj u) Omega - ddj u) / (n - 1)."""
     engine = FlowEngine(omega_h, ScalarField.zeros(u.grid))
     upper, _ = engine.form_upper(engine.ops.live_fft(u.values))
@@ -85,7 +85,7 @@ def flow_form(u: ScalarField, omega_h: TwoFormField | PackedTwoForm) -> TwoFormF
 
 def flow_rhs(
     u: ScalarField,
-    omega_h: TwoFormField | PackedTwoForm,
+    omega_h: PackedTwoForm,
     f: ScalarField,
     margin: float = 0.0,
 ) -> ScalarField:
@@ -105,11 +105,12 @@ def flow_rhs(
 def gradient_energy(u: ScalarField) -> ScalarField:
     """Quarter squared gradient, computed from the flat metric.
 
-    Equals sum_a |u_{z^a}|^2; nonnegative, zero exactly where du vanishes.
+    Equals sum_a |u_{z^a}|^2 = sum_a |u_{abar}|^2 for real u; nonnegative,
+    zero exactly where du vanishes.  It is the reduction whose maximum the
+    flow reports as ``max_beta`` (``SpectralOps.zbar_gradient_norm2_from_hat``).
     """
     ops = spectral_ops(u.grid)
-    g = ops.zbar_gradient_batched_from_hat(ops.live_fft(u.values))
-    return ScalarField(u.grid, np.sum(np.abs(g) ** 2, axis=0))
+    return ScalarField(u.grid, ops.zbar_gradient_norm2_from_hat(ops.live_fft(u.values)))
 
 
 def gradient_energy_wedge(u: ScalarField) -> ScalarField:
@@ -128,9 +129,7 @@ def gradient_energy_wedge(u: ScalarField) -> ScalarField:
     return ScalarField(grid, value.real)
 
 
-def apply_linearized(
-    u: ScalarField, v: ScalarField, omega_h: TwoFormField | PackedTwoForm
-) -> ScalarField:
+def apply_linearized(u: ScalarField, v: ScalarField, omega_h: PackedTwoForm) -> ScalarField:
     """Spatial part of the linearized flow operator at u, applied to v.
 
     Evaluates (A ^ ddj v) / (evolving form)^n with
@@ -191,7 +190,7 @@ class RealOneOneForm:
         return np.linalg.eigvalsh(moved)[..., 0]
 
 
-def induced_metric_form(u: ScalarField, omega_h: TwoFormField | PackedTwoForm) -> RealOneOneForm:
+def induced_metric_form(u: ScalarField, omega_h: PackedTwoForm) -> RealOneOneForm:
     """Fundamental form of the hyperhermitian metric of the evolving form.
 
     Metric-contraction path: the Hermitian matrix is the positivity matrix

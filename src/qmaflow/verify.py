@@ -17,7 +17,7 @@ per-trial error scales, only how the evaluation loops run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import factorial
 
 import numpy as np
@@ -68,14 +68,7 @@ class IdentityReport:
     seed: int
 
     def to_json(self):
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "max_rel_err": self.max_rel_err,
-            "tol": self.tol,
-            "passed": self.passed,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -84,7 +77,7 @@ class ManufacturedProblem:
 
     u_star: ScalarField
     f: ScalarField
-    omega_h: TwoFormField | PackedTwoForm
+    omega_h: PackedTwoForm
     positivity_margin: float
 
 
@@ -127,7 +120,7 @@ def random_trig_spec(
 def admissible_potential(
     rng: np.random.Generator,
     grid: TorusGrid,
-    omega_h: TwoFormField | PackedTwoForm,
+    omega_h: PackedTwoForm,
     amplitude: float = 0.3,
     min_margin: float = 0.1,
 ):
@@ -406,7 +399,7 @@ def _max_admissible_scale(spec, grid, engine: FlowEngine, iters: int = 40) -> fl
 def linearization_order_check(
     u: ScalarField,
     v: ScalarField,
-    omega_h: TwoFormField | PackedTwoForm,
+    omega_h: PackedTwoForm,
     epsilons=(1e-2, 1e-3, 1e-4),
 ) -> OrderCheckResult:
     """Measured order of the centered difference against the linearization.

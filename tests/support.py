@@ -1,5 +1,5 @@
-"""Helpers shared by the tests: full-grid multiplier oracles, traced memory peaks, stacked transforms
-and the per-call wedge."""
+"""Helpers shared by the tests: full-grid multiplier oracles, traced memory peaks, stacked and
+per-slot transforms and the per-call wedge."""
 
 import tracemalloc
 
@@ -28,6 +28,17 @@ def full_grid_multipliers(ops):
     zbar = [ops.below_nyquist * 0.5 * (ik(a) + 1j * ik(m + a)) for a in range(m)]
     s1 = sum(za * zba for za, zba in zip(z, zbar)).real
     return z, zbar, s1
+
+
+def full_mixed_hessian(ops, values):
+    """H[a, b] = d_{z^a} d_{zbar^b} of a real field, every entry by numpy.fft on the full grid.
+
+    The spectrum is ``ops.fft``'s, exactly Hermitian; no entry is read off
+    another by symmetry, so the result is Hermitian in (a, b) only to rounding.
+    """
+    z, zbar, _ = full_grid_multipliers(ops)
+    spectrum = ops.fft(values)
+    return np.array([[np.fft.ifftn(za * zb * spectrum) for zb in zbar] for za in z])
 
 
 def traced_peak(fn):
@@ -68,6 +79,15 @@ def stacked_inverse(ops, live):
     return np.fft.ifftn(full.reshape(shape), axes=tuple(range(1, len(shape))))
 
 
+def per_slot_inverse(ops, live):
+    """Inverse transforms of a (slots, live) stack of spectra, each slot in a transform of its own.
+
+    On a grid of one DFT group a slot alone is a vector-matrix product,
+    which BLAS may round otherwise than the matrix product of a stack.
+    """
+    return np.stack([stacked_inverse(ops, row[None])[0] for row in live])
+
+
 def stacked_live_fft(ops, values):
     """The live-mode vector of a real field, by the whole-array forward transform."""
     if ops._live_dft is None:
@@ -78,17 +98,17 @@ def stacked_live_fft(ops, values):
     return hat
 
 
-def stacked_rows(ops, nonzero_rows, hat):
-    """A bundle from ``(rows, multipliers, size)``: the stack of products in one transform, zero elsewhere."""
+def stacked_rows(ops, nonzero_rows, hat, inverse=stacked_inverse):
+    """A bundle from ``(rows, multipliers, size)``: the stack of products by ``inverse``, zero elsewhere."""
     rows, stack, size = nonzero_rows
     out = np.zeros((size,) + ops.grid.shape, dtype=complex)
-    out[rows] = stacked_inverse(ops, stack * hat)
+    out[rows] = inverse(ops, stack * hat)
     return out
 
 
-def stacked_gradient_norm2(ops, hat):
+def stacked_gradient_norm2(ops, hat, inverse=stacked_inverse):
     """sum_a |u_{abar}|^2 from the whole z-bar gradient stack, real and imaginary squares summed apart."""
-    g = stacked_rows(ops, ops._zbar_rows, hat)
+    g = stacked_rows(ops, ops._zbar_rows, hat, inverse)
     v = g.reshape(len(g), -1).view(float)
     sums = np.einsum("ij,ij->j", v, v)
     return (sums[0::2] + sums[1::2]).reshape(ops.grid.shape)

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, file formats, determinism."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -28,6 +29,7 @@ from qmaflow.cli import (
 )
 from qmaflow.errors import SpecValidationError
 from qmaflow.fields import ScalarField, TorusGrid
+from qmaflow.flow import DiagnosticsRecord
 
 from support import traced_peak
 
@@ -213,6 +215,13 @@ def test_flow_diagnostics_rows_increase(flow_run):
     ts = [float(line.split(",")[1]) for line in lines[1:]]
     assert steps == sorted(steps) and len(set(steps)) == len(steps)
     assert all(t2 > t1 for t1, t2 in zip(ts, ts[1:]))
+
+
+def test_flow_diagnostics_header_is_the_record_fields(flow_run):
+    # the CSV schema is stated once, by the record's dataclass fields
+    _, _, out_dir = flow_run
+    header = (out_dir / "diagnostics.csv").read_text().splitlines()[0]
+    assert header.split(",") == [field.name for field in dataclasses.fields(DiagnosticsRecord)]
 
 
 def test_flow_snapshot_round_trip_is_bit_exact(flow_run, tmp_path):

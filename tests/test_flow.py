@@ -14,6 +14,7 @@ from qmaflow.errors import PositivityError, SpecValidationError, StiffnessError
 from qmaflow.exterior import full_from_upper, pfaffian
 from qmaflow.fields import (
     DFT_MATRIX_MAX_AXIS,
+    PackedTwoForm,
     ScalarField,
     TorusGrid,
     TrigPolySpec,
@@ -239,7 +240,7 @@ def test_slot_invariants_are_block_eigenvalue_symmetric_functions(name):
     grid, kind = PACKED_CASES[name]
     engine = FlowEngine(_background(grid, kind, seed=31), ScalarField.zeros(grid))
     form, _ = engine.form_upper(engine.ops.live_fft(_smooth_field(grid, 33, 0.1)))
-    s1, s2 = engine.ops.slot_invariants(engine.ops.pack_j_real(form))
+    s1, s2, _, _ = engine.ops.slot_terms(engine.ops.pack_j_real(form))
     lam = block_eigenvalues(full_from_upper(form, 2 * grid.n), grid.n)
     e1 = lam.sum(axis=-1)
     assert _rel(s1, e1) <= 1e-13
@@ -266,6 +267,18 @@ def test_engine_rejects_a_background_that_is_not_j_real(where):
     alpha[k, j] -= bump
     with pytest.raises(SpecValidationError, match="J-real"):
         FlowEngine(constant_two_form_field(GRID, alpha), ScalarField.zeros(GRID))
+
+
+def test_constant_form_is_packed_from_views_of_its_entries():
+    # the constant background is packed slot by slot from broadcast views of
+    # the matrix, never as its (2n, 2n) + grid copy (run4's 4^8 grid)
+    grid = TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(4,) * 8)
+    alpha = random_j_real_positive(np.random.default_rng(37), 2)
+    oh, peak = traced_peak(lambda: constant_two_form_field(grid, alpha))
+    assert isinstance(oh, PackedTwoForm) and peak < 2 * oh.slots.nbytes
+    assert np.array_equal(oh.entries, np.broadcast_to(alpha.reshape((4, 4) + (1,) * 8), (4, 4) + grid.shape))
+    with pytest.raises(SpecValidationError, match="shape"):
+        constant_two_form_field(grid, standard_form(3))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -593,8 +606,9 @@ def test_flow_engine_setup_peak_is_below_two_packed_backgrounds():
     packed = build_omega_h(MODEL, grid, 1.0, TrigPolySpec.single((0, 0, 0, 1, 0, 0, 1, 0), 0.02))
     oh = TwoFormField(grid, packed.entries)
     f = ScalarField.zeros(grid)
-    engine, peak = traced_peak(lambda: FlowEngine(oh, f))
-    assert peak < 2 * engine._packed_omega_h.nbytes
+    ops = spectral_ops(grid)
+    slots, peak = traced_peak(lambda: ops.pack_j_real([oh.entries[j, k] for j, k in ops.pairs]))
+    assert peak < 2 * slots.nbytes
     # a packed background is used as it is: the engine allocates only S_1's terms
     engine, peak = traced_peak(lambda: FlowEngine(packed, f))
     assert engine._packed_omega_h is packed.slots and peak < packed.slots.nbytes
