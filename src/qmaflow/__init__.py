@@ -14,7 +14,6 @@ from .fields import (
     TorusGrid,
     TrigPolySpec,
     TrigTerm,
-    TwoFormField,
     build_omega_h,
     constant_two_form_field,
     sample,
@@ -83,7 +82,6 @@ __all__ = [
     "TorusGrid",
     "TrigPolySpec",
     "TrigTerm",
-    "TwoFormField",
     "build_omega_h",
     "constant_two_form_field",
     "sample",

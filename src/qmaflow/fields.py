@@ -823,38 +823,15 @@ def spectral_ops(grid: TorusGrid) -> SpectralOps:
 
 
 @dataclass
-class TwoFormField:
-    """A J-real (2,0)-form per grid point, entry axes leading."""
-
-    grid: TorusGrid
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = 2 * self.grid.n
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.shape != (m, m) + self.grid.shape:
-            raise SpecValidationError(
-                f"two-form field shape {self.entries.shape} does not match "
-                f"({m}, {m}) + {self.grid.shape}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.grid.n
-
-    def j_reality_defect(self) -> float:
-        return j_reality_defect(self.entries, self.n)
-
-
-@dataclass
 class PackedTwoForm:
     """A J-real (2,0)-form field held on the packed slots of its grid.
 
     ``slots`` is in the layout of :meth:`SpectralOps.pack_j_real`: one
     complex slot per partner pair, then the real blocks two per slot, so
     the form takes n(n-1) + ceil(n/2) grid arrays instead of (2n)^2.  A
-    packed form is J-real by construction.  ``entries`` expands the full
-    array on every read and keeps nothing, so it reads as a TwoFormField.
+    packed form is J-real by construction; it is the one type of a form
+    field.  ``entries`` expands the full (2n, 2n) + grid array, entry axes
+    leading, on every read and keeps nothing.
     """
 
     grid: TorusGrid

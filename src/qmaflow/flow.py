@@ -32,7 +32,8 @@ The flow map itself runs on the packed J-real slots of the evolving form
 ``fields.constant_two_form_field`` build it there), and each evaluation
 adds the inverse transforms of the form's slot multipliers to it, slot by
 slot.  The positivity test on the slots (:func:`packed_block_terms`) is
-the one the background is checked with too.  The right-hand side is log S_n - f with
+the one every form on a grid is checked with: the background, and the
+evolving form wherever the operators read it.  The right-hand side is log S_n - f with
 S_n = Pf(omega_tilde) / Pf(Omega) (Pf(Omega) = 1), the product of the
 block eigenvalues: the quaternionic determinant of the J-real form
 (Aslaksen, Math. Intelligencer 18, 1996).  For n = 2 the guard and the
@@ -44,9 +45,8 @@ they read the blocks and the off-diagonal quaternions off the slots
 (``SpectralOps.quaternion_slots``): S_n is their Moore determinant, and the
 smallest block eigenvalue comes in closed form too, from the trigonometric
 solution of the cubic about its mean root (``model.triple_eigenvalues``).
-For n = 4 the slots are unpacked for ``model.block_eigenvalues``, the
-library's one positivity test, whose block eigenvalues give the guard, S_n
-and kappa.  No Pfaffian is computed.  The per-step diagnostics take
+For n = 4 the slots are unpacked for ``model.block_eigenvalues``, whose
+block eigenvalues give the guard, S_n and kappa.  No Pfaffian is computed.  The per-step diagnostics take
 ``max_beta``, the largest sum_a |u_{abar}|^2, one z-bar derivative at a time
 (``SpectralOps.zbar_gradient_norm2_from_hat``), never as the gradient stack.  The guard decides by
 ``model.failing_point``, the rule every positivity check shares: a point
@@ -191,8 +191,9 @@ def packed_block_terms(ops, packed):
     norms; for n = 3, S_1, S_2, the Moore determinant S_3 and the smallest
     block eigenvalue are closed forms in the blocks and quaternions read off
     the slots; for n = 4 the slots are unpacked for
-    :func:`model.block_eigenvalues`.  The flow map's guard and
-    ``fields.build_omega_h``'s check of the background both use it.
+    :func:`model.block_eigenvalues`.  Every form on a grid is tested with it:
+    the flow map's guard, ``fields.build_omega_h``'s background, the
+    operators' preconditions and the identity suite's potentials.
     """
     if ops.n == 2:
         s1, s_n, a, w = ops.slot_terms(packed)
@@ -212,7 +213,7 @@ def packed_block_terms(ops, packed):
 class FlowEngine:
     """Shared per-run workspace and the one implementation of the flow map.
 
-    ``flow_form``, ``flow_rhs`` and the manufactured problems go through it.
+    ``flow_rhs``, ``cfl_dt`` and the manufactured problems go through it.
     ``omega_h`` is a PackedTwoForm, whose slots the engine uses as they are.
     """
 
@@ -280,12 +281,6 @@ class FlowEngine:
                 min_eigenvalue=stage.min_eig,
             )
         return stage
-
-    def form_upper(self, hat):
-        """Evolving form in ``ops.pairs`` order, and S_1(ddj u), from u's live-mode vector."""
-        packed = self.ops.packed_form_from_hat(self._packed_omega_h, hat)
-        upper, s1 = self.ops.unpack_form(packed)
-        return upper, s1 - self._s1_omega_h
 
     def cfl_cap(self, stage: _Stage) -> float:
         """Parabolic bound of the Heun reference step."""

@@ -20,18 +20,18 @@ equals Pf(alpha)^2 exactly, and for J-real alpha its eigenvalues come in
 equal pairs (one pair per quaternionic block).
 
 A J-real form is strictly positive when its n block eigenvalues are
-(Aslaksen, Math. Intelligencer 18, 1996).  :func:`block_eigenvalues` is the
-one positivity test of a form field: in closed form for n = 2 (the roots
-of a quadratic about their mean, :func:`pair_eigenvalues`) and n = 3 (the
-trigonometric roots of a cubic about its mean,
-:func:`triple_eigenvalues`), as averaged pairs of the batched
-Hermitian eigensolver for n = 4, with NaN at any grid point holding a
-non-finite entry.  Every check of a full form field goes through it (the
-flow's guard and the check of its background run the same closed forms
-on packed slots, ``flow.packed_block_terms``), and
-:func:`failing_point` is the one failure rule (a point fails unless its
-value is > margin, so NaN fails).  The full spectrum of the positivity
-matrix, :func:`positivity_eigenvalues`, stays the tests' oracle.
+(Aslaksen, Math. Intelligencer 18, 1996): in closed form for n = 2 (the
+roots of a quadratic about their mean, :func:`pair_eigenvalues`) and n = 3
+(the trigonometric roots of a cubic about its mean,
+:func:`triple_eigenvalues`), as averaged pairs of the batched Hermitian
+eigensolver for n = 4.  Every form on a grid is tested on its packed slots
+by ``flow.packed_block_terms``; :func:`block_eigenvalues` tests full forms
+passed in as arrays (:func:`is_strictly_positive`, the suite's single
+random forms), with NaN at a point holding a non-finite entry, and is
+n = 4's eigensolver inside ``packed_block_terms``.  :func:`failing_point`
+is the one failure rule (a point fails unless its value is > margin, so
+NaN fails).  The full spectrum of the positivity matrix,
+:func:`positivity_eigenvalues`, stays the tests' oracle.
 """
 
 from __future__ import annotations
@@ -333,23 +333,11 @@ def failing_point(values: np.ndarray, margin: float):
     return worst, tuple(int(i) for i in point)
 
 
-def require_strictly_positive(entries, n: int, margin: float, what: str):
-    """Raise PositivityError naming the worst grid point if the test fails.
-
-    Precondition: ``entries`` is J-real, as for :func:`block_eigenvalues`;
-    it is not checked here.  The flow's background is J-real wherever it
-    comes from: ``fields.build_omega_h`` builds it on the packed J-real
-    slots and checks it there, and a full form handed to the flow is
-    checked when it is packed (``SpectralOps.pack_j_real``).
-    """
-    require_positive_minimum(min_positivity_eigenvalue(entries, n), margin, what)
-
-
 def require_positive_minimum(min_eig: np.ndarray, margin: float, what: str):
     """Raise PositivityError naming the worst grid point unless ``min_eig`` > margin everywhere.
 
     ``min_eig`` holds the smallest block eigenvalue of a form at each grid
-    point; :func:`failing_point` decides.
+    point (``flow.packed_block_terms`` on a grid); :func:`failing_point` decides.
     """
     worst, point = failing_point(min_eig, margin)
     if point is not None:

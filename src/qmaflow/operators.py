@@ -4,7 +4,10 @@ Everything here is a pure transform of fields on one grid: the twisted
 differential d_J, the quaternionic Hessian, the evolving positive form,
 the flow's logarithmic right-hand side, the gradient and half-Laplacian
 diagnostics, the linearized operator and the induced metric form.  The
-evolving form and the right-hand side are the stepper's own (FlowEngine).
+quaternionic Hessian and the evolving form are ``PackedTwoForm``s filled by
+the stepper's own bundles, and its guard on their slots
+(``flow.packed_block_terms``) tests the evolving form.  The right-hand side
+is the stepper's own (FlowEngine).
 
 Load-bearing identities are deliberately exposed through two independent
 code paths each (fast multiplier path vs exact exterior expansion, metric
@@ -20,14 +23,14 @@ from math import factorial
 import numpy as np
 
 from .errors import SpecValidationError
-from .exterior import ExteriorElement, full_from_upper, pfaffian, s_m
-from .fields import PackedTwoForm, ScalarField, TorusGrid, TwoFormField, spectral_ops
-from .flow import FlowEngine
+from .exterior import ExteriorElement, pfaffian, s_m
+from .fields import PackedTwoForm, ScalarField, TorusGrid, spectral_ops
+from .flow import FlowEngine, packed_block_terms
 from .model import (
     j_conjugate_one_one,
     j_tables,
     positivity_matrix,
-    require_strictly_positive,
+    require_positive_minimum,
     standard_form,
 )
 
@@ -50,11 +53,10 @@ def d_j(u: ScalarField):
     return t.dj_sign.reshape(sh) * g[t.sigma]
 
 
-def del_del_j(u: ScalarField) -> TwoFormField:
-    """Quaternionic Hessian of u as a J-real antisymmetric matrix field."""
+def del_del_j(u: ScalarField) -> PackedTwoForm:
+    """Quaternionic Hessian of u, a J-real form field on packed slots."""
     ops = spectral_ops(u.grid)
-    upper, _ = ops.ddj_upper_s1_from_hat(ops.live_fft(u.values))
-    return TwoFormField(u.grid, full_from_upper(upper, 2 * u.grid.n))
+    return PackedTwoForm(u.grid, ops.ddj_slots_from_hat(ops.live_fft(u.values)))
 
 
 def half_laplacian(u: ScalarField) -> ScalarField:
@@ -67,20 +69,20 @@ def half_laplacian(u: ScalarField) -> ScalarField:
     return ScalarField(u.grid, ops.s1_from_hat(ops.live_fft(u.values)))
 
 
-def s1_field(chi: TwoFormField) -> ScalarField:
-    """Pointwise S_1 of a two-form field (sum of quaternionic block entries).
+def s1_field(chi: PackedTwoForm) -> ScalarField:
+    """Pointwise S_1 of a J-real form field, the sum of its quaternionic blocks.
 
-    Imaginary parts are dropped; they vanish to round-off for J-real input.
+    The blocks are read off the packed slots, where they are real, in block
+    order; the form is not expanded.
     """
-    blocks = sum(chi.entries[2 * i, 2 * i + 1] for i in range(chi.n))
-    return ScalarField(chi.grid, blocks.real)
+    blocks, _, _ = spectral_ops(chi.grid).quaternion_slots(chi.slots)
+    return ScalarField(chi.grid, sum(blocks))
 
 
-def flow_form(u: ScalarField, omega_h: PackedTwoForm) -> TwoFormField:
+def flow_form(u: ScalarField, omega_h: PackedTwoForm) -> PackedTwoForm:
     """The stepper's evolving form Omega_h + (S_1(ddj u) Omega - ddj u) / (n - 1)."""
-    engine = FlowEngine(omega_h, ScalarField.zeros(u.grid))
-    upper, _ = engine.form_upper(engine.ops.live_fft(u.values))
-    return TwoFormField(u.grid, full_from_upper(upper, 2 * u.grid.n))
+    ops = spectral_ops(u.grid)
+    return PackedTwoForm(u.grid, ops.packed_form_from_hat(omega_h.slots, ops.live_fft(u.values)))
 
 
 def flow_rhs(
@@ -139,7 +141,7 @@ def apply_linearized(u: ScalarField, v: ScalarField, omega_h: PackedTwoForm) -> 
     grid = u.grid
     n = grid.n
     omt = flow_form(u, omega_h)
-    require_strictly_positive(omt.entries, n, 0.0, "the evolving form")
+    require_positive_minimum(packed_block_terms(spectral_ops(grid), omt.slots)[0], 0.0, "the evolving form")
 
     om_el = ExteriorElement.from_two_form(_standard_entries(grid))
     omt_el = ExteriorElement.from_two_form(omt.entries)
@@ -197,13 +199,11 @@ def induced_metric_form(u: ScalarField, omega_h: PackedTwoForm) -> RealOneOneFor
     of the evolving form.  Requires strict positivity.
     """
     omt = flow_form(u, omega_h)
-    require_strictly_positive(omt.entries, u.grid.n, 0.0, "the evolving form")
+    require_positive_minimum(packed_block_terms(spectral_ops(u.grid), omt.slots)[0], 0.0, "the evolving form")
     return RealOneOneForm(u.grid, positivity_matrix(omt.entries, u.grid.n))
 
 
-def induced_metric_form_real_path(
-    u: ScalarField, omega_h: TwoFormField | PackedTwoForm
-) -> RealOneOneForm:
+def induced_metric_form_real_path(u: ScalarField, omega_h: PackedTwoForm) -> RealOneOneForm:
     """Same form assembled from real (1,1)-data instead of the (2,0) matrix.
 
     Combines the background fundamental form with the half-Laplacian times

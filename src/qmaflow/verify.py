@@ -30,12 +30,11 @@ from .fields import (
     TrigPolySpec,
     PackedTwoForm,
     TrigTerm,
-    TwoFormField,
     build_omega_h,
     sample,
     spectral_ops,
 )
-from .flow import FlowEngine, non_finite_rhs_error
+from .flow import FlowEngine, non_finite_rhs_error, packed_block_terms
 from .model import (
     build_model,
     j_conjugate_two_form,
@@ -125,12 +124,14 @@ def admissible_potential(
     min_margin: float = 0.1,
 ):
     """Random u whose evolving form keeps an eigenvalue margin of at least
-    ``min_margin``; the spec is halved until the margin is met."""
+    ``min_margin``; the spec is halved until the margin is met.  The margin
+    is the flow's guard on the form's slots, ``flow.packed_block_terms``."""
+    ops = spectral_ops(grid)
     spec = random_trig_spec(rng, grid, amplitude=amplitude)
     for _ in range(60):
         u = sample(spec, grid)
         omt = flow_form(u, omega_h)
-        margin = float(np.min(min_positivity_eigenvalue(omt.entries, grid.n)))
+        margin = float(np.min(packed_block_terms(ops, omt.slots)[0]))
         if margin >= min_margin:
             return u, spec, margin
         spec = spec.scaled(0.5)
@@ -294,37 +295,31 @@ def _field_identities_once(rng: np.random.Generator, grid: TorusGrid):
 
     ops = spectral_ops(grid)
     hat = ops.live_fft(u.values)
-    ddju = del_del_j(u)
-    omt = flow_form(u, omega_h)
+    # each form is expanded once, for the full-form paths below
+    ddju = del_del_j(u).entries
+    omt = flow_form(u, omega_h).entries
+    oh = omega_h.entries
     eta = ops.s1_from_hat(hat)
-    # the flow's paths above take the packed form; the full-form paths below
-    # share one expansion of it, and the packed form is not kept beside it
-    oh_full = TwoFormField(grid, omega_h.entries)
-    del omega_h
     out = {}
 
     # exterior S_1 of the quaternionic Hessian vs the Hessian trace
-    s1_ext = _s1_exterior(ddju.entries, grid)
+    s1_ext = _s1_exterior(ddju, grid)
     out["s1_equals_half_laplacian"] = _rel_err(
         s1_ext - eta, max(float(np.max(np.abs(eta))), 1.0)
     )
 
     # S_1 splits between the evolving and background forms
-    s1_omt = _s1_exterior(omt.entries, grid)
-    s1_oh = _s1_exterior(oh_full.entries, grid)
+    s1_omt = _s1_exterior(omt, grid)
+    s1_oh = _s1_exterior(oh, grid)
     scale = max(float(np.max(np.abs(s1_omt))), 1.0)
     out["s1_decomposition"] = _rel_err(eta - (s1_omt - s1_oh), scale)
 
     # the quaternionic Hessian reconstructed from the two forms
     omega_b = standard_form(n).reshape((2 * n, 2 * n) + (1,) * len(grid.shape))
-    recon = (
-        (n - 1) * oh_full.entries
-        - s1_oh * omega_b
-        + s1_omt * omega_b
-        - (n - 1) * omt.entries
-    )
-    scale = max(float(np.max(np.abs(ddju.entries))), 1.0)
-    out["hessian_reconstruction"] = _rel_err(recon - ddju.entries, scale)
+    recon = (n - 1) * oh - s1_oh * omega_b + s1_omt * omega_b - (n - 1) * omt
+    scale = max(float(np.max(np.abs(ddju))), 1.0)
+    out["hessian_reconstruction"] = _rel_err(recon - ddju, scale)
+    del oh, recon  # the real path below expands the background once more
 
     # quarter gradient square: metric path vs wedge path
     b_metric = gradient_energy(u)
@@ -335,14 +330,14 @@ def _field_identities_once(rng: np.random.Generator, grid: TorusGrid):
     )
 
     # induced fundamental form: metric contraction vs real-form recombination
-    m_metric = positivity_matrix(omt.entries, n)
-    m_real = induced_metric_form_real_path(u, oh_full).matrix
+    m_metric = positivity_matrix(omt, n)
+    m_real = induced_metric_form_real_path(u, omega_h).matrix
     scale = max(float(np.max(np.abs(m_metric))), 1.0)
     out["metric_form_dual_path"] = _rel_err(m_real - m_metric, scale)
 
     # determinant of the Hermitian matrix vs the squared Pfaffian
     det = np.linalg.det(np.moveaxis(m_metric, (0, 1), (-2, -1))).real
-    pf2 = pfaffian(omt.entries).real ** 2
+    pf2 = pfaffian(omt).real ** 2
     out["det_equals_pfaffian_squared"] = _rel_err(det - pf2, max(np.max(pf2), 1.0))
     return out
 

@@ -25,13 +25,18 @@ from qmaflow.fields import (
     TorusGrid,
     TrigPolySpec,
     TrigTerm,
-    TwoFormField,
     build_omega_h,
     sample,
     spectral_ops,
 )
 from qmaflow.flow import FlowEngine, FlowState
-from qmaflow.model import build_model, j_tables, require_strictly_positive, standard_form
+from qmaflow.model import (
+    build_model,
+    j_tables,
+    min_positivity_eigenvalue,
+    require_positive_minimum,
+    standard_form,
+)
 from qmaflow.verify import default_identity_grid
 
 from support import (
@@ -822,12 +827,12 @@ def test_packed_background_is_the_packing_of_the_full_form(grid, rho):
     # the packed build gives the very slots of packing the old full form, and
     # expands to the very same entries
     oh = build_omega_h(build_model(grid.n), grid, 1.3, rho)
-    full = TwoFormField(grid, _unpacked_background_entries(grid, 1.3, rho))
+    full = _unpacked_background_entries(grid, 1.3, rho)
     ops = spectral_ops(grid)
-    packed = ops.pack_j_real([full.entries[j, k] for j, k in ops.pairs])
+    packed = ops.pack_j_real([full[j, k] for j, k in ops.pairs])
     assert isinstance(oh, PackedTwoForm) and oh.n == grid.n
     assert oh.slots.dtype == packed.dtype and oh.slots.tobytes() == packed.tobytes()
-    assert np.array_equal(oh.entries, full.entries)
+    assert np.array_equal(oh.entries, full)
     assert oh.j_reality_defect() == 0.0
     # the flow uses a packed form's slots as they are
     assert FlowEngine(oh, ScalarField.zeros(grid))._packed_omega_h is oh.slots
@@ -850,9 +855,10 @@ def test_packed_background_is_the_packing_of_the_full_form(grid, rho):
 )
 def test_failing_background_reports_what_the_full_form_test_reports(grid, rho):
     # the check on the slots names the worst point and its min eigenvalue as
-    # require_strictly_positive does on the full form, in the same words
+    # the eigenvalue test of the full form does, in the same words
+    entries = _unpacked_background_entries(grid, 1.0, rho)
     with pytest.raises(PositivityError) as full:
-        require_strictly_positive(_unpacked_background_entries(grid, 1.0, rho), grid.n, 1e-10, "the background form")
+        require_positive_minimum(min_positivity_eigenvalue(entries, grid.n), 1e-10, "the background form")
     with pytest.raises(PositivityError) as packed:
         build_omega_h(build_model(grid.n), grid, 1.0, rho)
     assert packed.value.point == full.value.point is not None

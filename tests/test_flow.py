@@ -19,7 +19,6 @@ from qmaflow.fields import (
     TorusGrid,
     TrigPolySpec,
     TrigTerm,
-    TwoFormField,
     build_omega_h,
     constant_two_form_field,
     sample,
@@ -33,6 +32,7 @@ from qmaflow.flow import (
     cfl_dt,
     monitor_maximum_principle,
     normalize,
+    packed_block_terms,
     run_to_steady,
     step,
 )
@@ -40,6 +40,7 @@ from qmaflow.model import (
     block_eigenvalues,
     build_model,
     min_positivity_eigenvalue,
+    positivity_eigenvalues,
     positivity_matrix,
     standard_form,
 )
@@ -222,12 +223,12 @@ def test_packed_flow_map_matches_references(name):
     omega_upper = omega_upper.reshape((-1,) + (1,) * len(grid.shape))
     oh_upper = np.stack([oh.entries[j, k] for j, k in ops.pairs])
     form_ref = oh_upper + (s1 * omega_upper - ddj) / (n - 1)
-    form, eta = engine.form_upper(hat)
+    omt = flow_form(u, oh)
+    form, _ = ops.unpack_form(omt.slots)
     assert _rel(form, form_ref) <= 1e-12
-    assert _rel(eta, ops.s1_from_hat(hat)) <= 1e-12
     assert _rel(stage.eta, ops.s1_from_hat(hat)) <= 1e-12
 
-    pf = pfaffian(flow_form(u, oh).entries).real
+    pf = pfaffian(omt.entries).real
     rhs_ref = np.log(pf / pfaffian(standard_form(n)).real) - f.values
     assert _rel(stage.rhs, rhs_ref) <= 1e-12
     assert _rel(pfaffian(full_from_upper(form_ref, 2 * n)).real, pf) <= 1e-12
@@ -238,13 +239,51 @@ def test_slot_invariants_are_block_eigenvalue_symmetric_functions(name):
     # S_1 and S_2 read off the packed slots against e_1 and e_2 of the
     # block eigenvalues of the unpacked form
     grid, kind = PACKED_CASES[name]
-    engine = FlowEngine(_background(grid, kind, seed=31), ScalarField.zeros(grid))
-    form, _ = engine.form_upper(engine.ops.live_fft(_smooth_field(grid, 33, 0.1)))
-    s1, s2, _, _ = engine.ops.slot_terms(engine.ops.pack_j_real(form))
+    ops = spectral_ops(grid)
+    u = ScalarField(grid, _smooth_field(grid, 33, 0.1))
+    form, _ = ops.unpack_form(flow_form(u, _background(grid, kind, seed=31)).slots)
+    s1, s2, _, _ = ops.slot_terms(ops.pack_j_real(form))
     lam = block_eigenvalues(full_from_upper(form, 2 * grid.n), grid.n)
     e1 = lam.sum(axis=-1)
     assert _rel(s1, e1) <= 1e-13
     assert _rel(s2, 0.5 * (e1 * e1 - (lam * lam).sum(axis=-1))) <= 1e-13
+
+
+@pytest.mark.parametrize("name", list(PACKED_CASES))
+def test_packed_block_terms_match_the_eigensolver_pairs(name):
+    # the positivity test of every form on a grid against its oracle, the
+    # paired spectrum of the unpacked form's positivity matrix
+    grid, kind = PACKED_CASES[name]
+    n = grid.n
+    omt = flow_form(ScalarField(grid, _smooth_field(grid, 33, 0.1)), _background(grid, kind, seed=31))
+    lam_min, s1, s_n, k = packed_block_terms(spectral_ops(grid), omt.slots)
+    eig = positivity_eigenvalues(omt.entries, n)
+    paired = 0.5 * (eig[..., 0::2] + eig[..., 1::2])
+    e1 = paired.sum(axis=-1)
+    assert np.max(np.abs(lam_min - paired[..., 0])) <= 1e-12
+    assert np.max(np.abs(s1 - e1)) <= 1e-12
+    assert np.max(np.abs(s_n - paired.prod(axis=-1))) <= 1e-12
+    # kappa = sum 1 / lambda is taken from S_{n-1} / S_n for n <= 3, from
+    # the block eigenvalues themselves for n = 4
+    k_ref = {2: e1, 3: 0.5 * (e1 * e1 - (paired * paired).sum(axis=-1)), 4: paired}[n]
+    assert np.max(np.abs(k - k_ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("order", [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
+def test_packed_block_terms_of_diagonal_forms_with_two_equal_blocks(order):
+    # test_model's diagonal forms with two equal blocks, packed on a 40 x 50 grid:
+    # a double root, where the closed form's arccos costs half the digits
+    grid = TorusGrid(n=3, active_dims=(0, 6), sizes=(40, 50))
+    blocks = np.random.default_rng(12).uniform(0.5, 1.5, (2, 2000))[list(order)].reshape((3,) + grid.shape)
+    ops = spectral_ops(grid)
+    zero = np.zeros(grid.shape)
+    upper = [blocks[j // 2] if k == j + 1 and j % 2 == 0 else zero for j, k in ops.pairs]
+    lam_min, s1, s_n, k = packed_block_terms(ops, ops.pack_j_real(upper))
+    e1 = blocks.sum(axis=0)
+    assert np.max(np.abs(lam_min - blocks.min(axis=0))) <= 2e-8
+    assert np.max(np.abs(s1 - e1)) <= 1e-12
+    assert np.max(np.abs(s_n - blocks.prod(axis=0))) <= 1e-12
+    assert np.max(np.abs(k - 0.5 * (e1 * e1 - (blocks * blocks).sum(axis=0)))) <= 1e-12
 
 
 def test_packed_background_keeps_entries_with_vanishing_multipliers():
@@ -604,10 +643,10 @@ def test_flow_engine_setup_peak_is_below_two_packed_backgrounds():
     # slot, with no copy of its upper triangle (run4's 4^8 background)
     grid = TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(4,) * 8)
     packed = build_omega_h(MODEL, grid, 1.0, TrigPolySpec.single((0, 0, 0, 1, 0, 0, 1, 0), 0.02))
-    oh = TwoFormField(grid, packed.entries)
+    entries = packed.entries
     f = ScalarField.zeros(grid)
     ops = spectral_ops(grid)
-    slots, peak = traced_peak(lambda: ops.pack_j_real([oh.entries[j, k] for j, k in ops.pairs]))
+    slots, peak = traced_peak(lambda: ops.pack_j_real([entries[j, k] for j, k in ops.pairs]))
     assert peak < 2 * slots.nbytes
     # a packed background is used as it is: the engine allocates only S_1's terms
     engine, peak = traced_peak(lambda: FlowEngine(packed, f))

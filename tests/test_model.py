@@ -17,7 +17,7 @@ from qmaflow.model import (
     min_positivity_eigenvalue,
     pair_form_vector,
     positivity_matrix,
-    require_strictly_positive,
+    require_positive_minimum,
     standard_form,
 )
 from qmaflow.verify import j_real_projection, random_antisymmetric, random_j_real_positive
@@ -191,7 +191,7 @@ def test_require_strictly_positive_reports_point():
     entries[0, 1, 2, 1] = -0.25
     entries[1, 0, 2, 1] = 0.25
     with pytest.raises(PositivityError) as err:
-        require_strictly_positive(entries, 2, 0.0, "test form")
+        require_positive_minimum(min_positivity_eigenvalue(entries, 2), 0.0, "test form")
     assert err.value.point == (2, 1)
     assert err.value.min_eigenvalue == pytest.approx(-0.25, abs=1e-12)
 
@@ -212,7 +212,7 @@ def test_non_finite_entry_fails_at_its_point_without_the_eigensolver(n, bad, mon
     # neither the n = 2 closed form nor the Pfaffian reads a diagonal entry
     entries[1, 1, 2, 0] = bad
     with pytest.raises(PositivityError) as err:
-        require_strictly_positive(entries, n, 0.0, "test form")
+        require_positive_minimum(min_positivity_eigenvalue(entries, n), 0.0, "test form")
     assert err.value.point == (2, 0)
     assert math.isnan(err.value.min_eigenvalue)
     assert not is_strictly_positive(entries, n, margin=0.0)

@@ -9,13 +9,20 @@ from qmaflow.fields import (
     TorusGrid,
     TrigPolySpec,
     TrigTerm,
-    TwoFormField,
     build_omega_h,
     constant_two_form_field,
     sample,
     spectral_ops,
 )
-from qmaflow.model import apply_j_one_form, build_model, positivity_matrix, standard_form
+from qmaflow.exterior import full_from_upper
+from qmaflow.model import (
+    apply_j_one_form,
+    build_model,
+    min_positivity_eigenvalue,
+    positivity_matrix,
+    require_positive_minimum,
+    standard_form,
+)
 from qmaflow.operators import (
     apply_linearized,
     d_j,
@@ -137,8 +144,19 @@ def test_flow_form_hessian_reconstruction():
     u = random_field(RICH_GRID, seed=8, amplitude=0.1)
     omt = flow_form(u, oh)
     dd = del_del_j(u)
+    # both forms are the flow's own bundles, bit for bit, and expand to the
+    # entries of the full Hessian bundle
+    ops = spectral_ops(RICH_GRID)
+    hat = ops.live_fft(u.values)
+    assert dd.slots.tobytes() == ops.ddj_slots_from_hat(hat).tobytes()
+    assert dd.entries.tobytes() == full_from_upper(ops.ddj_upper_s1_from_hat(hat)[0], 4).tobytes()
+    assert omt.slots.tobytes() == ops.packed_form_from_hat(oh.slots, hat).tobytes()
+    # S_1 off the slots is the sum of the full form's blocks, in block order
+    for form in (dd, omt, oh):
+        blocks = sum(form.entries[2 * i, 2 * i + 1] for i in range(2))
+        assert s1_field(form).values.tobytes() == blocks.real.tobytes()
     s1_t = s1_field(omt).values
-    s1_h = s1_field(TwoFormField(RICH_GRID, oh.entries)).values
+    s1_h = s1_field(oh).values
     om = standard_form(2).reshape(4, 4, 1, 1, 1)
     recon = (oh.entries - s1_h * om + s1_t * om - omt.entries) * 1.0  # n - 1 = 1
     assert np.max(np.abs(recon - dd.entries)) < 1e-10
@@ -277,3 +295,24 @@ def test_induced_metric_determinant_identity():
     ).real
     ratio = det_u / det_flat
     assert np.max(np.abs(ratio - np.exp(2.0 * (rhs.values + f.values)))) < 1e-10
+
+
+@pytest.mark.parametrize("grid", [GRID, TorusGrid(n=3, active_dims=(0, 6), sizes=(8, 8))], ids=["n2", "n3"])
+@pytest.mark.parametrize("operator", ["apply_linearized", "induced_metric_form"])
+def test_operators_reject_an_evolving_form_outside_the_cone(grid, operator):
+    # the precondition is the flow's guard on the slots; it names the worst
+    # point in the words of the eigenvalue test of the full form
+    oh = build_omega_h(build_model(grid.n), grid, 1.0, TrigPolySpec.from_terms([TrigTerm((1, 1), 0.05)]))
+    u = sample(TrigPolySpec.from_terms([TrigTerm((1, 0), 6.0, 0.3), TrigTerm((0, 1), 3.0, 1.1)]), grid)
+    min_eig = min_positivity_eigenvalue(flow_form(u, oh).entries, grid.n)
+    with pytest.raises(PositivityError) as full:
+        require_positive_minimum(min_eig, 0.0, "the evolving form")
+    with pytest.raises(PositivityError) as err:
+        if operator == "apply_linearized":
+            apply_linearized(u, u, oh)
+        else:
+            induced_metric_form(u, oh)
+    assert err.value.point == full.value.point is not None
+    assert err.value.min_eigenvalue == pytest.approx(full.value.min_eigenvalue, rel=1e-15, abs=0.0)
+    assert err.value.min_eigenvalue < 0
+    assert str(err.value) == str(full.value)
