@@ -2,9 +2,11 @@
 
 ``_KroneckerDft`` transforms between a grid and a chosen set of modes per
 axis by one matrix product per group of adjacent axes, each group's matrix
-the Kronecker product of its axes' DFT matrices; ``fields.SpectralOps``
-uses a forward and inverse pair of them (``_kronecker_pair``) on grids of
-short axes, restricted to the modes below Nyquist.
+the Kronecker product of its axes' DFT matrices, a group closed once it
+keeps DFT_GROUP_MIN_LIVE live modes (:func:`_axis_groups`);
+``fields.SpectralOps`` uses a forward and inverse pair of them
+(``_kronecker_pair``) on grids of short axes, restricted to the modes
+below Nyquist.
 ``_hermitian_gather`` is the index that fills rfftn's half spectrum out to
 the full FFT of a real field by conjugation.
 """
@@ -15,18 +17,28 @@ import math
 
 import numpy as np
 
-DFT_GROUP_MAX_POINTS = 64  # adjacent axes fuse into DFT matrices of at most this order
+DFT_GROUP_MIN_LIVE = 8  # a group of adjacent axes closes once it keeps this many live modes
 
 
 def _axis_groups(sizes):
-    """Runs of adjacent axes whose point count stays within DFT_GROUP_MAX_POINTS."""
-    groups, points = [[]], 1
+    """Runs of adjacent axes, each closed once it keeps DFT_GROUP_MIN_LIVE live modes.
+
+    An axis of N points keeps N - 1 live modes if N is even, N if odd.  The
+    rule counts what a group's matrix keeps, not its points: 4^8 and 3^k
+    pair their axes (9 live modes of 16 or 9 points), 8x8 is one group (49
+    of 64), 8^3 and 8^4 pair their axes and 16x16 keeps one axis per group.
+    A cap on points small enough to pair 4^8's axes would split 8x8 in two.
+    A run of axes that never reaches the count, such as the whole of 2^8
+    (one live mode per axis), is one group; so are the last axes if they
+    fall short.
+    """
+    groups, live = [[]], 1
     for p, size in enumerate(sizes):
-        if groups[-1] and points * size > DFT_GROUP_MAX_POINTS:
+        if live >= DFT_GROUP_MIN_LIVE:
             groups.append([])
-            points = 1
+            live = 1
         groups[-1].append(p)
-        points *= size
+        live *= size - 1 + size % 2
     return groups
 
 
@@ -101,8 +113,8 @@ class _KroneckerDft:
     last into the caller's output, so a transform holds no array that it
     returns.  :func:`_kronecker_pair` gives the forward and inverse
     transforms of a grid one pair of buffers, since they never run at
-    once.  A transform of one group (at most DFT_GROUP_MAX_POINTS points)
-    is a single vector-matrix product.
+    once.  A transform of one group (:func:`_axis_groups`) is a single
+    vector-matrix product.
     """
 
     def __init__(self, sizes, modes, inverse: bool, scratch):

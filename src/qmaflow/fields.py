@@ -60,13 +60,13 @@ matrices never makes) can be grid-sized; the live modes' mask
 Each grid picks its transform once, from its shape.  If no axis is longer
 than DFT_MATRIX_MAX_AXIS points, every derivative and the stepper's
 transform pair use DFT matrices on the live modes (``dft._KroneckerDft``):
-adjacent axes fuse into groups of at most ``dft.DFT_GROUP_MAX_POINTS``
-points, each group's matrix is the Kronecker product of its axes' DFT
-matrices restricted to the live modes, and a transform is one matrix
-product per group, exact because every multiplier vanishes off the live
-modes.  A slot's products run in two scratch buffers, one pair that the
-forward and inverse transforms share, and the last one writes into the
-slot.  The forward transform takes
+adjacent axes fuse into groups, each closed once it keeps
+``dft.DFT_GROUP_MIN_LIVE`` live modes, each group's matrix is the
+Kronecker product of its axes' DFT matrices restricted to the live modes,
+and a transform is one matrix product per group, exact because every
+multiplier vanishes off the live modes.  A slot's products run in two
+scratch buffers, one pair that the forward and inverse transforms share,
+and the last one writes into the slot.  The forward transform takes
 a real field, so its first product is a real one: the first group's matrix
 holds each mode's cos and sin columns interleaved, and the product reads
 as complex without a copy.  An FFT library pays per call and per line of
@@ -78,6 +78,15 @@ slot.  The full transforms run on numpy.fft on every grid; the FFT of a
 real field is rfftn's half spectrum filled out by conjugation
 (``dft._hermitian_gather``, built by the first such FFT: a flow on DFT
 matrices never takes one), so it is Hermitian exactly, not just to rounding.
+
+One reduction needs no transform: the squared norm of the z-bar gradient
+of a real field, which the flow reports as ``max_beta`` every step, is a
+sum of squared first derivatives along the active real axes, and a first
+derivative along one axis is a small real matrix acting along it, the
+periodic Fourier differentiation matrix (:func:`differentiation_matrix`,
+Nyquist mode zeroed).  ``SpectralOps.zbar_gradient_norm2`` applies it to
+the field's samples, one matrix product per axis, for a field on the live
+modes, as the flow's state is.
 """
 
 from __future__ import annotations
@@ -96,6 +105,9 @@ from .model import TorusModel, j_reality_defect, j_tables, require_positive_mini
 
 PERIOD = 2.0 * np.pi
 DFT_MATRIX_MAX_AXIS = 32  # grids with no longer axis transform by live-mode DFT matrices
+# an axis whose points times those of the axes after it are at most this
+# many is differentiated by one product with a Kronecker matrix of that order
+DERIVATIVE_KRON_MAX_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -324,6 +336,22 @@ def sample(spec: TrigPolySpec, grid: TorusGrid) -> ScalarField:
 # -- spectral calculus ----------------------------------------------------
 
 
+def differentiation_matrix(size: int):
+    """The real periodic Fourier differentiation matrix of an axis of ``size`` points.
+
+    D @ u is du/dx at the grid points of an axis, as the multiplier i k on
+    the modes below Nyquist gives it (the Nyquist mode zeroed, as every
+    multiplier's is).  Built from that multiplier; it is Trefethen's D_N
+    (Spectral Methods in MATLAB, SIAM 2000, ch. 3): 1/2 (-1)^(j-k) cot((j-k)
+    h / 2) off the diagonal for even ``size``, 1/2 (-1)^(j-k) csc((j-k) h / 2)
+    for odd, h = 2 pi / size, and zero on the diagonal up to rounding; the
+    zero matrix for two points.
+    """
+    k = np_fft.fftfreq(size) * size
+    k[2 * np.arange(size) == size] = 0.0  # Nyquist
+    return np_fft.ifft(1j * k[:, None] * np_fft.fft(np.eye(size), axis=0), axis=0).real
+
+
 def _nonzero_rows(stack):
     """(rows, their multipliers, len(stack)): the rows of a multiplier stack that are not zero.
 
@@ -357,8 +385,9 @@ class SpectralOps:
     the one slot layout of :meth:`pack_j_real`, which :meth:`unpack_form`,
     :meth:`slot_terms` and :meth:`quaternion_slots` read.  :meth:`live_fft` and
     :meth:`live_ifft_real` are the step pair, and ``s1_live`` is the S_1
-    multiplier the step solves with.  :meth:`zbar_gradient_norm2_from_hat`
-    reduces the z-bar gradient to its squared norm one derivative at a time.
+    multiplier the step solves with.  :meth:`zbar_gradient_norm2` reduces
+    the z-bar gradient of a real field on the live modes to its squared
+    norm from its samples, one differentiation-matrix product per axis.
     One instance serves a grid (:func:`spectral_ops`), so every method
     returns new arrays, none of them sharing memory with the transforms'
     scratch buffers.
@@ -735,18 +764,20 @@ class SpectralOps:
         entries, _, _, _, imag_blocks = self._form_layout
         c = len(entries)
         blocks = [*packed[c:].real, *packed[c : c + len(imag_blocks)].imag]
-        s1, s2 = blocks[0], 0.0
-        for b in blocks[1:]:
-            s2 = s2 + b * s1
+        s1, s2 = blocks[0], None
+        for b in blocks[1:]:  # n >= 2 blocks, n (n - 1) >= 2 pair slots
+            s2 = b * s1 if s2 is None else s2 + b * s1
             s1 = s1 + b
-        w = np.zeros_like(s1)
-        norm = square = None  # one buffer each, reused for every pair slot
+        w = norm = square = None  # the first pair's norm starts w; the others share one buffer
         for p in packed[:c]:
             norm = np.multiply(p.real, p.real, out=norm)
             square = np.multiply(p.imag, p.imag, out=square)
             norm += square
             s2 -= norm
-            w += norm
+            if w is None:
+                w, norm = norm, None
+            else:
+                w += norm
         return s1, s2, blocks, w
 
     def quaternion_slots(self, packed):
@@ -769,24 +800,75 @@ class SpectralOps:
         """
         return self._live_rows(self._zbar_rows, hat)
 
-    def zbar_gradient_norm2_from_hat(self, hat):
-        """sum_a |u_{abar}|^2 at every grid point, the squared norm of the z-bar gradient.
+    @cached_property
+    def _half_derivatives(self):
+        """Half of each active real axis's differentiation matrix, as the operand of one product.
 
-        ``hat`` must be the live-mode vector of a real field.  The
-        derivatives are transformed one at a time into one grid array, and
-        the squares of their real and of their imaginary parts are summed
-        apart, in the order of ``a``, then added: the same numbers as the
-        sum over the stack of :meth:`zbar_gradient_batched_from_hat`, which
-        is never held.
+        (real, imag): the axes of the coordinates x^d with d < 2n, whose
+        half derivatives are the real parts of the z-bar derivatives, and
+        those with d >= 2n, their imaginary parts, each in axis order.  An
+        entry (shape, matrix, left) multiplies the grid, reshaped to
+        ``shape``, by ``matrix`` from the left if ``left``, else from the
+        right.  For axis p of N points with A points on the axes before it
+        and B after: the last axis (B = 1), and any axis with N B at most
+        DERIVATIVE_KRON_MAX_ORDER, take (A, N B) times kron(D, I_B)^T, one
+        product of a wide array; the others take D times (A, N, B), one
+        small product per leading index.  Built on first read; each matrix
+        holds at most max(N, DERIVATIVE_KRON_MAX_ORDER)^2 floats.
         """
-        slot = np.empty(self.grid.shape, dtype=complex)
-        part = slot.reshape(-1).view(float)  # (re, im) of every point, in pairs
-        sums = np.zeros(len(part))
-        for mult in self._zbar_rows[1]:
-            self._ifft_into(mult * hat, slot)
-            part *= part
-            sums += part
-        return (sums[0::2] + sums[1::2]).reshape(self.grid.shape)
+        sizes = self.grid.sizes
+        parts = ([], [])
+        for p, (size, dim) in enumerate(zip(sizes, self.grid.active_dims)):
+            half = 0.5 * differentiation_matrix(size)
+            before, after = math.prod(sizes[:p]), math.prod(sizes[p + 1 :])
+            if after == 1 or size * after <= DERIVATIVE_KRON_MAX_ORDER:
+                product = ((before, size * after), np.kron(half, np.eye(after)).T.copy(), False)
+            else:
+                product = ((before, size, after), half, True)
+            parts[dim >= 2 * self.n].append(product)
+        return parts
+
+    def zbar_gradient_norm2(self, values):
+        """sum_a |u_{abar}|^2 at every grid point, the squared norm of the z-bar gradient of a real field.
+
+        For real u, u_{abar} = (d_a u + i d_{2n+a} u) / 2, so the sum is
+        that of (d u / dx / 2)^2 over the active real axes, each half
+        derivative one matrix product on the grid (``_half_derivatives``)
+        and no transform.  The squares of the real parts' axes are summed
+        in axis order, then the imaginary parts', and the two sums added,
+        the order of a sum over the z-bar derivatives.  ``values`` must be
+        a field on the live modes: a differentiation matrix zeroes the
+        Nyquist mode as every multiplier does, but it reads position space,
+        where content on a mode with a Nyquist index on one axis reaches the
+        derivative along another.  On such a field (the flow's state, whose
+        start is checked to be below Nyquist and whose every update is
+        projected there) this is the spectral norm of
+        :meth:`zbar_gradient_batched_from_hat`'s stack to rounding.
+        """
+        values = np.asarray(values, dtype=float)
+        # one scratch block: the field less its first sample, so that a
+        # constant differentiates to exactly zero, a square and a second sum
+        shifted, part, second = np.empty((3,) + self.grid.shape)
+        np.subtract(values, values.flat[0], out=shifted)
+
+        def add_squares(products, total):
+            """Sum the squared half derivatives of ``products`` into ``total``; False if there is none."""
+            for k, (shape, matrix, left) in enumerate(products):
+                out = part if k else total
+                operands = (matrix, shifted.reshape(shape)) if left else (shifted.reshape(shape), matrix)
+                np.matmul(*operands, out=out.reshape(shape))
+                out *= out
+                if k:
+                    total += part
+            return bool(products)
+
+        real, imag = self._half_derivatives
+        result = np.empty(self.grid.shape)
+        if not add_squares(real, result):
+            add_squares(imag, result)
+        elif add_squares(imag, second):
+            result += second
+        return result
 
     # -- diagnostics ----------------------------------------------------
 

@@ -47,8 +47,11 @@ smallest block eigenvalue comes in closed form too, from the trigonometric
 solution of the cubic about its mean root (``model.triple_eigenvalues``).
 For n = 4 the slots are unpacked for ``model.block_eigenvalues``, whose
 block eigenvalues give the guard, S_n and kappa.  No Pfaffian is computed.  The per-step diagnostics take
-``max_beta``, the largest sum_a |u_{abar}|^2, one z-bar derivative at a time
-(``SpectralOps.zbar_gradient_norm2_from_hat``), never as the gradient stack.  The guard decides by
+``max_beta``, the largest sum_a |u_{abar}|^2, from the state's samples by
+one differentiation-matrix product per active real axis
+(``SpectralOps.zbar_gradient_norm2``), with no transform and never as the
+gradient stack; the state is a field on the live modes, so it is the
+spectral norm to rounding.  The guard decides by
 ``model.failing_point``, the rule every positivity check shares: a point
 fails unless its smallest block eigenvalue is > margin, so NaN fails.  A
 state that passes the guard but whose right-hand side is not finite (S_n
@@ -197,7 +200,7 @@ def packed_block_terms(ops, packed):
     """
     if ops.n == 2:
         s1, s_n, a, w = ops.slot_terms(packed)
-        (lam_min,) = pair_eigenvalues(a, w, count=1)
+        (lam_min,) = pair_eigenvalues(a, w, s1, count=1)
         return lam_min, s1, s_n, s1
     if ops.n == 3:
         a, z, s = ops.quaternion_slots(packed)
@@ -298,7 +301,7 @@ class FlowEngine:
             dt=state.dt,
             sup_abs_ut=max(rhs_max, -rhs_min),
             osc_u=float(state.u.values.max() - state.u.values.min()),
-            max_beta=float(self.ops.zbar_gradient_norm2_from_hat(stage.hat).max()),
+            max_beta=float(self.ops.zbar_gradient_norm2(state.u.values).max()),
             max_eta=max(float(stage.eta.max()), -float(stage.eta.min())),
             min_eig_omega_tilde=stage.min_eig,
             osc_ut=rhs_max - rhs_min,

@@ -174,17 +174,17 @@ def positivity_eigenvalues(entries, n: int):
     return np.linalg.eigvalsh(m)
 
 
-def pair_eigenvalues(a, w, count: int = 2):
+def pair_eigenvalues(a, w, s1, count: int = 2):
     """The lowest ``count`` of the n = 2 block pair (lo, hi), the roots of lambda^2 - S_1 lambda + S_2.
 
-    ``a`` holds the two blocks and ``w`` the squared norm |z|^2 + |s|^2 of
+    ``a`` holds the two blocks, ``w`` the squared norm |z|^2 + |s|^2 of
     the one off-diagonal quaternion (:func:`quaternion_entries`,
-    :func:`quaternion_norms`).  The roots are (S_1 -+ disc) / 2 with
+    :func:`quaternion_norms`) and ``s1`` the sum a[0] + a[1], which the
+    flow's guard already holds.  The roots are (S_1 -+ disc) / 2 with
     disc^2 = (a_0 - a_1)^2 + 4 w, which is S_1^2 - 4 S_2 taken about the
     mean root: the difference of squares cancels near a double root, and
     this sum of squares does not.
     """
-    s1 = a[0] + a[1]
     disc = np.asarray(a[0] - a[1])
     disc *= disc
     disc += 4.0 * w
@@ -290,7 +290,7 @@ def block_eigenvalues(entries, n: int):
     if n in (2, 3):
         a, z, s = quaternion_entries(entries, n)
         if n == 2:
-            return np.stack(pair_eigenvalues(a, quaternion_norms(z, s)[0]), axis=-1)
+            return np.stack(pair_eigenvalues(a, quaternion_norms(z, s)[0], a[0] + a[1]), axis=-1)
         return np.stack(triple_eigenvalues(a, *triple_terms(z, s)), axis=-1)
     eig = positivity_eigenvalues(entries, n)
     return 0.5 * (eig[..., 0::2] + eig[..., 1::2])

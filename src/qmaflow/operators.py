@@ -109,10 +109,13 @@ def gradient_energy(u: ScalarField) -> ScalarField:
 
     Equals sum_a |u_{z^a}|^2 = sum_a |u_{abar}|^2 for real u; nonnegative,
     zero exactly where du vanishes.  It is the reduction whose maximum the
-    flow reports as ``max_beta`` (``SpectralOps.zbar_gradient_norm2_from_hat``).
+    flow reports as ``max_beta`` (``SpectralOps.zbar_gradient_norm2``, one
+    differentiation-matrix product per active real axis).  Precondition:
+    ``u`` is a field on the live modes, with no content on a mode with a
+    Nyquist index, as every band-limited sample and the flow's state are;
+    there it equals the spectral norm of the z-bar gradient to rounding.
     """
-    ops = spectral_ops(u.grid)
-    return ScalarField(u.grid, ops.zbar_gradient_norm2_from_hat(ops.live_fft(u.values)))
+    return ScalarField(u.grid, spectral_ops(u.grid).zbar_gradient_norm2(u.values))
 
 
 def gradient_energy_wedge(u: ScalarField) -> ScalarField:

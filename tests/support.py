@@ -107,11 +107,36 @@ def stacked_rows(ops, nonzero_rows, hat, inverse=stacked_inverse):
 
 
 def stacked_gradient_norm2(ops, hat, inverse=stacked_inverse):
-    """sum_a |u_{abar}|^2 from the whole z-bar gradient stack, real and imaginary squares summed apart."""
+    """sum_a |u_{abar}|^2 from the whole z-bar gradient stack, real and imaginary squares summed apart.
+
+    The spectral oracle: every derivative is a transform of ``hat``.
+    """
     g = stacked_rows(ops, ops._zbar_rows, hat, inverse)
     v = g.reshape(len(g), -1).view(float)
     sums = np.einsum("ij,ij->j", v, v)
     return (sums[0::2] + sums[1::2]).reshape(ops.grid.shape)
+
+
+def stacked_axis_gradient_norm2(ops, values):
+    """sum_a |u_{abar}|^2 from the stacks of every half axis derivative of a real field.
+
+    Each derivative is made with ``ops``'s matrices and products
+    (``SpectralOps._half_derivatives``) from the field less its first
+    sample; the squares of each stack, the real parts' axes and then the
+    imaginary parts', are summed in axis order and the two sums added.
+    """
+    shifted = values - values.flat[0]
+    sums = []
+    for products in ops._half_derivatives:
+        stack = [
+            (matrix @ shifted.reshape(shape) if left else shifted.reshape(shape) @ matrix).reshape(ops.grid.shape)
+            for shape, matrix, left in products
+        ]
+        total = 0.0
+        for d in stack:
+            total = total + d * d
+        sums.append(total)
+    return sums[0] + sums[1]
 
 
 # -- the wedge that derives its structural tables on every call -----------------

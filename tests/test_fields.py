@@ -14,7 +14,7 @@ from scipy import fft as sp_fft
 import qmaflow
 from qmaflow import fields
 
-from qmaflow.dft import _KroneckerDft
+from qmaflow.dft import _KroneckerDft, _axis_groups
 from qmaflow.errors import PositivityError, SpecValidationError
 from qmaflow.exterior import full_from_upper
 from qmaflow.fields import (
@@ -26,6 +26,7 @@ from qmaflow.fields import (
     TrigPolySpec,
     TrigTerm,
     build_omega_h,
+    differentiation_matrix,
     sample,
     spectral_ops,
 )
@@ -43,6 +44,7 @@ from support import (
     full_grid_multipliers,
     full_mixed_hessian,
     per_slot_inverse,
+    stacked_axis_gradient_norm2,
     stacked_gradient_norm2,
     stacked_inverse,
     stacked_live_fft,
@@ -434,7 +436,27 @@ DFT_GRIDS = {
     "identity-n3": default_identity_grid(3),
     "n2-z0-5x7": TorusGrid(n=2, active_dims=(0, 4), sizes=(5, 7)),
     "n2-2x8x6": TorusGrid(n=2, active_dims=(0, 1, 4), sizes=(2, 8, 6)),
+    "3^8": TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(3,) * 8),
 }
+
+
+@pytest.mark.parametrize(
+    "sizes, groups",
+    [
+        ((4,) * 8, [[0, 1], [2, 3], [4, 5], [6, 7]]),
+        ((3,) * 12, [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11]]),
+        ((4,) * 5, [[0, 1], [2, 3], [4]]),
+        ((8, 8), [[0, 1]]),
+        ((16, 16), [[0], [1]]),
+        ((8,) * 3, [[0, 1], [2]]),
+        ((2,) * 8, [list(range(8))]),
+    ],
+    ids=["4^8", "3^12", "4^5", "8x8", "16x16", "8^3", "2^8"],
+)
+def test_dft_groups_close_at_eight_live_modes(sizes, groups):
+    # a group closes once its axes keep 8 live modes (N - 1 of an even axis
+    # of N points, N of an odd one); 2-point axes keep one each
+    assert _axis_groups(sizes) == groups
 
 
 @pytest.mark.parametrize("name", list(DFT_GRIDS))
@@ -471,6 +493,51 @@ def test_dft_matrix_backend_matches_scipy_fft(name, monkeypatch):
     for a in range(2 * grid.n):
         _close(ops.partial_z(u, a), ref.partial_z(u, a))
         _close(ops.partial_zbar(z, a), ref.partial_zbar(z, a))
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5, 8, 9, 16, 31, 32, 64, 512])
+def test_differentiation_matrix_is_trefethens(size):
+    # Spectral Methods in MATLAB, ch. 3: the periodic Fourier differentiation
+    # matrix, cot for even sizes (Nyquist mode zeroed) and csc for odd ones
+    h = 2 * np.pi / size
+    j = np.subtract.outer(np.arange(size), np.arange(size))
+    off = j != 0
+    angle = np.where(off, j * h / 2, 1.0)
+    edge = 1 / np.tan(angle) if size % 2 == 0 else 1 / np.sin(angle)
+    expected = np.where(off, 0.5 * (-1.0) ** j * edge, 0.0)
+    matrix = differentiation_matrix(size)
+    assert matrix.dtype == float and matrix.shape == (size, size)
+    assert np.max(np.abs(matrix - expected)) < 1e-13 * max(1.0, np.max(np.abs(expected)))
+    if size == 2:
+        assert np.max(np.abs(matrix)) < 1e-15
+
+
+NORM_GRIDS = {
+    "n2-4^8": TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(4,) * 8),
+    "n2-3^8": TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(3,) * 8),
+    "n2-z0-16x16": TorusGrid(n=2, active_dims=(0, 4), sizes=(16, 16)),
+    "n3-z0-8x8": TorusGrid(n=3, active_dims=(0, 6), sizes=(8, 8)),
+    "n2-z0-64x64": TorusGrid(n=2, active_dims=(0, 4), sizes=(64, 64)),
+    "n2-z0-128x128": TorusGrid(n=2, active_dims=(0, 4), sizes=(128, 128)),
+    "identity-n2": default_identity_grid(2),
+    "identity-n3": default_identity_grid(3),
+}
+
+
+@pytest.mark.parametrize("name", list(NORM_GRIDS))
+def test_gradient_norm_from_matrices_equals_the_spectral_norm(name):
+    # on a field on the live modes the axis products give the transforms'
+    # sum_a |u_{abar}|^2; a constant adds nothing beyond the rounding of the
+    # shifted samples, and alone differentiates to exactly zero
+    grid = NORM_GRIDS[name]
+    ops = SpectralOps(grid)
+    u = ops.live_ifft_real(ops.live_fft(np.random.default_rng(23).standard_normal(grid.shape)))
+    spectral = stacked_gradient_norm2(ops, ops.live_fft(u))
+    norm2 = ops.zbar_gradient_norm2(u)
+    assert norm2.shape == grid.shape and norm2.dtype == float
+    assert np.max(np.abs(norm2 - spectral)) < 1e-13 * np.max(spectral)
+    assert np.max(np.abs(ops.zbar_gradient_norm2(u + 1e3) - norm2)) < 1e-11 * np.max(norm2)
+    assert np.all(ops.zbar_gradient_norm2(np.full(grid.shape, 2.5)) == 0.0)
 
 
 def _held_arrays(value):
@@ -535,7 +602,10 @@ def test_slot_by_slot_bundles_equal_the_stacked_transforms(name):
     assert np.array_equal(ops.ddj_slots_from_hat(hat), ddj)
     assert np.array_equal(ops.packed_form_from_hat(base, hat), stacked_rows(ops, ops._form_rows, hat, inverse) + base)
     assert np.array_equal(ops.zbar_gradient_batched_from_hat(hat), stacked_rows(ops, ops._zbar_rows, hat, inverse))
-    assert np.array_equal(ops.zbar_gradient_norm2_from_hat(hat), stacked_gradient_norm2(ops, hat, inverse))
+    live_u = ops.live_ifft_real(hat)  # the norm reads position space: a field on the live modes
+    norm2 = ops.zbar_gradient_norm2(live_u)
+    assert np.array_equal(norm2, stacked_axis_gradient_norm2(ops, live_u))
+    assert np.max(np.abs(norm2 - stacked_gradient_norm2(ops, hat, inverse))) < 1e-13 * np.max(norm2)
     assert np.array_equal(ops.z_gradient_from_hat(hat), inverse(ops, ops._z * hat))
 
 
@@ -549,7 +619,7 @@ def test_bundle_outputs_share_no_memory(name):
         lambda: ops.packed_form_from_hat(base, hat),
         lambda: ops.ddj_slots_from_hat(hat),
         lambda: ops.zbar_gradient_batched_from_hat(hat),
-        lambda: ops.zbar_gradient_norm2_from_hat(hat),
+        lambda: ops.zbar_gradient_norm2(u),
         lambda: ops.z_gradient_from_hat(hat),
         lambda: ops.mixed_hessian_from_hat(hat),
         lambda: ops.live_ifft_real(hat),

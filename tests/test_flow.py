@@ -52,7 +52,7 @@ from qmaflow.verify import (
     random_j_real_positive,
 )
 
-from support import full_grid_multipliers, stacked_gradient_norm2, traced_peak
+from support import full_grid_multipliers, stacked_axis_gradient_norm2, stacked_gradient_norm2, traced_peak
 
 GRID = TorusGrid(n=2, active_dims=(0, 4), sizes=(16, 16))
 MODEL = build_model(2)
@@ -654,8 +654,9 @@ def test_flow_engine_setup_peak_is_below_two_packed_backgrounds():
 
 
 def test_diagnostics_never_hold_the_gradient_stack():
-    # max_beta adds sum_a |u_{abar}|^2 up one derivative at a time: on 4^8 the
-    # row peaks below one 4-slot gradient stack, with the numbers of the stack
+    # max_beta adds sum_a |u_{abar}|^2 up one axis derivative at a time: on
+    # 4^8 the row peaks below one 4-slot gradient stack, with the numbers of
+    # the stacked axis derivatives and, to rounding, of the spectral stack
     grid = TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(4,) * 8)
     prob = build_manufactured(
         TrigPolySpec.from_terms([TrigTerm((1, 0, 0, 0, 0, 0, 0, 0), 0.05), TrigTerm((0, 1, 0, 0, 0, 1, 0, 1), 0.03)]),
@@ -668,7 +669,9 @@ def test_diagnostics_never_hold_the_gradient_stack():
     state = FlowState(prob.u_star, 0.0, 0.1, 0)
     record, peak = traced_peak(lambda: engine.diagnostics(state, stage))
     assert peak < 4 * 2**20
-    assert record.max_beta == float(stacked_gradient_norm2(engine.ops, stage.hat).max()) > 0
+    assert record.max_beta == float(stacked_axis_gradient_norm2(engine.ops, state.u.values).max()) > 0
+    spectral = float(stacked_gradient_norm2(engine.ops, stage.hat).max())
+    assert abs(record.max_beta - spectral) < 1e-14 * spectral
 
 
 # -- maximum-principle monitor ----------------------------------------------------
