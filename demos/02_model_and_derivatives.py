@@ -35,7 +35,7 @@ u = sample(TrigPolySpec.from_terms([TrigTerm((1, 0), 1.0)]), grid)
 
 ops = spectral_ops(grid)
 x0 = grid.coordinates()[0]
-dz0 = ops.partial_z(u.values, 0)
+dz0 = ops.z_gradient_from_hat(ops.live_fft(u.values))[0]
 print("\nd/dz0 cos(x0) vs -sin(x0)/2:", np.max(np.abs(dz0 + 0.5 * np.sin(x0))))
 
 hl = half_laplacian(u)

@@ -47,12 +47,18 @@ of its block eigenvalues, are real polynomials in its slots
 quaternionic Hermitian matrix: every pair slot is one off-diagonal entry
 of it, so the blocks and the off-diagonal quaternions are read off without
 unpacking (``SpectralOps.quaternion_slots``, which the n = 3 flow map
-takes its closed forms from).  Every multiplier
-is held on the live modes only: the first derivatives as (2n, live)
-stacks, S_1's as a live-mode vector and the slot multipliers as packed
-stacks, each built on the live indices of each axis, never on the full
-grid.  Only the index tables of the full transforms, built by the first
-full transform of a real field, and the live modes' flat indices
+takes its closed forms from).  Every multiplier lives on the live modes
+only, built on the live indices of each axis, never on the full grid, and
+is a small expression in the per-axis wavenumbers: d/dz^a is
+(ik_a + k_{2n+a})/2, on the two axes of x^a and x^{2n+a}, and a Hessian
+slot a difference of products of two of those.  Only the flow's stacks
+are kept: the form bundle's slot multipliers, which every flow evaluation
+reads, and S_1's live-mode vector.  The first derivatives are kept as
+their per-axis factors and the Hessian as products of two of them, and
+each row of those bundles is made when its turn comes, as small as its
+factors until it meets the live-mode vector.  Only the index tables of
+the full transforms, built by the first full transform of a real field,
+and the live modes' flat indices
 (``SpectralOps._live_index``, built on first read, which a flow on DFT
 matrices never makes) can be grid-sized; the live modes' mask
 (``SpectralOps.below_nyquist``) is built when read and not kept.
@@ -352,16 +358,6 @@ def differentiation_matrix(size: int):
     return np_fft.ifft(1j * k[:, None] * np_fft.fft(np.eye(size), axis=0), axis=0).real
 
 
-def _nonzero_rows(stack):
-    """(rows, their multipliers, len(stack)): the rows of a multiplier stack that are not zero.
-
-    The multipliers are ``stack`` itself when every row is live, else a copy
-    of the live rows.
-    """
-    rows = np.flatnonzero(np.any(stack, axis=1))
-    return rows, stack if len(rows) == len(stack) else stack[rows], len(stack)
-
-
 def _max_abs(arrays):
     """The largest magnitude over a sequence of arrays, taken one array at a time; NaN if any is."""
     return float(np.max([np.max(np.abs(a)) for a in arrays]))
@@ -370,11 +366,21 @@ def _max_abs(arrays):
 class SpectralOps:
     """Fourier-multiplier derivatives for one grid and one model dimension.
 
-    Precomputes the holomorphic/antiholomorphic first-derivative multipliers
-    and the packed slot multipliers of the quaternionic Hessian and of the
-    flow's evolving form, every one of them zero off the modes below
-    Nyquist and held on the live modes only.  Every
-    derivative is a live-mode bundle (one-row for a single one), on DFT
+    Keeps what a flow reads: the packed slot multipliers of the flow's
+    evolving form (``_form_rows``, its non-zero slots stacked on the live
+    modes), S_1's multiplier ``s1_live``, the spectral tail's mask, the
+    slot layout and the transforms.  Of the other multipliers it keeps
+    only the per-axis factors of the first derivatives (``_dz`` and
+    ``_dzbar``, each on at most two axes), the Hessian's products of two
+    of them (``_ddj_terms``, at most four axes) and the indices of the
+    non-zero z-bar rows and Hessian slots.  The bundles that read them
+    (:meth:`z_gradient_from_hat`, :meth:`zbar_gradient_batched_from_hat`,
+    :meth:`mixed_hessian_from_hat` and :meth:`ddj_slots_from_hat`) make each
+    row from those factors when its turn comes, on at most the axes its
+    factors span, so no (2n, live) stack and no packed Hessian stack is
+    held; a row's numbers do not depend on how far it is broadcast.  Every
+    multiplier is zero off the modes below Nyquist.  Every derivative is a
+    live-mode bundle, on DFT
     matrices or numpy.fft as the module's rule picks, and so is the step
     pair; :meth:`fft` and :meth:`ifft` are the full transforms, on
     numpy.fft for every grid, and :meth:`fft` of a real field is exactly
@@ -398,33 +404,30 @@ class SpectralOps:
         self.n = grid.n
         # per axis, the indices below Nyquist: the live modes are their product
         self._live_axes = [np.flatnonzero(2 * np.arange(size) != size) for size in grid.sizes]
-        self._live_count = math.prod(len(live) for live in self._live_axes)
+        self._live_shape = tuple(len(live) for live in self._live_axes)
+        self._live_count = math.prod(self._live_shape)
         self._live_dft = None  # DFT matrices on the live modes, in the order of _live_index
         if max(grid.sizes) <= DFT_MATRIX_MAX_AXIS:
             self._live_dft, self._live_idft = _kronecker_pair(grid.sizes, self._live_axes)
         m = 2 * self.n
-        # d/dz^a -> (ik_a + k_{2n+a})/2,  d/dzbar^a -> (ik_a - k_{2n+a})/2
-        self._z = self._live_stack([0.5 * (self._ik(a) + (-1j) * self._ik(m + a)) for a in range(m)])
-        self._zbar = self._live_stack([0.5 * (self._ik(a) - (-1j) * self._ik(m + a)) for a in range(m)])
+        # d/dz^a -> (ik_a + k_{2n+a})/2,  d/dzbar^a -> (ik_a - k_{2n+a})/2, each on
+        # the axes of x^a and x^{2n+a} only, broadcast over the others
+        self._dz = [0.5 * (self._ik(a) + (-1j) * self._ik(m + a)) for a in range(m)]
+        self._dzbar = [0.5 * (self._ik(a) - (-1j) * self._ik(m + a)) for a in range(m)]
+        self._zbar_live = [a for a, mult in enumerate(self._dzbar) if np.any(mult)]
+        # dj_k u_{j sigma(k)bar} for j != k: a product of two factors, on at
+        # most four axes, of which the Hessian's entries are differences
+        t = j_tables(self.n)
+        self._ddj_terms = [
+            [None if j == k else t.dj_sign[k] * self._dz[j] * self._dzbar[t.sigma[k]] for k in range(m)] for j in range(m)
+        ]
         self.pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
         # (ik + k')(ik - k') / 4: the cross terms are the same two products, so
         # the imaginary part cancels exactly
-        self.s1_live = sum(self._z[a] * self._zbar[a] for a in range(m)).real.copy()
+        s1 = sum(dz * dzbar for dz, dzbar in zip(self._dz, self._dzbar))
+        self.s1_live = np.ascontiguousarray(np.broadcast_to(s1.real, self._live_shape)).reshape(-1)
         self._tail_live = self._build_tail_live()
-        self._build_slot_tables(j_tables(self.n))
-        self._zbar_rows = _nonzero_rows(self._zbar)
-
-    def _live_stack(self, mults):
-        """Multipliers on the live modes, stacked flat in the order of ``_live_index``.
-
-        Each multiplier is given on the live indices of each axis, broadcast
-        over the axes it does not vary on.
-        """
-        shape = tuple(len(live) for live in self._live_axes)
-        stack = np.empty((len(mults),) + shape, dtype=complex)
-        for row, mult in zip(stack, mults):
-            row[...] = mult
-        return stack.reshape(len(mults), -1)
+        self._build_slot_tables(t)
 
     def _build_slot_tables(self, t):
         """The one packed slot layout, and the Hessian and form multipliers on it.
@@ -455,13 +458,7 @@ class SpectralOps:
         with x^0 and x^4 active reaches blocks 0 and 2) and cost it a slot.
         """
 
-        z, zb = self._z, self._zbar
-
-        def ddj_mult(e):
-            # (ddj u)_{jk} = dj_k u_{j sigma(k)bar} - dj_j u_{k sigma(j)bar}, on the live modes
-            j, k = self.pairs[e]
-            return t.dj_sign[k] * z[j] * zb[t.sigma[k]] - t.dj_sign[j] * z[k] * zb[t.sigma[j]]
-
+        ddj_mult = self._ddj_mult
         index = {pair: e for e, pair in enumerate(self.pairs)}
         blocks = [index[(j, int(t.sigma[j]))] for j in range(0, 2 * self.n, 2)]
         pairs = []  # (entry, partner, sign) of every partner pair, entry < partner
@@ -469,7 +466,7 @@ class SpectralOps:
             partner = index.get((int(t.sigma[j]), int(t.sigma[k])))  # None for a block
             if e not in blocks and e < partner:
                 pairs.append((e, partner, int(t.form_sign[j] * t.form_sign[k])))
-        eta = sum(ddj_mult(e) for e in blocks)  # S_1 of the Hessian
+        eta = sum(ddj_mult(e) for e in blocks)  # S_1 of the Hessian, one live row of scratch
         block_set = set(blocks)
 
         def form_mult(e):
@@ -483,9 +480,15 @@ class SpectralOps:
         signs = signs.astype(float).reshape((-1,) + (1,) * len(self.grid.shape))
         real_blocks, imag_blocks = np.array(blocks[0::2]), np.array(blocks[1::2])
         self._form_layout = (entries, partners, signs, real_blocks, imag_blocks)
-        # each multiplier is made as its slot is packed, and dropped after it
-        self._ddj_rows = _nonzero_rows(self._pack(ddj_mult, z.shape[1:]))
-        self._form_rows = _nonzero_rows(self._pack(form_mult, z.shape[1:]))
+        slots = range(len(entries) + len(real_blocks))
+        self._ddj_live = [c for c in slots if np.any(self._slot(ddj_mult, c))]
+        # the form's rows, which every flow evaluation reads, are the one stack
+        # kept; each is made as its turn comes
+        rows = [c for c in slots if np.any(self._slot(form_mult, c))]
+        stack = np.empty((len(rows),) + self._live_shape, dtype=complex)
+        for row, c in zip(stack, rows):
+            row[...] = self._slot(form_mult, c)
+        self._form_rows = (rows, stack, len(slots))
         # block b sits in slot len(pairs) + b // 2, in the real part iff b is even;
         # a dead Hessian block that shares a live slot would read rounding there,
         # and so would the empty imaginary part after an odd number of blocks
@@ -496,18 +499,31 @@ class SpectralOps:
         by_part = list(real_blocks) + list(imag_blocks)  # the order quaternion_slots reads them in
         self._block_order = np.array([by_part.index(index[(b, b + 1)]) for b in range(0, 2 * self.n, 2)])
 
-    def _pack(self, entry, shape):
-        """The slots of the layout, from ``entry(e)``, the value of entry e, taken one at a time."""
+    def _ddj_mult(self, e):
+        """The multiplier of Hessian entry e, on the axes of its coordinates only.
+
+        (ddj u)_{jk} = dj_k u_{j sigma(k)bar} - dj_j u_{k sigma(j)bar}, the
+        difference of two of ``_ddj_terms``.
+        """
+        j, k = self.pairs[e]
+        return self._ddj_terms[j][k] - self._ddj_terms[k][j]
+
+    def _slot(self, entry, c):
+        """Slot c of the layout, from ``entry(e)``, the value of entry e.
+
+        A pair slot is its entry's value; a block slot is a new array of
+        the shape its blocks broadcast to.
+        """
         entries, _, _, real_blocks, imag_blocks = self._form_layout
-        c = len(entries)
-        slots = np.zeros((c + len(real_blocks),) + tuple(shape), dtype=complex)
-        for slot, e in zip(slots, entries):
-            slot[...] = entry(e)
-        for slot, e in zip(slots[c:], real_blocks):
-            slot.real = np.real(entry(e))
-        for slot, e in zip(slots[c:], imag_blocks):
-            slot.imag = np.real(entry(e))
-        return slots
+        b = c - len(entries)
+        if b < 0:
+            return entry(entries[c])
+        parts = [np.real(entry(e)) for e in (real_blocks[b], *imag_blocks[b : b + 1])]
+        slot = np.zeros(np.broadcast(*parts).shape, dtype=complex)
+        slot.real = parts[0]
+        if len(parts) > 1:
+            slot.imag = parts[1]
+        return slot
 
     def _ik(self, real_dim: int):
         """i k along a real coordinate on the live indices of its axis, 0 if inactive."""
@@ -524,8 +540,8 @@ class SpectralOps:
     def _live_index(self):
         """The live modes' flat indices in the grid, ascending: row-major over their product.
 
-        Built on first read.  Only the numpy.fft gathers and scatters and
-        the one-derivative methods read it; on a grid of odd axes it is the
+        Built on first read.  Only the numpy.fft gathers and scatters read
+        it; on a grid of odd axes it is the
         whole grid, and a flow on DFT matrices never builds it.
         """
         return np.ravel_multi_index(np.ix_(*self._live_axes), self.grid.shape).reshape(-1)
@@ -579,7 +595,8 @@ class SpectralOps:
     def _ifft_into(self, spectrum, out):
         """Inverse transform of a spectrum given on the live modes, into the grid array ``out``.
 
-        ``out`` is complex and C-contiguous; it is returned.  Every spectrum
+        The spectrum is a live-mode vector, or one shaped by the live
+        indices of each axis.  ``out`` is complex and C-contiguous; it is returned.  Every spectrum
         vanishes off the live modes, as every multiplier times a spectrum
         does: the DFT matrices read the live modes only, numpy.fft transforms
         them scattered into a zero grid.
@@ -587,27 +604,25 @@ class SpectralOps:
         if self._live_dft is not None:
             return self._live_idft(spectrum, out)
         full = np.zeros(self.grid.num_points, dtype=complex)
-        full[self._live_index] = spectrum
+        full[self._live_index] = spectrum.reshape(-1)
         return np_fft.ifftn(full.reshape(self.grid.shape), out=out)
 
-    def _bundle(self, stack, hat, out):
-        """Inverse transforms of each live multiplier of ``stack`` times ``hat``, into the slots of ``out``.
+    def _bundle(self, mults, hat, out):
+        """Inverse transforms of each multiplier of ``mults`` times ``hat``, into the slots of ``out``.
 
-        One slot at a time: each slot's multiplier is applied to ``hat`` as
-        its turn comes, so no stack of products is held.
+        One slot at a time: each slot's multiplier, on the live indices of
+        each axis and broadcast over the axes it does not vary on, is
+        applied to ``hat`` as its turn comes, so no stack of products is
+        held; ``mults`` may make each one as its turn comes, too.
         """
-        for mult, slot in zip(stack, out):
+        hat = hat.reshape(self._live_shape)
+        for mult, slot in zip(mults, out):
             self._ifft_into(mult * hat, slot)
         return out
 
     def _new_stack(self, size, zero=False):
         """A complex stack of ``size`` grid arrays, zero if asked."""
         return (np.zeros if zero else np.empty)((size,) + self.grid.shape, dtype=complex)
-
-    def _derivative(self, row, values):
-        """One live multiplier, a one-row stack, applied to a real or complex field."""
-        hat = self.fft(values).reshape(-1)[self._live_index]
-        return self._bundle(row, hat, self._new_stack(1))[0]
 
     def live_fft(self, values):
         """The live-mode vector of a real field: its FFT on the live modes.
@@ -638,17 +653,9 @@ class SpectralOps:
 
     # -- first derivatives ---------------------------------------------
 
-    def partial_x(self, values, real_dim: int):
-        return self._derivative(self._live_stack([self._ik(real_dim)]), values)
-
-    def partial_z(self, values, a: int):
-        return self._derivative(self._z[a : a + 1], values)
-
-    def partial_zbar(self, values, a: int):
-        return self._derivative(self._zbar[a : a + 1], values)
-
     def z_gradient_from_hat(self, hat):
-        return self._bundle(self._z, hat, self._new_stack(len(self._z)))
+        """u_a for a = 0..2n-1, stacked on a leading axis; ``hat`` as for every bundle."""
+        return self._bundle(self._dz, hat, self._new_stack(len(self._dz)))
 
     # -- second derivatives ---------------------------------------------
 
@@ -661,9 +668,9 @@ class SpectralOps:
         """
         m = 2 * self.n
         entries = [(a, b) for a in range(m) for b in range(a, m)]
-        z, zb = self._z, self._zbar
+        dz, dzbar = self._dz, self._dzbar
         H = np.empty((m, m) + self.grid.shape, dtype=complex)
-        self._bundle([z[a] * zb[b] for a, b in entries], hat, [H[a, b] for a, b in entries])
+        self._bundle((dz[a] * dzbar[b] for a, b in entries), hat, [H[a, b] for a, b in entries])
         for a in range(m):
             for b in range(a):
                 H[a, b] = np.conj(H[b, a])
@@ -673,15 +680,14 @@ class SpectralOps:
         """Trace of the mixed Hessian (half the model Laplacian), real part."""
         return self.live_ifft_real(self.s1_live * hat)
 
-    def _live_rows(self, nonzero_rows, hat):
-        """The bundle of a stack of ``size`` multipliers, from ``_nonzero_rows(stack)``.
+    def _live_rows(self, rows, mults, size, hat):
+        """The bundle of ``size`` multipliers, of which only those of ``rows``, ``mults``, are not zero.
 
-        Only the ``rows`` whose multiplier is not zero are transformed, into
-        their slots of the output (see ``_bundle``); the others come out zero.
+        Only those rows are transformed, into their slots of the output (see
+        ``_bundle``); the others come out zero.
         """
-        rows, stack, size = nonzero_rows
         out = self._new_stack(size, zero=len(rows) < size)
-        self._bundle(stack, hat, [out[row] for row in rows])
+        self._bundle(mults, hat, [out[row] for row in rows])
         return out
 
     def ddj_upper_s1_from_hat(self, hat):
@@ -703,7 +709,8 @@ class SpectralOps:
         hold no live Hessian block are zero, as :meth:`pack_j_real` leaves
         them, not rounding.
         """
-        slots = self._live_rows(self._ddj_rows, hat)
+        rows, size = self._ddj_live, self._form_rows[2]  # size: the layout's slot count
+        slots = self._live_rows(rows, (self._slot(self._ddj_mult, c) for c in rows), size, hat)
         slots.real[self._ddj_dead_parts[0]] = 0.0
         slots.imag[self._ddj_dead_parts[1]] = 0.0
         return slots
@@ -725,7 +732,10 @@ class SpectralOps:
         )
         if not defect <= 1e-12 * _max_abs(upper):
             raise SpecValidationError(f"the background form is not J-real (defect {defect:.3e})")
-        return self._pack(upper.__getitem__, np.shape(upper[0]))
+        slots = np.zeros((len(entries) + len(real_blocks),) + np.shape(upper[0]), dtype=complex)
+        for c, slot in enumerate(slots):
+            slot[...] = self._slot(upper.__getitem__, c)
+        return slots
 
     def packed_form_from_hat(self, packed_base, hat):
         """``packed_base`` plus the packed (S_1(ddj u) Omega - ddj u) / (n - 1).
@@ -734,7 +744,7 @@ class SpectralOps:
         live-mode vector of a real field.  Only the slots with a non-zero
         multiplier are transformed, and the base is added into their output.
         """
-        slots = self._live_rows(self._form_rows, hat)
+        slots = self._live_rows(*self._form_rows, hat)
         slots += packed_base
         return slots
 
@@ -798,7 +808,8 @@ class SpectralOps:
         ``hat`` must be the live-mode vector of a real field; entries whose
         multiplier vanishes on the grid are zero and not transformed.
         """
-        return self._live_rows(self._zbar_rows, hat)
+        rows = self._zbar_live
+        return self._live_rows(rows, [self._dzbar[a] for a in rows], len(self._dzbar), hat)
 
     @cached_property
     def _half_derivatives(self):

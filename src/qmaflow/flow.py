@@ -165,13 +165,14 @@ class _Stage:
     """One evaluation of the flow map: right-hand side, guards, worst point.
 
     ``rhs`` is set whenever the guard passed; ``ok`` is False if it is not
-    finite there.
+    finite there.  ``extrema`` holds (max u, min u, max rhs, min rhs) of an
+    evaluation that passed, the numbers its finiteness was tested on.
     """
 
-    __slots__ = ("ok", "rhs", "min_eig", "kappa", "eta", "hat", "point")
+    __slots__ = ("ok", "rhs", "min_eig", "kappa", "eta", "hat", "point", "extrema")
 
     def __init__(
-        self, ok, rhs=None, min_eig=math.nan, kappa=math.nan, eta=None, hat=None, point=None
+        self, ok, rhs=None, min_eig=math.nan, kappa=math.nan, eta=None, hat=None, point=None, extrema=None
     ):
         self.ok = ok
         self.rhs = rhs
@@ -180,6 +181,7 @@ class _Stage:
         self.eta = eta
         self.hat = hat
         self.point = point
+        self.extrema = extrema
 
 
 def packed_block_terms(ops, packed):
@@ -246,10 +248,12 @@ class FlowEngine:
         Runs on the packed J-real slots of the form.  The right-hand side is
         log S_n - f, S_n = Pf(omega_tilde) / Pf(Omega) the product of the
         block eigenvalues (Pf(Omega) = 1); the guard, S_1 and S_n come from
-        :func:`packed_block_terms`.
+        :func:`packed_block_terms`.  u and the right-hand side are finite iff
+        their extrema are: NaN reaches both, an infinity one of them.
         """
         self.evaluations += 1
-        if not np.all(np.isfinite(u_values)):
+        u_max, u_min = float(u_values.max()), float(u_values.min())
+        if not (math.isfinite(u_max) and math.isfinite(u_min)):
             return _Stage(ok=False)
         if hat is None:
             hat = self.ops.live_fft(u_values)
@@ -260,12 +264,13 @@ class FlowEngine:
         if point is not None:
             return _Stage(ok=False, min_eig=min_eig, point=point)
         rhs = np.log(s_n) - self.f
-        if not np.all(np.isfinite(rhs)):
+        rhs_max, rhs_min = float(rhs.max()), float(rhs.min())
+        if not (math.isfinite(rhs_max) and math.isfinite(rhs_min)):
             return _Stage(ok=False, rhs=rhs, min_eig=min_eig)
         # kappa = sum of reciprocal block eigenvalues = S_{n-1} / S_n
         kappa = float((k / s_n if self.n <= 3 else (1.0 / k).sum(axis=-1)).max())
         # S_1(Omega) = n, so S_1 of the form grows by exactly S_1(ddj u)
-        return _Stage(True, rhs, min_eig, kappa, s1 - self._s1_omega_h, hat)
+        return _Stage(True, rhs, min_eig, kappa, s1 - self._s1_omega_h, hat, extrema=(u_max, u_min, rhs_max, rhs_min))
 
     def evaluate_or_raise(self, u_values, what: str) -> _Stage:
         """:meth:`evaluate`, raising PositivityError naming the worst point.
@@ -294,13 +299,14 @@ class FlowEngine:
         return self.sigma * stage.min_eig / S1_UNIT_SYMBOL
 
     def diagnostics(self, state: FlowState, stage: _Stage) -> DiagnosticsRecord:
-        rhs_max, rhs_min = float(stage.rhs.max()), float(stage.rhs.min())
+        """The record of ``state``; ``stage`` is the evaluation at ``state.u``, whose extrema it reads."""
+        u_max, u_min, rhs_max, rhs_min = stage.extrema
         return DiagnosticsRecord(
             step=state.step_count,
             t=state.t,
             dt=state.dt,
             sup_abs_ut=max(rhs_max, -rhs_min),
-            osc_u=float(state.u.values.max() - state.u.values.min()),
+            osc_u=u_max - u_min,
             max_beta=float(self.ops.zbar_gradient_norm2(state.u.values).max()),
             max_eta=max(float(stage.eta.max()), -float(stage.eta.min())),
             min_eig_omega_tilde=stage.min_eig,

@@ -1,5 +1,5 @@
-"""Helpers shared by the tests: full-grid multiplier oracles, traced memory peaks, stacked and
-per-slot transforms and the per-call wedge."""
+"""Helpers shared by the tests: full-grid multiplier oracles, traced memory peaks, the bundles'
+multipliers stacked, stacked and per-slot transforms and the per-call wedge."""
 
 import tracemalloc
 
@@ -41,8 +41,11 @@ def full_mixed_hessian(ops, values):
     return np.array([[np.fft.ifftn(za * zb * spectrum) for zb in zbar] for za in z])
 
 
-def traced_peak(fn):
-    """``fn()`` and the peak of the memory tracemalloc traced during it, above its start, in bytes."""
+def traced(fn):
+    """``fn()``, the peak of the memory tracemalloc traced during it and what it held at its end.
+
+    Both are in bytes above the memory traced at its start.
+    """
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -50,11 +53,17 @@ def traced_peak(fn):
         tracemalloc.reset_peak()
         start, _ = tracemalloc.get_traced_memory()
         out = fn()
-        _, peak = tracemalloc.get_traced_memory()
+        end, peak = tracemalloc.get_traced_memory()
     finally:
         if not tracing:
             tracemalloc.stop()
-    return out, peak - start
+    return out, peak - start, end - start
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory tracemalloc traced during it, above its start, in bytes."""
+    out, peak, _ = traced(fn)
+    return out, peak
 
 
 # -- the stacked transforms: every slot of a bundle in one transform -----------------
@@ -98,6 +107,32 @@ def stacked_live_fft(ops, values):
     return hat
 
 
+def live_rows(ops, kind):
+    """(rows, multipliers, size) of the bundle ``kind`` of ``ops``, its multipliers stacked on the live modes.
+
+    ``kind`` is "z" or "zbar" (the first derivatives), "ddj" (the Hessian's
+    packed slots) or "form" (the flow's); only the ``rows`` of the
+    ``size`` of a bundle whose multiplier is not zero are listed, each made
+    by ``ops``'s own expression and stacked flat, in the order of the
+    live-mode vector.  ``ops`` keeps only the form's stack.
+    """
+    m = 2 * ops.n
+    if kind == "form":
+        rows, stack, size = ops._form_rows
+        return rows, stack.reshape(len(rows), -1), size
+    if kind == "z":
+        rows, mults, size = range(m), ops._dz, m
+    elif kind == "zbar":
+        rows, mults, size = ops._zbar_live, [ops._dzbar[a] for a in ops._zbar_live], m
+    else:
+        rows, size = ops._ddj_live, ops._form_rows[2]
+        mults = [ops._slot(ops._ddj_mult, c) for c in rows]
+    stack = np.empty((len(rows), ops._live_count), dtype=complex)
+    for row, mult in zip(stack, mults):
+        row[...] = np.broadcast_to(mult, ops._live_shape).reshape(-1)
+    return list(rows), stack, size
+
+
 def stacked_rows(ops, nonzero_rows, hat, inverse=stacked_inverse):
     """A bundle from ``(rows, multipliers, size)``: the stack of products by ``inverse``, zero elsewhere."""
     rows, stack, size = nonzero_rows
@@ -111,7 +146,7 @@ def stacked_gradient_norm2(ops, hat, inverse=stacked_inverse):
 
     The spectral oracle: every derivative is a transform of ``hat``.
     """
-    g = stacked_rows(ops, ops._zbar_rows, hat, inverse)
+    g = stacked_rows(ops, live_rows(ops, "zbar"), hat, inverse)
     v = g.reshape(len(g), -1).view(float)
     sums = np.einsum("ij,ij->j", v, v)
     return (sums[0::2] + sums[1::2]).reshape(ops.grid.shape)

@@ -12,7 +12,7 @@ import pytest
 from scipy import fft as sp_fft
 
 import qmaflow
-from qmaflow import fields
+from qmaflow import cli, fields
 
 from qmaflow.dft import _KroneckerDft, _axis_groups
 from qmaflow.errors import PositivityError, SpecValidationError
@@ -43,12 +43,14 @@ from qmaflow.verify import default_identity_grid
 from support import (
     full_grid_multipliers,
     full_mixed_hessian,
+    live_rows,
     per_slot_inverse,
     stacked_axis_gradient_norm2,
     stacked_gradient_norm2,
     stacked_inverse,
     stacked_live_fft,
     stacked_rows,
+    traced,
     traced_peak,
 )
 
@@ -112,12 +114,12 @@ def test_band_limit_enforced(grid):
 def test_partial_z_cosine(grid):
     u = field_from(grid, lambda x0, x4: np.cos(x0))
     ops = spectral_ops(grid)
-    dz0 = ops.partial_z(u.values, 0)
+    dz = ops.z_gradient_from_hat(ops.live_fft(u.values))
     x0 = grid.coordinates()[0]
-    assert np.max(np.abs(dz0 - (-0.5 * np.sin(x0)))) < 1e-13
+    assert np.max(np.abs(dz[0] - (-0.5 * np.sin(x0)))) < 1e-13
     # independent of the other complex directions
-    assert np.max(np.abs(ops.partial_z(u.values, 1))) == 0.0
-    assert np.max(np.abs(ops.partial_z(u.values, 2))) == 0.0
+    assert np.max(np.abs(dz[1])) == 0.0
+    assert np.max(np.abs(dz[2])) == 0.0
 
 
 def test_partial_z_plus_zbar_is_real_derivative(grid):
@@ -134,10 +136,15 @@ def test_partial_z_plus_zbar_is_real_derivative(grid):
         ]
     )
     u = sample(spec, grid)
-    ops = spectral_ops(grid)
-    dx0 = ops.partial_x(u.values, 0)
-    dz_sum = ops.partial_z(u.values, 0) + ops.partial_zbar(u.values, 0)
-    assert np.max(np.abs(dx0 - dz_sum)) < 1e-12
+    # d/dx^0 of a cosine term, exactly: -k_0 a sin(<k, x> + p) = k_0 a cos(<k, x> + p + pi / 2)
+    dx0 = sample(TrigPolySpec.from_terms([TrigTerm(t.k, t.k[0] * t.amplitude, t.phase + np.pi / 2) for t in spec.terms]), grid)
+    assert np.max(np.abs(dx0.values - _partial_x0(spectral_ops(grid), u.values))) < 1e-12
+
+
+def _partial_x0(ops, values):
+    """d/dx^0 of a real field, d/dz^0 + d/dzbar^0, from the two gradient bundles."""
+    hat = ops.live_fft(values)
+    return ops.z_gradient_from_hat(hat)[0] + ops.zbar_gradient_batched_from_hat(hat)[0]
 
 
 def test_spectral_vs_finite_difference_second_order():
@@ -149,7 +156,7 @@ def test_spectral_vs_finite_difference_second_order():
         g = TorusGrid(n=2, active_dims=(0, 4), sizes=(size, size))
         u = sample(spec, g)
         ops = spectral_ops(g)
-        spectral = ops.partial_x(u.values, 0).real
+        spectral = _partial_x0(ops, u.values).real
         h = g.spacings[0]
         fd = (np.roll(u.values, -1, axis=0) - np.roll(u.values, 1, axis=0)) / (2 * h)
         errors.append(np.max(np.abs(fd - spectral)))
@@ -158,12 +165,16 @@ def test_spectral_vs_finite_difference_second_order():
 
 
 def test_mixed_partials_commute(grid):
-    rng = np.random.default_rng(5)
+    # the two orders of single derivatives on the full grid agree, and with
+    # the Hessian bundle's one multiplier
     u = field_from(grid, lambda x0, x4: np.cos(2 * x0 + x4) + 0.3 * np.sin(x4))
     ops = spectral_ops(grid)
-    a = ops.partial_z(ops.partial_zbar(u.values, 0), 0)
-    b = ops.partial_zbar(ops.partial_z(u.values, 0), 0)
+    z, zbar, _ = full_grid_multipliers(ops)
+    spectrum = ops.fft(u.values)
+    a = np.fft.ifftn(z[0] * np.fft.fftn(np.fft.ifftn(zbar[0] * spectrum)))
+    b = np.fft.ifftn(zbar[0] * np.fft.fftn(np.fft.ifftn(z[0] * spectrum)))
     assert np.max(np.abs(a - b)) < 1e-12
+    assert np.max(np.abs(ops.mixed_hessian_from_hat(ops.live_fft(u.values))[0, 0] - a)) < 1e-12
 
 
 def test_product_rule_for_resolved_products(grid):
@@ -172,8 +183,12 @@ def test_product_rule_for_resolved_products(grid):
     f = sample(f_spec, grid)
     g = sample(g_spec, grid)
     ops = spectral_ops(grid)
-    lhs = ops.partial_z(f.values * g.values, 0)
-    rhs = f.values * ops.partial_z(g.values, 0) + g.values * ops.partial_z(f.values, 0)
+
+    def dz0(values):
+        return ops.z_gradient_from_hat(ops.live_fft(values))[0]
+
+    lhs = dz0(f.values * g.values)
+    rhs = f.values * dz0(g.values) + g.values * dz0(f.values)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -270,7 +285,7 @@ def test_packed_bundle_partner_signs_match_multipliers(name):
     block_slots = itertools.zip_longest(real_blocks, imag_blocks)
     slots = [[e] for e in entries] + [[a] if b is None else [a, b] for a, b in block_slots]
     live = [c for c, members in enumerate(slots) if any(np.any(mults[e]) for e in members)]
-    assert list(ops._ddj_rows[0]) == live
+    assert list(ops._ddj_live) == live
     live_pairs = sum(bool(np.any(mults[e])) for e in entries)
     live_blocks = sum(bool(np.any(mults[e])) for e in blocks)
     assert len(live) == live_pairs + math.ceil(live_blocks / 2)
@@ -287,8 +302,9 @@ def test_zbar_gradient_batched_matches_partial_zbar(name):
     batched = ops.zbar_gradient_batched_from_hat(ops.live_fft(u))
     assert batched.shape == (2 * grid.n,) + grid.shape
     _, zbar, _ = full_grid_multipliers(ops)
+    spectrum = ops.fft(u)
     for a in range(2 * grid.n):
-        single = ops.partial_zbar(u, a)
+        single = np.fft.ifftn(zbar[a] * spectrum)
         if not np.any(zbar[a]):
             assert np.all(batched[a] == 0) and np.all(single == 0)
         assert np.max(np.abs(batched[a] - single)) <= 1e-13 * max(np.max(np.abs(single)), 1.0)
@@ -335,7 +351,7 @@ def _matches_scipy_fft(ops, u):
     projected = ops.below_nyquist * sp_fft.fftn(u)
     z, _, s1_mult = full_grid_multipliers(ops)
     _close(ops.s1_from_hat(live), sp_fft.ifftn(s1_mult * projected).real)
-    _close(ops.partial_z(u, 0), sp_fft.ifftn(z[0] * projected))
+    _close(ops.z_gradient_from_hat(live)[0], sp_fft.ifftn(z[0] * projected))
 
 
 # grids with an axis longer than DFT_MATRIX_MAX_AXIS keep numpy.fft; the
@@ -489,10 +505,6 @@ def test_dft_matrix_backend_matches_scipy_fft(name, monkeypatch):
     _close(ops.z_gradient_from_hat(hat), ref.z_gradient_from_hat(hat))
     _close(ops.mixed_hessian_from_hat(hat), ref.mixed_hessian_from_hat(hat))
     _close(ops.s1_from_hat(hat), ref.s1_from_hat(hat))
-    _close(ops.partial_x(u, grid.active_dims[0]), ref.partial_x(u, grid.active_dims[0]))
-    for a in range(2 * grid.n):
-        _close(ops.partial_z(u, a), ref.partial_z(u, a))
-        _close(ops.partial_zbar(z, a), ref.partial_zbar(z, a))
 
 
 @pytest.mark.parametrize("size", [2, 3, 4, 5, 8, 9, 16, 31, 32, 64, 512])
@@ -596,17 +608,17 @@ def test_slot_by_slot_bundles_equal_the_stacked_transforms(name):
     inverse = per_slot_inverse if name == "n2-8x8-one-group" else stacked_inverse
     assert np.array_equal(hat, stacked_live_fft(ops, u))
     assert np.array_equal(ops.live_ifft_real(hat), stacked_inverse(ops, hat[None])[0].real)
-    ddj = stacked_rows(ops, ops._ddj_rows, hat, inverse)
+    ddj = stacked_rows(ops, live_rows(ops, "ddj"), hat, inverse)
     ddj.real[ops._ddj_dead_parts[0]] = 0.0
     ddj.imag[ops._ddj_dead_parts[1]] = 0.0
     assert np.array_equal(ops.ddj_slots_from_hat(hat), ddj)
-    assert np.array_equal(ops.packed_form_from_hat(base, hat), stacked_rows(ops, ops._form_rows, hat, inverse) + base)
-    assert np.array_equal(ops.zbar_gradient_batched_from_hat(hat), stacked_rows(ops, ops._zbar_rows, hat, inverse))
+    assert np.array_equal(ops.packed_form_from_hat(base, hat), stacked_rows(ops, live_rows(ops, "form"), hat, inverse) + base)
+    assert np.array_equal(ops.zbar_gradient_batched_from_hat(hat), stacked_rows(ops, live_rows(ops, "zbar"), hat, inverse))
     live_u = ops.live_ifft_real(hat)  # the norm reads position space: a field on the live modes
     norm2 = ops.zbar_gradient_norm2(live_u)
     assert np.array_equal(norm2, stacked_axis_gradient_norm2(ops, live_u))
     assert np.max(np.abs(norm2 - stacked_gradient_norm2(ops, hat, inverse))) < 1e-13 * np.max(norm2)
-    assert np.array_equal(ops.z_gradient_from_hat(hat), inverse(ops, ops._z * hat))
+    assert np.array_equal(ops.z_gradient_from_hat(hat), stacked_rows(ops, live_rows(ops, "z"), hat, inverse))
 
 
 @pytest.mark.parametrize("name", ["n2-4^8", "n2-8x8-one-group", "n2-z0-64x64"])
@@ -624,7 +636,6 @@ def test_bundle_outputs_share_no_memory(name):
         lambda: ops.mixed_hessian_from_hat(hat),
         lambda: ops.live_ifft_real(hat),
         lambda: ops.live_fft(u),
-        lambda: ops.partial_zbar(u, 0),
     ]
     for call in calls:
         first, second = call(), call()
@@ -707,6 +718,51 @@ def test_spectral_ops_keeps_no_grid_sized_array():
     assert np.array_equal(ops._live_index, np.flatnonzero(mask))
 
 
+def _manufactured_config(grid, rho_k):
+    """A run config of a manufactured problem on ``grid`` with a background rho."""
+    first = [1] + [0] * (len(grid.sizes) - 1)
+    return {
+        "n": grid.n,
+        "grid": {"active_dims": list(grid.active_dims), "sizes": list(grid.sizes)},
+        "omega_h": {"c": 1.0, "rho": [{"k": rho_k, "amplitude": 0.02}]},
+        "f": {"manufactured": {"u_star": [{"k": first, "amplitude": 0.05}]}},
+        "tol_steady": 1e-6,
+        "t_max": 100.0,
+    }
+
+
+@pytest.mark.parametrize(
+    "grid, rho_k",
+    [(SLOT_GRIDS["n2-4^8"], [0, 0, 0, 1, 0, 0, 1, 0]), (default_identity_grid(3), [0, 1, 0, 0, 1])],
+    ids=["4^8", "n3-identity"],
+)
+def test_a_flow_setup_keeps_no_derivative_or_hessian_stack(grid, rho_k, tmp_path, monkeypatch):
+    # the setup reads the Hessian bundle (rho's) and the flow reads the form's
+    # rows: of the complex multipliers only the form's rows reach the live
+    # modes' count; the first derivatives and the Hessian are kept as factors
+    # and products of two factors, on at most four axes
+    monkeypatch.setattr(fields, "_SPECTRAL_CACHE", {})
+    omega_h, f, _ = cli._build_problem(cli.RunConfig.from_json(_manufactured_config(grid, rho_k), tmp_path))
+    ops = FlowEngine(omega_h, f).ops
+    rows, stack, _ = ops._form_rows
+    assert stack.shape == (len(rows),) + ops._live_shape
+    held = [a for name, value in vars(ops).items() if name not in ("_live_dft", "_live_idft") for a in _held_arrays(value)]
+    multipliers = [a for a in held if a.dtype == complex and a is not stack]
+    assert multipliers and max(a.size for a in multipliers) < ops._live_count
+    assert ops.s1_live.shape == (ops._live_count,) and ops.s1_live.flags.c_contiguous
+
+
+def test_spectral_ops_retains_the_flows_stacks_and_little_else():
+    # a fresh SpectralOps of run4's 4^8 grid keeps the form's rows, S_1's
+    # multiplier, the tail mask and the DFT scratch; everything else (the
+    # DFT matrices, the first-derivative factors, the Hessian's products,
+    # the tables) is small beside one live row
+    ops, _, retained = traced(lambda: SpectralOps(SLOT_GRIDS["n2-4^8"]))
+    flow = ops._form_rows[1].nbytes + ops.s1_live.nbytes + ops._tail_live.nbytes
+    flow += sum(buf.nbytes for buf in ops._live_dft._scratch)
+    assert retained < flow + 128 * 1024
+
+
 @pytest.mark.parametrize("sizes", [(4, 4), (5, 4)], ids=["4x4", "5x4"])
 def test_every_multiplier_vanishes_on_nyquist_modes(sizes):
     # one Nyquist rule: a mode with a Nyquist index on any even axis is
@@ -723,24 +779,25 @@ def test_every_multiplier_vanishes_on_nyquist_modes(sizes):
     for mult in mults:
         assert np.all(np.broadcast_to(mult, grid.shape)[nyquist] == 0)
     assert any(np.any(mult) for mult in mults)
-    # the batched stacks hold the live modes only
+    # the multipliers are held, or made, on the live modes only
     assert len(ops._live_index) == np.count_nonzero(~nyquist)
-    for _, stack, _ in (ops._ddj_rows, ops._form_rows, ops._zbar_rows):
+    for kind in ("z", "zbar", "ddj", "form"):
+        _, stack, _ = live_rows(ops, kind)
         assert stack.shape[1:] == (len(ops._live_index),) and np.any(stack)
 
     x0, x1 = grid.coordinates()
     hidden = np.cos(x0) * np.cos(2 * x1)  # Nyquist index on axis 1
-    for dim in (0, 1):
-        assert np.all(ops.partial_x(hidden, dim) == 0)
     # a live-mode vector has no entry for a Nyquist mode: hidden's is zero
     live = ops.fft(hidden).reshape(-1)[ops._live_index]
     assert np.all(live == 0) and np.max(np.abs(ops.live_fft(hidden))) < 1e-14
     upper, s1 = ops.ddj_upper_s1_from_hat(live)
     assert np.all(upper == 0) and np.all(s1 == 0)
+    # so are its derivatives along x^0 and x^1, d/dz^a + d/dzbar^a for a = 0, 1
+    assert np.all(ops.z_gradient_from_hat(live) == 0)
     assert np.all(ops.zbar_gradient_batched_from_hat(live) == 0)
     k = (sizes[0] - 1) // 2  # the highest live wavenumber on axis 0
     seen = np.cos(k * x0) * np.cos(x1)
-    assert np.max(np.abs(ops.partial_x(seen, 0) + k * np.sin(k * x0) * np.cos(x1))) < 1e-13
+    assert np.max(np.abs(_partial_x0(ops, seen) + k * np.sin(k * x0) * np.cos(x1))) < 1e-13
 
 
 def test_dft_matrix_grids_never_load_scipy():

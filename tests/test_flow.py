@@ -383,6 +383,25 @@ def test_step_stiffness_error_after_max_halvings():
         engine.step(state, stage)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_evaluation_tests_finiteness_by_extrema(bad):
+    # NaN reaches both extrema and an infinity one of them: a non-finite u is
+    # rejected before the form is built, a non-finite right-hand side after;
+    # a finite evaluation keeps the extrema its diagnostics read
+    u = np.zeros(GRID.shape)
+    u[2, 3] = bad
+    engine = FlowEngine(omega_field(), ScalarField.zeros(GRID))
+    stage = engine.evaluate(u)
+    assert not stage.ok and stage.rhs is None and stage.extrema is None
+    f = np.zeros(GRID.shape)
+    f[2, 3] = bad
+    stage = FlowEngine(omega_field(), ScalarField(GRID, f)).evaluate(np.zeros(GRID.shape))
+    assert not stage.ok and stage.rhs is not None and stage.extrema is None
+    u = sample(TrigPolySpec.single((1, 1), 0.1), GRID).values
+    stage = engine.evaluate(u)
+    assert stage.ok and stage.extrema == (u.max(), u.min(), stage.rhs.max(), stage.rhs.min())
+
+
 def test_non_finite_right_hand_side_fails_a_start_and_rejects_a_trial_step():
     # the flat start passes the guard, but log S_n - f is not finite at one
     # point: the initial state raises a SpecValidationError naming it, while
