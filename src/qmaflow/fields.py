@@ -41,13 +41,16 @@ into one output: each slot's multiplier meets the live-mode vector as its
 turn comes, and the slot's transform is written straight into its place,
 so a bundle holds its output, one slot's spectrum and its transform's
 scratch buffers, and no stack of products or of intermediate results.
-S_1 and S_2 of a packed form, the first two elementary symmetric functions
-of its block eigenvalues, are real polynomials in its slots
-(``SpectralOps.slot_terms``).  The slots also hold the form as a
-quaternionic Hermitian matrix: every pair slot is one off-diagonal entry
-of it, so the blocks and the off-diagonal quaternions are read off without
-unpacking (``SpectralOps.quaternion_slots``, which the n = 3 flow map
-takes its closed forms from).  Every multiplier lives on the live modes
+The slots hold the form as a quaternionic Hermitian matrix: every pair
+slot is one off-diagonal entry of it, and every block the real or
+imaginary part of a block slot, so the blocks and the off-diagonal
+quaternions are read off as views, without unpacking
+(``SpectralOps.quaternion_slots``, the one reader of them).  The flow's
+guard, S_1, S_n and S_{n-1} (``model.quaternion_terms``), the background's
+S_1 and ``operators.s1_field`` all take them from there; S_1 is the sum of
+the blocks in block order.  The layout itself stays inside ``SpectralOps``:
+other modules read its slot count (``SpectralOps.slot_count``) and these
+views.  Every multiplier lives on the live modes
 only, built on the live indices of each axis, never on the full grid, and
 is a small expression in the per-axis wavenumbers: d/dz^a is
 (ik_a + k_{2n+a})/2, on the two axes of x^a and x^{2n+a}, and a Hessian
@@ -60,8 +63,7 @@ factors until it meets the live-mode vector.  Only the index tables of
 the full transforms, built by the first full transform of a real field,
 and the live modes' flat indices
 (``SpectralOps._live_index``, built on first read, which a flow on DFT
-matrices never makes) can be grid-sized; the live modes' mask
-(``SpectralOps.below_nyquist``) is built when read and not kept.
+matrices never makes) can be grid-sized.
 
 Each grid picks its transform once, from its shape.  If no axis is longer
 than DFT_MATRIX_MAX_AXIS points, every derivative and the stepper's
@@ -107,7 +109,7 @@ from numpy import fft as np_fft  # numpy loads its fft lazily; do it at import
 from .dft import _hermitian_gather, _kronecker_pair
 from .errors import SpecValidationError
 from .exterior import full_from_upper
-from .model import TorusModel, j_reality_defect, j_tables, require_positive_minimum
+from .model import TorusModel, block_sum, j_reality_defect, j_tables, require_positive_minimum
 
 PERIOD = 2.0 * np.pi
 DFT_MATRIX_MAX_AXIS = 32  # grids with no longer axis transform by live-mode DFT matrices
@@ -386,10 +388,11 @@ class SpectralOps:
     numpy.fft for every grid, and :meth:`fft` of a real field is exactly
     Hermitian.  "from_hat" methods and :meth:`spectral_tail` take the
     live-mode vector of a real field (:meth:`live_fft`) and return
-    position-space arrays.  The packed :meth:`ddj_upper_s1_from_hat` is the
+    position-space arrays.  :meth:`ddj_slots_from_hat` is the packed
     Hessian transform and :meth:`packed_form_from_hat` the flow's; both use
-    the one slot layout of :meth:`pack_j_real`, which :meth:`unpack_form`,
-    :meth:`slot_terms` and :meth:`quaternion_slots` read.  :meth:`live_fft` and
+    the one slot layout of :meth:`pack_j_real`, ``slot_count`` slots, which
+    :meth:`unpack_form` expands and :meth:`quaternion_slots` reads as blocks
+    and quaternions.  :meth:`live_fft` and
     :meth:`live_ifft_real` are the step pair, and ``s1_live`` is the S_1
     multiplier the step solves with.  :meth:`zbar_gradient_norm2` reduces
     the z-bar gradient of a real field on the live modes to its squared
@@ -480,7 +483,8 @@ class SpectralOps:
         signs = signs.astype(float).reshape((-1,) + (1,) * len(self.grid.shape))
         real_blocks, imag_blocks = np.array(blocks[0::2]), np.array(blocks[1::2])
         self._form_layout = (entries, partners, signs, real_blocks, imag_blocks)
-        slots = range(len(entries) + len(real_blocks))
+        self.slot_count = len(entries) + len(real_blocks)
+        slots = range(self.slot_count)
         self._ddj_live = [c for c in slots if np.any(self._slot(ddj_mult, c))]
         # the form's rows, which every flow evaluation reads, are the one stack
         # kept; each is made as its turn comes
@@ -488,16 +492,15 @@ class SpectralOps:
         stack = np.empty((len(rows),) + self._live_shape, dtype=complex)
         for row, c in zip(stack, rows):
             row[...] = self._slot(form_mult, c)
-        self._form_rows = (rows, stack, len(slots))
+        self._form_rows = (rows, stack)
         # block b sits in slot len(pairs) + b // 2, in the real part iff b is even;
         # a dead Hessian block that shares a live slot would read rounding there,
         # and so would the empty imaginary part after an odd number of blocks
         parts = len(blocks) + len(blocks) % 2
         dead = [b for b in range(parts) if b == len(blocks) or zero[blocks[b]][1]]
         self._ddj_dead_parts = [[len(pairs) + b // 2 for b in dead if b % 2 == p] for p in (0, 1)]
-        # quaternion_slots: block i is (2i, 2i+1)
-        by_part = list(real_blocks) + list(imag_blocks)  # the order quaternion_slots reads them in
-        self._block_order = np.array([by_part.index(index[(b, b + 1)]) for b in range(0, 2 * self.n, 2)])
+        # quaternion_slots reads block i, entry (2i, 2i+1), at (b // 2, b % 2), b its place above
+        self._block_parts = [divmod(blocks.index(index[(j, j + 1)]), 2) for j in range(0, 2 * self.n, 2)]
 
     def _ddj_mult(self, e):
         """The multiplier of Hessian entry e, on the axes of its coordinates only.
@@ -550,24 +553,6 @@ class SpectralOps:
     def _hermitian(self):
         """``_hermitian_gather`` of the grid, built by the first :meth:`fft` of a real field."""
         return _hermitian_gather(self.grid.sizes)
-
-    @property
-    def below_nyquist(self):
-        """1.0 on the live modes (no Nyquist index on any even axis), 0.0 elsewhere.
-
-        Every derivative multiplier is zero off the live modes, so the flow
-        map cannot see a mode with a Nyquist index; the stepper's update
-        keeps ``u`` out of those modes, which makes the normalized limit
-        unique.  A grid-sized array, built on each read and not kept: the
-        numpy.fft transforms read ``_live_index`` instead.
-        """
-        keep = np.ones(self.grid.shape)
-        for p, size in enumerate(self.grid.sizes):
-            if size % 2 == 0:
-                index = [slice(None)] * len(self.grid.sizes)
-                index[p] = size // 2
-                keep[tuple(index)] = 0.0
-        return keep
 
     def _build_tail_live(self):
         """The live modes with |k| >= size / 3 on some axis, in the order of ``_live_index``."""
@@ -697,10 +682,11 @@ class SpectralOps:
         (upper, s1) where ``upper`` stacks the (j, k) entries in
         ``self.pairs`` order.  The packed slots' transforms serve the whole
         bundle; the partners are rebuilt by conjugation and
-        S_1 is the sum of the blocks.  Entries whose multiplier vanishes on
-        the grid are zero.
+        S_1 is the sum of the blocks in block order (``model.block_sum``).
+        Entries whose multiplier vanishes on the grid are zero.
         """
-        return self.unpack_form(self.ddj_slots_from_hat(hat))
+        slots = self.ddj_slots_from_hat(hat)
+        return self.unpack_form(slots), block_sum(self.quaternion_slots(slots)[0])
 
     def ddj_slots_from_hat(self, hat):
         """The quaternionic Hessian of a real field, packed as by :meth:`pack_j_real`.
@@ -709,8 +695,8 @@ class SpectralOps:
         hold no live Hessian block are zero, as :meth:`pack_j_real` leaves
         them, not rounding.
         """
-        rows, size = self._ddj_live, self._form_rows[2]  # size: the layout's slot count
-        slots = self._live_rows(rows, (self._slot(self._ddj_mult, c) for c in rows), size, hat)
+        rows = self._ddj_live
+        slots = self._live_rows(rows, (self._slot(self._ddj_mult, c) for c in rows), self.slot_count, hat)
         slots.real[self._ddj_dead_parts[0]] = 0.0
         slots.imag[self._ddj_dead_parts[1]] = 0.0
         return slots
@@ -744,63 +730,34 @@ class SpectralOps:
         live-mode vector of a real field.  Only the slots with a non-zero
         multiplier are transformed, and the base is added into their output.
         """
-        slots = self._live_rows(*self._form_rows, hat)
+        slots = self._live_rows(*self._form_rows, self.slot_count, hat)
         slots += packed_base
         return slots
 
     def unpack_form(self, packed):
-        """Upper-triangle entries and S_1 (the sum of the blocks) of packed slots."""
+        """The upper-triangle entries of packed slots, in ``pairs`` order."""
         entries, partners, signs, real_blocks, imag_blocks = self._form_layout
         upper = np.empty((len(self.pairs),) + packed.shape[1:], dtype=complex)
         c = len(entries)
         upper[entries] = packed[:c]
         upper[partners] = signs * np.conj(packed[:c])
-        real, imag = packed[c:].real, packed[c : c + len(imag_blocks)].imag
-        upper[real_blocks] = real
-        upper[imag_blocks] = imag
-        return upper, real.sum(axis=0) + imag.sum(axis=0)
-
-    def slot_terms(self, packed):
-        """S_1, S_2, the blocks and w of a J-real form packed as by :meth:`pack_j_real`.
-
-        S_1 and S_2 are the first two elementary symmetric functions of the
-        block eigenvalues, read off the slots for every n: S_1 is the sum of
-        the blocks b, and S_2 = e_2(b) - w, w the sum of |p|^2 over the pair
-        slots p, since the positivity matrix M has every block eigenvalue
-        twice and tr M^2 = 2 sum b^2 + 4 w.  For n = 2, S_2 is the Pfaffian
-        and w the squared norm of the one off-diagonal quaternion.  The
-        blocks come as views of ``packed``, in slot order.
-        """
-        entries, _, _, _, imag_blocks = self._form_layout
-        c = len(entries)
-        blocks = [*packed[c:].real, *packed[c : c + len(imag_blocks)].imag]
-        s1, s2 = blocks[0], None
-        for b in blocks[1:]:  # n >= 2 blocks, n (n - 1) >= 2 pair slots
-            s2 = b * s1 if s2 is None else s2 + b * s1
-            s1 = s1 + b
-        w = norm = square = None  # the first pair's norm starts w; the others share one buffer
-        for p in packed[:c]:
-            norm = np.multiply(p.real, p.real, out=norm)
-            square = np.multiply(p.imag, p.imag, out=square)
-            norm += square
-            s2 -= norm
-            if w is None:
-                w, norm = norm, None
-            else:
-                w += norm
-        return s1, s2, blocks, w
+        upper[real_blocks] = packed[c:].real
+        upper[imag_blocks] = packed[c : c + len(imag_blocks)].imag
+        return upper
 
     def quaternion_slots(self, packed):
-        """(a, z, s) of :func:`model.quaternion_entries`, read off packed slots.
+        """(a, z, s) of :func:`model.quaternion_entries`, read off packed slots: the one reader of them.
 
-        The blocks ``a`` come out real.  The pair slots hold the entries
-        (2i, k), k > 2i + 1, in ``pairs`` order: for the block pairs i < j in
-        lexicographic order, s = (2i, 2j) and then z = (2i, 2j + 1).  So
-        ``z`` and ``s`` are every other pair slot, views of ``packed``.
+        ``a`` lists the n blocks in block order, each a real view of the
+        real or imaginary part of its slot; their sum in that order
+        (:func:`model.block_sum`) is the form's S_1.  The pair slots hold the
+        entries (2i, k), k > 2i + 1, in ``pairs`` order: for the block pairs
+        i < j in lexicographic order, s = (2i, 2j) and then z = (2i, 2j + 1).
+        So ``z`` and ``s`` are every other pair slot, views of ``packed``.
         """
         c = len(self._form_layout[0])
-        blocks = np.concatenate((packed[c:].real, packed[c : c + len(self._form_layout[4])].imag))
-        return blocks[self._block_order], packed[1:c:2], packed[0:c:2]
+        a = [packed[c + slot].imag if imag else packed[c + slot].real for slot, imag in self._block_parts]
+        return a, packed[1:c:2], packed[0:c:2]
 
     def zbar_gradient_batched_from_hat(self, hat):
         """u_{abar} for a = 0..2n-1, stacked on a leading axis.
@@ -931,9 +888,8 @@ class PackedTwoForm:
     slots: np.ndarray
 
     def __post_init__(self):
-        n = self.grid.n
         self.slots = np.asarray(self.slots, dtype=complex)
-        shape = (n * (n - 1) + (n + 1) // 2,) + self.grid.shape
+        shape = (spectral_ops(self.grid).slot_count,) + self.grid.shape
         if self.slots.shape != shape:
             raise SpecValidationError(
                 f"packed form shape {self.slots.shape} does not match {shape}"
@@ -945,8 +901,7 @@ class PackedTwoForm:
 
     @property
     def entries(self) -> np.ndarray:
-        upper, _ = spectral_ops(self.grid).unpack_form(self.slots)
-        return full_from_upper(upper, 2 * self.n)
+        return full_from_upper(spectral_ops(self.grid).unpack_form(self.slots), 2 * self.n)
 
     def j_reality_defect(self) -> float:
         return j_reality_defect(self.entries, self.n)
@@ -991,18 +946,17 @@ def build_omega_h(
     if not c > 0:
         raise SpecValidationError(f"background scale c must be positive, got {c}")
     ops = spectral_ops(grid)
-    entries, _, _, real_blocks, imag_blocks = ops._form_layout
-    c_pairs = len(entries)
     if rho is not None and rho.terms:
         slots = ops.ddj_slots_from_hat(ops.live_fft(sample(rho, grid).values))
     else:
-        slots = np.zeros((c_pairs + len(real_blocks),) + grid.shape, dtype=complex)
-    slots.real[c_pairs:] += c  # Omega is 1 on every block
-    slots.imag[c_pairs : c_pairs + len(imag_blocks)] += c
+        slots = np.zeros((ops.slot_count,) + grid.shape, dtype=complex)
+    blocks, z, s = ops.quaternion_slots(slots)
+    for block in blocks:
+        block += c  # Omega is 1 on every block
     # S_n and the closed forms of the positivity test sum products of n
     # entries; each stays below (2n max|entry|)^n.  A pair slot is as large
-    # as its entry, a block as its real or imaginary part.
-    largest = max(_max_abs(slots[:c_pairs]), _max_abs([*slots[c_pairs:].real, *slots[c_pairs:].imag]))
+    # as its entry.
+    largest = max(_max_abs([*z, *s]), _max_abs(blocks))
     limit = np.finfo(float).max ** (1.0 / model.n) / (2 * model.n)
     if not largest < limit:
         raise SpecValidationError(

@@ -36,17 +36,17 @@ the one every form on a grid is checked with: the background, and the
 evolving form wherever the operators read it.  The right-hand side is log S_n - f with
 S_n = Pf(omega_tilde) / Pf(Omega) (Pf(Omega) = 1), the product of the
 block eigenvalues: the quaternionic determinant of the J-real form
-(Aslaksen, Math. Intelligencer 18, 1996).  For n = 2 the guard and the
-right-hand side read S_1 and S_2 = S_n straight off the slots as real
-polynomials, and the pair's eigenvalues come in closed form about their
-mean, from the blocks and the off-diagonal quaternion's squared norm
-(``SpectralOps.slot_terms``).  For n = 3
-they read the blocks and the off-diagonal quaternions off the slots
-(``SpectralOps.quaternion_slots``): S_n is their Moore determinant, and the
-smallest block eigenvalue comes in closed form too, from the trigonometric
-solution of the cubic about its mean root (``model.triple_eigenvalues``).
-For n = 4 the slots are unpacked for ``model.block_eigenvalues``, whose
-block eigenvalues give the guard, S_n and kappa.  No Pfaffian is computed.  The per-step diagnostics take
+(Aslaksen, Math. Intelligencer 18, 1996).  The guard and the right-hand
+side read the blocks and the off-diagonal quaternions off the slots as
+views (``SpectralOps.quaternion_slots``).  For n = 2 and 3 one closed form,
+``model.quaternion_terms``, gives the smallest block eigenvalue, S_1, S_n
+and S_{n-1} from them: S_2 = a_0 a_1 - |q|^2 and the pair's roots about
+their mean for n = 2, the Moore determinant and the trigonometric roots of
+the cubic about its mean for n = 3.  For n = 4 the slots are unpacked for
+``model.block_eigenvalues``, whose block eigenvalues give the guard, S_n
+and kappa.  S_1 is the sum of the blocks in block order for every n, and
+the background's S_1 is summed the same way, so eta = S_1(ddj u) is
+exactly 0 at u = 0.  No Pfaffian is computed.  The per-step diagnostics take
 ``max_beta``, the largest sum_a |u_{abar}|^2, from the state's samples by
 one differentiation-matrix product per active real axis
 (``SpectralOps.zbar_gradient_norm2``), with no transform and never as the
@@ -91,14 +91,7 @@ from .exterior import full_from_upper
 # flow.pfaffian; the last two are not called here
 from .exterior import pfaffian, pfaffian_upper  # noqa: F401
 from .fields import PackedTwoForm, ScalarField, spectral_ops
-from .model import (
-    block_eigenvalues,
-    failing_point,
-    moore_determinant,
-    pair_eigenvalues,
-    triple_eigenvalues,
-    triple_terms,
-)
+from .model import block_eigenvalues, block_sum, failing_point, quaternion_terms
 
 GROW_FACTOR = 1.1
 GROW_AFTER_ACCEPTS = 10
@@ -190,28 +183,20 @@ def packed_block_terms(ops, packed):
     Returns (lam_min, s1, s_n, k) per grid point: the smallest block
     eigenvalue, S_1, S_n (the product of the block eigenvalues) and what
     kappa, the sum of their reciprocals, is taken from: k = S_{n-1} for
-    n <= 3 (kappa = S_{n-1} / S_n), the block eigenvalues for n = 4.  For
-    n = 2, S_1 and S_2 = S_n come straight off the slots, and the pair's
-    eigenvalues in closed form from the blocks and the pair slots' squared
-    norms; for n = 3, S_1, S_2, the Moore determinant S_3 and the smallest
-    block eigenvalue are closed forms in the blocks and quaternions read off
-    the slots; for n = 4 the slots are unpacked for
-    :func:`model.block_eigenvalues`.  Every form on a grid is tested with it:
-    the flow map's guard, ``fields.build_omega_h``'s background, the
-    operators' preconditions and the identity suite's potentials.
+    n <= 3 (kappa = S_{n-1} / S_n), the block eigenvalues for n = 4.  The
+    blocks and quaternions come off the slots (``ops.quaternion_slots``);
+    for n <= 3 every value is :func:`model.quaternion_terms`' closed form,
+    and for n = 4 S_1 is the sum of the blocks and the slots are unpacked
+    for :func:`model.block_eigenvalues`.  Every form on a grid is tested
+    with it: the flow map's guard, ``fields.build_omega_h``'s background,
+    the operators' preconditions and the identity suite's potentials.
     """
-    if ops.n == 2:
-        s1, s_n, a, w = ops.slot_terms(packed)
-        (lam_min,) = pair_eigenvalues(a, w, s1, count=1)
-        return lam_min, s1, s_n, s1
-    if ops.n == 3:
-        a, z, s = ops.quaternion_slots(packed)
-        w, t = triple_terms(z, s)
-        s_prev = a[0] * a[1] + (a[0] + a[1]) * a[2] - (w[0] + w[1] + w[2])
-        (lam_min,) = triple_eigenvalues(a, w, t, count=1)
-        return lam_min, a[0] + a[1] + a[2], moore_determinant(a, w, t), s_prev
-    upper, s1 = ops.unpack_form(packed)
-    lam = block_eigenvalues(full_from_upper(upper, 2 * ops.n), ops.n)
+    a, z, s = ops.quaternion_slots(packed)
+    if ops.n <= 3:
+        (lam_min,), s1, s_n, s_prev = quaternion_terms(a, z, s)
+        return lam_min, s1, s_n, s_prev
+    s1 = block_sum(a)
+    lam = block_eigenvalues(full_from_upper(ops.unpack_form(packed), 2 * ops.n), ops.n)
     return lam[..., 0], s1, np.prod(lam, axis=-1), lam
 
 
@@ -238,7 +223,7 @@ class FlowEngine:
         self.halvings = 0
         self.evaluations = 0
         self._packed_omega_h = omega_h.slots
-        self._s1_omega_h, _, _, _ = self.ops.slot_terms(self._packed_omega_h)
+        self._s1_omega_h = block_sum(self.ops.quaternion_slots(omega_h.slots)[0])
 
     def evaluate(self, u_values, hat=None) -> _Stage:
         """Evolving form, positivity guard, right-hand side at one state.

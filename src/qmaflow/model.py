@@ -19,19 +19,25 @@ quantifier over (1,0)-vectors in the positivity definition; its determinant
 equals Pf(alpha)^2 exactly, and for J-real alpha its eigenvalues come in
 equal pairs (one pair per quaternionic block).
 
-A J-real form is strictly positive when its n block eigenvalues are
-(Aslaksen, Math. Intelligencer 18, 1996): in closed form for n = 2 (the
-roots of a quadratic about their mean, :func:`pair_eigenvalues`) and n = 3
-(the trigonometric roots of a cubic about its mean,
-:func:`triple_eigenvalues`), as averaged pairs of the batched Hermitian
-eigensolver for n = 4.  Every form on a grid is tested on its packed slots
-by ``flow.packed_block_terms``; :func:`block_eigenvalues` tests full forms
+A J-real form is the quaternionic Hermitian n x n matrix with real
+diagonal blocks a and off-diagonal quaternions z + s j
+(:func:`quaternion_entries`; ``fields.SpectralOps.quaternion_slots`` reads
+the same (a, z, s) off packed slots), and it is strictly positive when its
+n block eigenvalues are (Aslaksen, Math. Intelligencer 18, 1996).  Its S_1
+is the sum of the blocks in block order (:func:`block_sum`).  For n = 2
+and 3 one routine, :func:`quaternion_terms`, turns (a, z, s) into the
+lowest block eigenvalues, S_1, S_n and S_{n-1} in closed form: the roots
+of a quadratic about their mean (:func:`pair_eigenvalues`) and the
+trigonometric roots of a cubic about its mean (:func:`triple_eigenvalues`).
+For n = 4 the block eigenvalues are averaged pairs of the batched Hermitian
+eigensolver.  Every form on a grid is tested on its packed slots by
+``flow.packed_block_terms``; :func:`block_eigenvalues` tests full forms
 passed in as arrays (:func:`is_strictly_positive`, the suite's single
-random forms), with NaN at a point holding a non-finite entry, and is
-n = 4's eigensolver inside ``packed_block_terms``.  :func:`failing_point`
-is the one failure rule (a point fails unless its value is > margin, so
-NaN fails).  The full spectrum of the positivity matrix,
-:func:`positivity_eigenvalues`, stays the tests' oracle.
+random forms), with NaN at a point holding a non-finite entry, through the
+same routine, and is n = 4's eigensolver inside ``packed_block_terms``.
+:func:`failing_point` is the one failure rule (a point fails unless its
+value is > margin, so NaN fails).  The full spectrum of the positivity
+matrix, :func:`positivity_eigenvalues`, stays the tests' oracle.
 """
 
 from __future__ import annotations
@@ -174,20 +180,19 @@ def positivity_eigenvalues(entries, n: int):
     return np.linalg.eigvalsh(m)
 
 
-def pair_eigenvalues(a, w, s1, count: int = 2):
+def pair_eigenvalues(a, w4, s1, count: int = 2):
     """The lowest ``count`` of the n = 2 block pair (lo, hi), the roots of lambda^2 - S_1 lambda + S_2.
 
-    ``a`` holds the two blocks, ``w`` the squared norm |z|^2 + |s|^2 of
-    the one off-diagonal quaternion (:func:`quaternion_entries`,
-    :func:`quaternion_norms`) and ``s1`` the sum a[0] + a[1], which the
-    flow's guard already holds.  The roots are (S_1 -+ disc) / 2 with
-    disc^2 = (a_0 - a_1)^2 + 4 w, which is S_1^2 - 4 S_2 taken about the
-    mean root: the difference of squares cancels near a double root, and
-    this sum of squares does not.
+    ``a`` holds the two blocks, ``w4`` four times the squared norm
+    |z|^2 + |s|^2 of the one off-diagonal quaternion and ``s1`` the sum
+    a[0] + a[1] (:func:`quaternion_terms` makes both).  The roots are
+    (S_1 -+ disc) / 2 with disc^2 = (a_0 - a_1)^2 + 4 w, which is
+    S_1^2 - 4 S_2 taken about the mean root: the difference of squares
+    cancels near a double root, and this sum of squares does not.
     """
     disc = np.asarray(a[0] - a[1])
     disc *= disc
-    disc += 4.0 * w
+    disc += w4
     np.sqrt(disc, out=disc)
     if count == 1:  # the lower root alone, written over disc
         lo = np.subtract(s1, disc, out=disc)
@@ -204,16 +209,24 @@ def quaternion_entries(entries, n: int):
     (2i, 2j+1) and ``s`` the entries (2i, 2j).  A J-real form is the
     quaternionic Hermitian n x n matrix with diagonal ``a`` and
     off-diagonal quaternions z + s j; the rest of its entries are +-conj
-    of these.
+    of these.  ``fields.SpectralOps.quaternion_slots`` reads the same
+    (a, z, s) off packed slots.
     """
     i, j = np.array([(i, j) for i in range(n) for j in range(i + 1, n)]).T
     blocks = np.arange(0, 2 * n, 2)
     return entries[blocks, blocks + 1].real, entries[2 * i, 2 * j + 1], entries[2 * i, 2 * j]
 
 
-def quaternion_norms(z, s):
-    """Squared norms |z|^2 + |s|^2 of off-diagonal quaternions z + s j, in real arithmetic."""
-    return z.real**2 + z.imag**2 + s.real**2 + s.imag**2
+def block_sum(a):
+    """S_1 of a J-real form, the sum of its blocks ``a`` in block order; a new array.
+
+    The one S_1 of every form: the positivity test's, the flow's background
+    and ``operators.s1_field``.
+    """
+    s1 = a[0] + a[1]
+    for b in a[2:]:
+        s1 += b
+    return s1
 
 
 def triple_terms(z, s):
@@ -221,11 +234,10 @@ def triple_terms(z, s):
 
     ``z`` and ``s`` stack the pairs (0, 1), (0, 2), (1, 2) as
     :func:`quaternion_entries` gives them.  Returns (w, t): ``w`` the
-    squared norms of the three quaternions (:func:`quaternion_norms`),
-    ``t`` twice the real part of their cyclic product q01 q12 conj(q02), in
-    complex pairs.
+    squared norms |z|^2 + |s|^2 of the three quaternions, ``t`` twice the
+    real part of their cyclic product q01 q12 conj(q02), in complex pairs.
     """
-    w = quaternion_norms(z, s)
+    w = z.real**2 + z.imag**2 + s.real**2 + s.imag**2
     (z01, z02, z12), (s01, s02, s12) = z, s
     zq = z01 * z12 - s01 * s12.conj()
     sq = z01 * s12 + s01 * z12.conj()
@@ -236,7 +248,7 @@ def triple_terms(z, s):
 def moore_determinant(a, w, t):
     """Moore determinant of the quaternionic Hermitian 3 x 3 matrix: S_3 = Pf.
 
-    ``a`` stacks the three real diagonal entries and (w, t) come from
+    ``a`` holds the three real diagonal entries and (w, t) come from
     :func:`triple_terms` (Aslaksen, Math. Intelligencer 18, 1996).
     """
     return a[0] * a[1] * a[2] - a[0] * w[2] - a[1] * w[1] - a[2] * w[0] + t
@@ -258,12 +270,50 @@ def triple_eigenvalues(a, w, t, count: int = 3):
     standard one and every root is sh.
     """
     sh = (a[0] + a[1] + a[2]) / 3.0
-    d = a - sh
+    d = [b - sh for b in a]
     p = np.sqrt((d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + 2.0 * (w[0] + w[1] + w[2])) / 6.0)
     arg = moore_determinant(d, w, t) / np.maximum(2.0 * p * p * p, np.finfo(float).tiny)
     phi = np.arccos(arg.clip(-1.0, 1.0)) / 3.0
     return [sh + 2.0 * p * np.cos(phi + shift) for shift in _TRIPLE_SHIFTS[:count]]
 
+
+def quaternion_terms(a, z, s, count: int = 1):
+    """The positivity test of a J-real form with n = 2 or 3 blocks, with S_1, S_n and S_{n-1}, in closed form.
+
+    (a, z, s) as :func:`quaternion_entries` gives them: the n real blocks
+    and the off-diagonal quaternions z + s j.  Returns (lam, s1, s_n,
+    s_prev): the lowest ``count`` block eigenvalues, ascending, and the
+    elementary symmetric functions S_1 (:func:`block_sum`), S_n (the
+    product of the block eigenvalues) and S_{n-1} of them.  For n = 2,
+    S_2 = a_0 a_1 - |s|^2 - |z|^2 and the pair comes from
+    :func:`pair_eigenvalues`, with at most four grid arrays alive at once;
+    for n = 3,
+    S_3 is the Moore determinant and the roots come from
+    :func:`triple_eigenvalues`.  Both the flow's guard
+    (``flow.packed_block_terms``, on packed slots) and
+    :func:`block_eigenvalues` (on full forms) take their values from here.
+    """
+    if len(a) == 2:
+        s_n = a[1] * a[0]
+        (z,), (s,) = z, s
+        w = s.real * s.real
+        square = np.asarray(s.imag * s.imag)  # an array also for a single form: the buffer of |z|^2
+        w += square
+        s_n -= w
+        norm = z.real * z.real
+        np.multiply(z.imag, z.imag, out=square)
+        norm += square
+        del square
+        s_n -= norm
+        w += norm
+        del norm
+        w *= 4.0
+        s1 = block_sum(a)
+        return pair_eigenvalues(a, w, s1, count), s1, s_n, s1
+    w, t = triple_terms(z, s)
+    s_prev = a[0] * a[1] + (a[0] + a[1]) * a[2] - (w[0] + w[1] + w[2])
+    lam = triple_eigenvalues(a, w, t, count)
+    return lam, block_sum(a), moore_determinant(a, w, t), s_prev
 
 
 def block_eigenvalues(entries, n: int):
@@ -275,11 +325,11 @@ def block_eigenvalues(entries, n: int):
     ``entries`` is J-real.  It is not checked here, and a form that is not
     gets meaningless values (the closed forms read only the real parts of
     the blocks and the entries :func:`quaternion_entries` returns).  For
-    n = 2 the pair values come from :func:`pair_eigenvalues` and for n = 3
-    from :func:`triple_eigenvalues`; for n = 4 the batched Hermitian eigensolver
-    is used and adjacent eigenvalues are averaged.  A grid point with a
-    non-finite entry gets NaN block eigenvalues and is never handed to any
-    of them.
+    n = 2 and 3 they come in closed form from :func:`quaternion_terms`,
+    the flow guard's own routine; for n = 4 the batched Hermitian
+    eigensolver is used and adjacent eigenvalues are averaged.  A grid
+    point with a non-finite entry gets NaN block eigenvalues and is never
+    handed to either.
     """
     entries = np.asarray(entries)
     if not np.isfinite(entries).all():
@@ -287,11 +337,9 @@ def block_eigenvalues(entries, n: int):
         lam = block_eigenvalues(np.where(finite, entries, 0.0), n)
         lam[~finite] = np.nan
         return lam
-    if n in (2, 3):
-        a, z, s = quaternion_entries(entries, n)
-        if n == 2:
-            return np.stack(pair_eigenvalues(a, quaternion_norms(z, s)[0], a[0] + a[1]), axis=-1)
-        return np.stack(triple_eigenvalues(a, *triple_terms(z, s)), axis=-1)
+    if n <= 3:
+        lam, _, _, _ = quaternion_terms(*quaternion_entries(entries, n), count=n)
+        return np.stack(lam, axis=-1)
     eig = positivity_eigenvalues(entries, n)
     return 0.5 * (eig[..., 0::2] + eig[..., 1::2])
 
@@ -348,37 +396,3 @@ def require_positive_minimum(min_eig: np.ndarray, margin: float, what: str):
             point=point or None,
             min_eigenvalue=worst,
         )
-
-
-# -- basis-level J application (used by calibration tests and oracles) ---
-
-
-def apply_j_one_form(hol, antihol, n: int):
-    """J applied to a 1-form with components (hol on dz, antihol on dzbar)."""
-    t = j_tables(n)
-    hol = np.asarray(hol, dtype=complex)
-    antihol = np.asarray(antihol, dtype=complex)
-    sh = (2 * n,) + (1,) * (hol.ndim - 1)
-    sig = t.form_sign.reshape(sh)
-    new_antihol = (sig * hol)[t.sigma]
-    new_hol = (sig * antihol)[t.sigma]
-    return new_hol, new_antihol
-
-
-def apply_j_vector(hol, antihol, n: int):
-    """J applied to a vector with components (hol on d, antihol on dbar)."""
-    t = j_tables(n)
-    hol = np.asarray(hol, dtype=complex)
-    antihol = np.asarray(antihol, dtype=complex)
-    sh = (2 * n,) + (1,) * (hol.ndim - 1)
-    sig = t.vec_sign.reshape(sh)
-    new_hol = (sig * antihol)[t.sigma]
-    new_antihol = (sig * hol)[t.sigma]
-    return new_hol, new_antihol
-
-
-def pair_form_vector(form_hol, form_antihol, vec_hol, vec_antihol):
-    """Natural pairing of a 1-form with a vector in the coordinate frame."""
-    return np.sum(form_hol * vec_hol, axis=0) + np.sum(
-        form_antihol * vec_antihol, axis=0
-    )

@@ -27,6 +27,7 @@ from .exterior import ExteriorElement, pfaffian, s_m
 from .fields import PackedTwoForm, ScalarField, TorusGrid, spectral_ops
 from .flow import FlowEngine, packed_block_terms
 from .model import (
+    block_sum,
     j_conjugate_one_one,
     j_tables,
     positivity_matrix,
@@ -35,7 +36,8 @@ from .model import (
 )
 
 
-def _standard_entries(grid: TorusGrid):
+def standard_entries(grid: TorusGrid):
+    """The standard form's (2n, 2n) matrix with a unit axis per grid axis, to broadcast against form fields."""
     omega = standard_form(grid.n)
     return omega.reshape(omega.shape + (1,) * len(grid.shape))
 
@@ -76,7 +78,7 @@ def s1_field(chi: PackedTwoForm) -> ScalarField:
     order; the form is not expanded.
     """
     blocks, _, _ = spectral_ops(chi.grid).quaternion_slots(chi.slots)
-    return ScalarField(chi.grid, sum(blocks))
+    return ScalarField(chi.grid, block_sum(blocks))
 
 
 def flow_form(u: ScalarField, omega_h: PackedTwoForm) -> PackedTwoForm:
@@ -130,7 +132,7 @@ def gradient_energy_wedge(u: ScalarField) -> ScalarField:
     du = ops.z_gradient_from_hat(hat)
     dju = d_j(u)
     chi = du[:, None] * dju[None, :] - du[None, :] * dju[:, None]
-    value = s_m(chi, _standard_entries(grid), grid.n, 1)
+    value = s_m(chi, standard_entries(grid), grid.n, 1)
     return ScalarField(grid, value.real)
 
 
@@ -146,7 +148,7 @@ def apply_linearized(u: ScalarField, v: ScalarField, omega_h: PackedTwoForm) -> 
     omt = flow_form(u, omega_h)
     require_positive_minimum(packed_block_terms(spectral_ops(grid), omt.slots)[0], 0.0, "the evolving form")
 
-    om_el = ExteriorElement.from_two_form(_standard_entries(grid))
+    om_el = ExteriorElement.from_two_form(standard_entries(grid))
     omt_el = ExteriorElement.from_two_form(omt.entries)
     om_pow = om_el.wedge_power(n - 1)
     omt_pow = omt_el.wedge_power(n - 1)

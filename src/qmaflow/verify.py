@@ -50,6 +50,7 @@ from .operators import (
     gradient_energy_wedge,
     induced_metric_form_real_path,
     apply_linearized,
+    standard_entries,
 )
 
 FIELD_TOL = 1e-10
@@ -186,9 +187,7 @@ def _rel_err(delta, scale) -> float:
 
 
 def _s1_exterior(entries, grid: TorusGrid):
-    omega = standard_form(grid.n)
-    omega_b = omega.reshape(omega.shape + (1,) * len(grid.shape))
-    return s_m(entries, omega_b, grid.n, 1)
+    return s_m(entries, standard_entries(grid), grid.n, 1)
 
 
 def run_identity_suite(n: int, trials: int = 200, seed: int = 0):
@@ -315,7 +314,7 @@ def _field_identities_once(rng: np.random.Generator, grid: TorusGrid):
     out["s1_decomposition"] = _rel_err(eta - (s1_omt - s1_oh), scale)
 
     # the quaternionic Hessian reconstructed from the two forms
-    omega_b = standard_form(n).reshape((2 * n, 2 * n) + (1,) * len(grid.shape))
+    omega_b = standard_entries(grid)
     recon = (n - 1) * oh - s1_oh * omega_b + s1_omt * omega_b - (n - 1) * omt
     scale = max(float(np.max(np.abs(ddju))), 1.0)
     out["hessian_reconstruction"] = _rel_err(recon - ddju, scale)

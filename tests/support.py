@@ -1,11 +1,28 @@
-"""Helpers shared by the tests: full-grid multiplier oracles, traced memory peaks, the bundles'
-multipliers stacked, stacked and per-slot transforms and the per-call wedge."""
+"""Helpers shared by the tests: full-grid multiplier oracles, the basis-level J actions, traced
+memory peaks, the bundles' multipliers stacked, stacked and per-slot transforms and the per-call
+wedge."""
 
 import tracemalloc
 
 import numpy as np
 
 from qmaflow.exterior import ExteriorElement, _lift, _parity_above, _parity_below, _sorted_unique
+from qmaflow.model import j_tables
+
+
+def below_nyquist(ops):
+    """1.0 on the live modes of ``ops``'s grid (no Nyquist index on any even axis), 0.0 elsewhere.
+
+    Every derivative multiplier is zero off the live modes, so the flow map
+    cannot see a mode with a Nyquist index.  A grid-sized array.
+    """
+    keep = np.ones(ops.grid.shape)
+    for p, size in enumerate(ops.grid.sizes):
+        if size % 2 == 0:
+            index = [slice(None)] * len(ops.grid.sizes)
+            index[p] = size // 2
+            keep[tuple(index)] = 0.0
+    return keep
 
 
 def full_grid_multipliers(ops):
@@ -13,7 +30,7 @@ def full_grid_multipliers(ops):
 
     With z^a = x^a + i x^{2n+a}, d/dz^a = (d/dx^a - i d/dx^{2n+a}) / 2 and
     d/dzbar^a = (d/dx^a + i d/dx^{2n+a}) / 2; S_1 is the sum of the products
-    d/dz^a d/dzbar^a.  Every multiplier is zero off ``ops.below_nyquist``.
+    d/dz^a d/dzbar^a.  Every multiplier is zero off :func:`below_nyquist`.
     ``z`` and ``zbar`` are lists of 2n grid-shaped arrays.
     """
     grid = ops.grid
@@ -24,8 +41,9 @@ def full_grid_multipliers(ops):
         return np.zeros(grid.shape) if axis is None else 1j * wavenumbers[axis]
 
     m = 2 * grid.n
-    z = [ops.below_nyquist * 0.5 * (ik(a) - 1j * ik(m + a)) for a in range(m)]
-    zbar = [ops.below_nyquist * 0.5 * (ik(a) + 1j * ik(m + a)) for a in range(m)]
+    keep = below_nyquist(ops)
+    z = [keep * 0.5 * (ik(a) - 1j * ik(m + a)) for a in range(m)]
+    zbar = [keep * 0.5 * (ik(a) + 1j * ik(m + a)) for a in range(m)]
     s1 = sum(za * zba for za, zba in zip(z, zbar)).real
     return z, zbar, s1
 
@@ -39,6 +57,32 @@ def full_mixed_hessian(ops, values):
     z, zbar, _ = full_grid_multipliers(ops)
     spectrum = ops.fft(values)
     return np.array([[np.fft.ifftn(za * zb * spectrum) for zb in zbar] for za in z])
+
+
+# -- the J actions on coordinate 1-forms and vectors, basis by basis -------------
+
+
+def apply_j_one_form(hol, antihol, n: int):
+    """J applied to a 1-form with components (hol on dz, antihol on dzbar)."""
+    t = j_tables(n)
+    hol = np.asarray(hol, dtype=complex)
+    antihol = np.asarray(antihol, dtype=complex)
+    sig = t.form_sign.reshape((2 * n,) + (1,) * (hol.ndim - 1))
+    return (sig * antihol)[t.sigma], (sig * hol)[t.sigma]
+
+
+def apply_j_vector(hol, antihol, n: int):
+    """J applied to a vector with components (hol on d, antihol on dbar)."""
+    t = j_tables(n)
+    hol = np.asarray(hol, dtype=complex)
+    antihol = np.asarray(antihol, dtype=complex)
+    sig = t.vec_sign.reshape((2 * n,) + (1,) * (hol.ndim - 1))
+    return (sig * antihol)[t.sigma], (sig * hol)[t.sigma]
+
+
+def pair_form_vector(form_hol, form_antihol, vec_hol, vec_antihol):
+    """Natural pairing of a 1-form with a vector in the coordinate frame."""
+    return np.sum(form_hol * vec_hol, axis=0) + np.sum(form_antihol * vec_antihol, axis=0)
 
 
 def traced(fn):
@@ -118,14 +162,14 @@ def live_rows(ops, kind):
     """
     m = 2 * ops.n
     if kind == "form":
-        rows, stack, size = ops._form_rows
-        return rows, stack.reshape(len(rows), -1), size
+        rows, stack = ops._form_rows
+        return rows, stack.reshape(len(rows), -1), ops.slot_count
     if kind == "z":
         rows, mults, size = range(m), ops._dz, m
     elif kind == "zbar":
         rows, mults, size = ops._zbar_live, [ops._dzbar[a] for a in ops._zbar_live], m
     else:
-        rows, size = ops._ddj_live, ops._form_rows[2]
+        rows, size = ops._ddj_live, ops.slot_count
         mults = [ops._slot(ops._ddj_mult, c) for c in rows]
     stack = np.empty((len(rows), ops._live_count), dtype=complex)
     for row, mult in zip(stack, mults):

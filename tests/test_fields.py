@@ -41,6 +41,7 @@ from qmaflow.model import (
 from qmaflow.verify import default_identity_grid
 
 from support import (
+    below_nyquist,
     full_grid_multipliers,
     full_mixed_hessian,
     live_rows,
@@ -348,7 +349,7 @@ def _matches_scipy_fft(ops, u):
     _close(ops.fft(z), sp_fft.fftn(z))
     _close(ops.ifft(hat), sp_fft.ifftn(hat))
     live = _live_pair_matches_scipy_fft(ops, u)
-    projected = ops.below_nyquist * sp_fft.fftn(u)
+    projected = below_nyquist(ops) * sp_fft.fftn(u)
     z, _, s1_mult = full_grid_multipliers(ops)
     _close(ops.s1_from_hat(live), sp_fft.ifftn(s1_mult * projected).real)
     _close(ops.z_gradient_from_hat(live)[0], sp_fft.ifftn(z[0] * projected))
@@ -704,7 +705,7 @@ def test_a_flow_on_dft_matrices_never_builds_the_live_index(monkeypatch):
 
 def test_spectral_ops_keeps_no_grid_sized_array():
     # on run4's 4^8 grid every table and buffer is smaller than the grid;
-    # the live modes' mask is built when read, and equals the Nyquist rule's
+    # the live modes' flat indices, built on first read, follow the Nyquist rule
     grid = SLOT_GRIDS["n2-4^8"]
     ops = SpectralOps(grid)
     held = [a for value in vars(ops).values() for a in _held_arrays(value)]
@@ -713,9 +714,7 @@ def test_spectral_ops_keeps_no_grid_sized_array():
     keep = np.ones(grid.shape)
     for p in range(len(grid.shape)):
         keep[(slice(None),) * p + (grid.sizes[p] // 2,)] = 0.0
-    mask = ops.below_nyquist
-    assert mask.dtype == keep.dtype and np.array_equal(mask, keep)
-    assert np.array_equal(ops._live_index, np.flatnonzero(mask))
+    assert np.array_equal(ops._live_index, np.flatnonzero(keep))
 
 
 def _manufactured_config(grid, rho_k):
@@ -744,7 +743,7 @@ def test_a_flow_setup_keeps_no_derivative_or_hessian_stack(grid, rho_k, tmp_path
     monkeypatch.setattr(fields, "_SPECTRAL_CACHE", {})
     omega_h, f, _ = cli._build_problem(cli.RunConfig.from_json(_manufactured_config(grid, rho_k), tmp_path))
     ops = FlowEngine(omega_h, f).ops
-    rows, stack, _ = ops._form_rows
+    rows, stack = ops._form_rows
     assert stack.shape == (len(rows),) + ops._live_shape
     held = [a for name, value in vars(ops).items() if name not in ("_live_dft", "_live_idft") for a in _held_arrays(value)]
     multipliers = [a for a in held if a.dtype == complex and a is not stack]
@@ -773,7 +772,7 @@ def test_every_multiplier_vanishes_on_nyquist_modes(sizes):
     for p, size in enumerate(sizes):
         if size % 2 == 0:
             nyquist[(slice(None),) * p + (size // 2,)] = True
-    assert np.array_equal(ops.below_nyquist == 0, nyquist)
+    assert np.array_equal(ops._live_index, np.flatnonzero(~nyquist))
     z, zbar, s1_mult = full_grid_multipliers(ops)
     mults = z + zbar + [s1_mult]
     for mult in mults:
@@ -836,7 +835,7 @@ def test_spectral_tail_detects_high_modes():
     # the live-mode tail is the full-grid one of the field's live modes:
     # |k| >= size / 3 on some axis, the mean mode left out of the total
     u = np.random.default_rng(19).standard_normal(g.shape)
-    power = np.abs(ops.below_nyquist * sp_fft.fftn(u)) ** 2
+    power = np.abs(below_nyquist(ops) * sp_fft.fftn(u)) ** 2
     k = np.abs(np.fft.fftfreq(32) * 32)
     tail = (k[:, None] >= 32 / 3) | (k[None, :] >= 32 / 3)
     expected = power[tail].sum() / (power.sum() - power[0, 0])

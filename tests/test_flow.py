@@ -48,6 +48,7 @@ from qmaflow.operators import flow_form
 from qmaflow.verify import (
     admissible_potential,
     build_manufactured,
+    default_identity_grid,
     fit_exponential_decay,
     random_j_real_positive,
 )
@@ -224,7 +225,7 @@ def test_packed_flow_map_matches_references(name):
     oh_upper = np.stack([oh.entries[j, k] for j, k in ops.pairs])
     form_ref = oh_upper + (s1 * omega_upper - ddj) / (n - 1)
     omt = flow_form(u, oh)
-    form, _ = ops.unpack_form(omt.slots)
+    form = ops.unpack_form(omt.slots)
     assert _rel(form, form_ref) <= 1e-12
     assert _rel(stage.eta, ops.s1_from_hat(hat)) <= 1e-12
 
@@ -236,17 +237,21 @@ def test_packed_flow_map_matches_references(name):
 
 @pytest.mark.parametrize("name", list(PACKED_CASES))
 def test_slot_invariants_are_block_eigenvalue_symmetric_functions(name):
-    # S_1 and S_2 read off the packed slots against e_1 and e_2 of the
-    # block eigenvalues of the unpacked form
+    # S_1 and S_2 of the positivity test on the packed slots (S_2 is S_n for
+    # n = 2 and S_{n-1} for n = 3) against e_1 and e_2 of the block
+    # eigenvalues of the unpacked form
     grid, kind = PACKED_CASES[name]
+    n = grid.n
     ops = spectral_ops(grid)
     u = ScalarField(grid, _smooth_field(grid, 33, 0.1))
-    form, _ = ops.unpack_form(flow_form(u, _background(grid, kind, seed=31)).slots)
-    s1, s2, _, _ = ops.slot_terms(ops.pack_j_real(form))
-    lam = block_eigenvalues(full_from_upper(form, 2 * grid.n), grid.n)
+    form = ops.unpack_form(flow_form(u, _background(grid, kind, seed=31)).slots)
+    _, s1, s_n, k = packed_block_terms(ops, ops.pack_j_real(form))
+    lam = block_eigenvalues(full_from_upper(form, 2 * n), n)
     e1 = lam.sum(axis=-1)
     assert _rel(s1, e1) <= 1e-13
-    assert _rel(s2, 0.5 * (e1 * e1 - (lam * lam).sum(axis=-1))) <= 1e-13
+    if n <= 3:
+        s2 = s_n if n == 2 else k
+        assert _rel(s2, 0.5 * (e1 * e1 - (lam * lam).sum(axis=-1))) <= 1e-13
 
 
 @pytest.mark.parametrize("name", list(PACKED_CASES))
@@ -284,6 +289,50 @@ def test_packed_block_terms_of_diagonal_forms_with_two_equal_blocks(order):
     assert np.max(np.abs(s1 - e1)) <= 1e-12
     assert np.max(np.abs(s_n - blocks.prod(axis=0))) <= 1e-12
     assert np.max(np.abs(k - 0.5 * (e1 * e1 - (blocks * blocks).sum(axis=0)))) <= 1e-12
+
+
+# 3^8 grids on all 8 coordinates (n = 2) and on x^0..x^3, x^6..x^9 (n = 3), and the identity grids
+ONE_TEST_GRIDS = {
+    "n2-3^8": TorusGrid(n=2, active_dims=tuple(range(8)), sizes=(3,) * 8),
+    "n3-3^8": TorusGrid(n=3, active_dims=(0, 1, 2, 3, 6, 7, 8, 9), sizes=(3,) * 8),
+    "n2-identity": default_identity_grid(2),
+    "n3-identity": default_identity_grid(3),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_TEST_GRIDS))
+def test_one_positivity_test_on_slots_and_on_full_forms(name):
+    # the guard on a grid form's packed slots and block_eigenvalues on its
+    # full entries are one closed form, so they agree bit for bit
+    grid = ONE_TEST_GRIDS[name]
+    ops = spectral_ops(grid)
+    oh = _background(grid, "rho", seed=31)
+    omt = flow_form(ScalarField(grid, _smooth_field(grid, 33, 0.1)), oh)
+    for form in (oh, omt):
+        lam_min = packed_block_terms(ops, form.slots)[0]
+        assert np.array_equal(lam_min, block_eigenvalues(form.entries, grid.n)[..., 0])
+
+
+ZERO_ETA_CASES = {
+    "n2-4^8": (PACKED_CASES["n2-4^8-dft"][0], [((1, 0, 0, 0, 0, 0, 1, 0), 0.03), ((0, 1, 0, 0, 0, 1, 0, 0), 0.02)]),
+    "n3-3^8": (
+        ONE_TEST_GRIDS["n3-3^8"],
+        [((1,) + (0,) * 7, 0.05), ((0,) * 7 + (1,), 0.03), ((1,) * 8, 0.02)],
+    ),
+    "n3-8^3": (PACKED_CASES["n3-8^3"][0], [((1, 0, 1), 0.05), ((0, 1, 1), 0.03)]),
+    "n4-z0-8x8": (PACKED_CASES["n4-z0-8x8"][0], [((1, 0), 0.05), ((1, 1), 0.03)]),
+}
+
+
+@pytest.mark.parametrize("name", list(ZERO_ETA_CASES))
+def test_eta_is_exactly_zero_at_zero_potential(name):
+    # eta = S_1(ddj u) is S_1 of the evolving form less the background's;
+    # both are the blocks' sum in block order, so at u = 0 it is exactly 0
+    grid, terms = ZERO_ETA_CASES[name]
+    rho = TrigPolySpec.from_terms([TrigTerm(k, amplitude) for k, amplitude in terms])
+    oh = build_omega_h(build_model(grid.n), grid, 1.0, rho)
+    stage = FlowEngine(oh, ScalarField.zeros(grid)).evaluate(np.zeros(grid.shape))
+    assert stage.ok and np.all(stage.eta == 0)
 
 
 def test_packed_background_keeps_entries_with_vanishing_multipliers():

@@ -7,20 +7,18 @@ import pytest
 
 from qmaflow.errors import PositivityError, SpecValidationError
 from qmaflow.model import (
-    apply_j_one_form,
-    apply_j_vector,
     block_eigenvalues,
     build_model,
     is_strictly_positive,
     j_conjugate_one_one,
     j_reality_defect,
     min_positivity_eigenvalue,
-    pair_form_vector,
     positivity_matrix,
     require_positive_minimum,
     standard_form,
 )
 from qmaflow.verify import j_real_projection, random_antisymmetric, random_j_real_positive
+from support import apply_j_one_form, apply_j_vector, pair_form_vector
 
 
 def basis_one_form(n, idx, antiholomorphic=False):

@@ -16,7 +16,6 @@ from qmaflow.fields import (
 )
 from qmaflow.exterior import full_from_upper
 from qmaflow.model import (
-    apply_j_one_form,
     build_model,
     min_positivity_eigenvalue,
     positivity_matrix,
@@ -37,6 +36,7 @@ from qmaflow.operators import (
     s1_field,
 )
 from qmaflow.verify import admissible_potential, build_manufactured
+from support import apply_j_one_form
 
 GRID = TorusGrid(n=2, active_dims=(0, 4), sizes=(32, 32))
 RICH_GRID = TorusGrid(n=2, active_dims=(0, 1, 6), sizes=(8, 8, 8))
